@@ -24,7 +24,6 @@ from .dodd_deeds import (
     QuadratureConvergenceError,
     QuadratureSpec,
     TruncationWarning,
-    bessel_j1,
     coil_kernel,
     delta_L,
     delta_L_air,
@@ -54,7 +53,6 @@ __all__ = [
     "normalized_response_thin",
     "equivalent_plate",
     "equivalent_thickness",
-    "bessel_j1",
     "coil_kernel",
     "delta_L",
     "delta_L_air",

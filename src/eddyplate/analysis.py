@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,14 +60,13 @@ def sweep(
     spec: SweepSpec,
     quad: dodd_deeds.QuadratureSpec | None = None,
     alpha0: float | None = None,
-    threads: int = 1,
 ) -> InductanceSpectrum:
     """Evaluate one forward model on a frequency grid.
 
     ``model`` is one of "thin_plate" (normalized, sigma*D-only form),
     "thin_plate_exact" (normalized finite-thickness bracket) or
-    "dodd_deeds" (absolute henries). Results are always ordered by
-    frequency regardless of thread count.
+    "dodd_deeds" (absolute henries, the whole grid in one batched
+    ``dodd_deeds.delta_L`` call).
     """
     freqs = frequency_grid(spec)
     omegas = 2.0 * np.pi * freqs
@@ -80,10 +78,9 @@ def sweep(
             if model == "thin_plate"
             else thin_plate.normalized_response_exact
         )
-        values = np.asarray(fn(a0, omegas, plate), dtype=complex)
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=values,
+            delta_L=fn(a0, omegas, plate),
             normalized=True,
             model_tag=model,
             metadata={"alpha0": a0},
@@ -91,25 +88,13 @@ def sweep(
 
     if model == "dodd_deeds":
         q = quad if quad is not None else dodd_deeds.QuadratureSpec()
-
-        def solve(i_omega):
-            i, omega = i_omega
-            try:
-                return dodd_deeds.delta_L(coil, plate, omega, q)
-            except Exception as exc:
-                raise SweepError(f"solver failed at f = {freqs[i]:.6g} Hz: {exc}") from exc
-
-        items = list(enumerate(omegas))
-        if threads > 1:
-            # Warm the frequency-independent kernel cache once, serially.
-            solve(items[0])
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(solve, items))
-        else:
-            values = [solve(it) for it in items]
+        try:
+            values = dodd_deeds.delta_L(coil, plate, omegas, q)
+        except dodd_deeds.QuadratureConvergenceError as exc:
+            raise SweepError(f"solver failed: {exc}") from exc
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=np.array(values, dtype=complex),
+            delta_L=values,
             normalized=False,
             model_tag="dodd_deeds",
             metadata={"quadrature": q},

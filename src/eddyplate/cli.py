@@ -46,16 +46,10 @@ def cmd_spectrum(args) -> int:
             spec=scen.sweep,
             quad=scen.quadrature,
             alpha0=alpha0,
-            threads=args.threads,
         )
-    except QuadratureConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     except (ValueError, analysis.SweepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, analysis.SweepError) and isinstance(
-            exc.__cause__, QuadratureConvergenceError
-        ):
+        if isinstance(exc.__cause__, QuadratureConvergenceError):
             return EXIT_NO_CONVERGENCE
         return EXIT_INVALID
 
@@ -73,8 +67,6 @@ def cmd_spectrum(args) -> int:
             f"alpha_max={q.resolve_alpha_max(scen.coil):.6g} "
             f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
         )
-        meta.pop("alpha0", None)
-    spectrum.metadata.pop("quadrature", None)
     fileio.write_spectrum_csv(args.output, spectrum, meta)
     print(f"wrote {len(spectrum.frequencies)} rows to {args.output}")
     return EXIT_OK
@@ -277,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--alpha0", type=float, default=None, help="override alpha0 [1/m]")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("equivalent", help="apply the sigma*D equivalence transform")

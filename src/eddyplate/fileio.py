@@ -8,6 +8,7 @@ a header row ``freq_hz,dL_re,dL_im`` and one row per frequency. Numbers use
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -40,10 +41,11 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
 
 
 def read_spectrum_csv(path: str) -> InductanceSpectrum:
+    """Parse a spectrum file; a malformed data row raises ValueError naming its line."""
     meta: dict[str, str] = {}
     freqs, re, im = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
@@ -55,10 +57,15 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
                 continue
             if line.startswith("freq_hz"):
                 continue
-            parts = line.split(",")
-            freqs.append(float(parts[0]))
-            re.append(float(parts[1]))
-            im.append(float(parts[2]))
+            try:
+                f, dl_re, dl_im = map(float, line.split(","))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 3 numbers, got {line!r}") from None
+            if not (math.isfinite(f) and math.isfinite(dl_re) and math.isfinite(dl_im)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            freqs.append(f)
+            re.append(dl_re)
+            im.append(dl_im)
     return InductanceSpectrum(
         frequencies=np.array(freqs),
         delta_L=np.array(re) + 1j * np.array(im),

@@ -32,18 +32,19 @@ class CoilPair:
     drive_current: float  # [A]
 
     def __post_init__(self):
-        if not 0.0 < self.inner_radius < self.outer_radius:
-            raise ValueError("need 0 < inner_radius < outer_radius")
-        if self.coil_height <= 0.0:
-            raise ValueError("coil_height must be positive")
-        if self.gap < 0.0:
-            raise ValueError("gap must be non-negative")
-        if self.liftoff <= 0.0:
-            raise ValueError("liftoff must be positive")
-        if self.turns_tx < 1 or self.turns_rx < 1:
-            raise ValueError("both coils need at least one turn")
-        if self.drive_current <= 0.0:
-            raise ValueError("drive_current must be positive")
+        # Each check is written so that NaN fails it; the upper bound rejects inf.
+        if not 0.0 < self.inner_radius < self.outer_radius < np.inf:
+            raise ValueError("need 0 < inner_radius < outer_radius < inf")
+        if not 0.0 < self.coil_height < np.inf:
+            raise ValueError("coil_height must be positive and finite")
+        if not 0.0 <= self.gap < np.inf:
+            raise ValueError("gap must be non-negative and finite")
+        if not 0.0 < self.liftoff < np.inf:
+            raise ValueError("liftoff must be positive and finite")
+        if not (1 <= self.turns_tx < np.inf and 1 <= self.turns_rx < np.inf):
+            raise ValueError("turns_tx and turns_rx must be finite and at least 1")
+        if not 0.0 < self.drive_current < np.inf:
+            raise ValueError("drive_current must be positive and finite")
 
     @property
     def tx_bottom(self) -> float:
@@ -72,12 +73,12 @@ class Plate:
     relative_permeability: float = 1.0
 
     def __post_init__(self):
-        if self.conductivity < 0.0:
-            raise ValueError("conductivity must be non-negative")
-        if self.thickness <= 0.0:
-            raise ValueError("thickness must be positive")
-        if self.relative_permeability < 1.0:
-            raise ValueError("relative_permeability must be >= 1")
+        if not 0.0 <= self.conductivity < np.inf:
+            raise ValueError("conductivity must be non-negative and finite")
+        if not 0.0 < self.thickness < np.inf:
+            raise ValueError("thickness must be positive and finite")
+        if not 1.0 <= self.relative_permeability < np.inf:
+            raise ValueError("relative_permeability must be finite and >= 1")
 
     @property
     def sigma_thickness_product(self) -> float:
@@ -95,10 +96,10 @@ class SweepSpec:
     spacing: str = "logarithmic"  # "logarithmic" | "linear"
 
     def __post_init__(self):
-        if not 0.0 < self.f_min <= self.f_max:
-            raise ValueError("need 0 < f_min <= f_max")
-        if self.n_points < 1:
-            raise ValueError("n_points must be >= 1")
+        if not 0.0 < self.f_min <= self.f_max < np.inf:
+            raise ValueError("need 0 < f_min <= f_max < inf")
+        if not 1 <= self.n_points < np.inf:
+            raise ValueError("n_points must be finite and >= 1")
         if self.n_points == 1 and self.f_min != self.f_max:
             raise ValueError("n_points = 1 requires f_min == f_max")
         if self.spacing not in ("logarithmic", "linear"):

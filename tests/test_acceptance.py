@@ -63,8 +63,8 @@ def announce(request):
 def test_criterion_1_copper_brass_equivalence(announce):
     spec = SweepSpec(1e3, 500e3, 40)
     start = time.perf_counter()
-    cu = sweep("dodd_deeds", COIL, COPPER, spec, threads=1)
-    br = sweep("dodd_deeds", COIL, BRASS, spec, threads=1)
+    cu = sweep("dodd_deeds", COIL, COPPER, spec)
+    br = sweep("dodd_deeds", COIL, BRASS, spec)
     runtime = time.perf_counter() - start
     report = compare(cu, br, band=(100e3, 500e3))
     ok = report.max_rel_error <= 0.05 and runtime <= 60.0

@@ -78,15 +78,6 @@ def test_sweep_dodd_deeds_single_point_consistency():
     assert s.delta_L[0] == delta_L(COIL, Plate(59.8e6, 0.56e-3), 2 * np.pi * 50e3, quad)
 
 
-def test_sweep_thread_determinism():
-    spec = SweepSpec(1e3, 500e3, 12)
-    plate = Plate(16.744e6, 2.0e-3)
-    serial = sweep("dodd_deeds", COIL, plate, spec, threads=1)
-    threaded = sweep("dodd_deeds", COIL, plate, spec, threads=4)
-    assert np.array_equal(serial.delta_L, threaded.delta_L)
-    assert np.array_equal(serial.frequencies, threaded.frequencies)
-
-
 def test_sweep_unknown_model():
     with pytest.raises(ValueError):
         sweep("fem", COIL, Plate(1e6, 1e-3), SweepSpec(1e3, 1e4, 3))

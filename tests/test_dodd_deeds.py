@@ -9,15 +9,19 @@ from eddyplate import (
     Plate,
     QuadratureConvergenceError,
     QuadratureSpec,
+    SweepSpec,
     TruncationWarning,
     default_sensor,
     delta_L,
     delta_L_air,
+    dodd_deeds,
+    frequency_grid,
+    sweep,
 )
+from eddyplate.analysis import SweepError
 from eddyplate.dodd_deeds import (
     air_factor,
     axial_factor,
-    bessel_j1,
     coil_kernel,
     kernel_prefactor,
     radial_integral,
@@ -25,16 +29,15 @@ from eddyplate.dodd_deeds import (
 
 COIL = default_sensor()
 QUAD = QuadratureSpec()
-
-
-def j1_series(x, terms=40):
-    """Oracle: J1 from its power series, accurate for |x| <~ 15."""
-    total = 0.0
-    term = x / 2.0
-    for m in range(terms):
-        total += term
-        term *= -(x * x / 4.0) / ((m + 1) * (m + 2))
-    return total
+# The five plates of the benchmark: copper, its brass sigma*D equivalent, an
+# aluminium foil, the foil's 55 um equivalent and a magnetic steel plate.
+PLATES = (
+    Plate(59.8e6, 0.56e-3),
+    Plate(16.744e6, 2.0e-3),
+    Plate(36.9e6, 20e-6),
+    Plate(36.9e6 * 20e-6 / 55e-6, 55e-6),
+    Plate(5.0e6, 1.0e-3, 200.0),
+)
 
 
 def trapezoid_p(coil, alpha, n=200001):
@@ -70,18 +73,6 @@ def filament_stack_mutual(coil, n=25):
         for zb in z_rx:
             total += filament_mutual(r, r, zb - za)
     return total * per_filament_tx * per_filament_rx
-
-
-def test_bessel_j1_against_series():
-    for x in (0.0, 0.1, 1.0, 3.0, 7.5, 12.0):
-        # the series loses a few digits to cancellation near x ~ 12
-        assert bessel_j1(x) == pytest.approx(j1_series(x), abs=1e-11)
-
-
-def test_bessel_j1_frozen_values():
-    # frozen from a 40-digit evaluation
-    assert bessel_j1(1.0) == pytest.approx(0.44005058574493351596, rel=1e-15)
-    assert bessel_j1(3.8317059702075123156) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_radial_integral_small_alpha_expansion():
@@ -233,3 +224,73 @@ def test_truncation_warning_for_small_alpha_max():
 def test_omega_validation():
     with pytest.raises(ValueError):
         delta_L(COIL, Plate(59.8e6, 0.56e-3), 0.0, QUAD)
+
+
+def test_quadrature_spec_rejects_non_finite():
+    for kwargs in (
+        dict(alpha_max=np.nan),
+        dict(alpha_max=np.inf),
+        dict(n_panels=np.nan),
+        dict(n_panels=np.inf),
+        dict(rel_tolerance=np.nan),
+    ):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            QuadratureSpec(**kwargs)
+
+
+def test_delta_L_array_matches_scalar_calls(monkeypatch):
+    # At this tolerance round-off decides the level at which each frequency
+    # stops, so the array call refines a masked subset of its frequencies.
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-15)
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
+    reflection = dodd_deeds.generalized_reflection
+    for plate in PLATES:
+        batched = delta_L(COIL, plate, omegas, quad)
+        levels = []
+
+        def counting(*args):
+            levels[-1] += 1
+            return reflection(*args)
+
+        monkeypatch.setattr(dodd_deeds, "generalized_reflection", counting)
+        scalar = []
+        for omega in omegas:
+            levels.append(0)
+            scalar.append(delta_L(COIL, plate, omega, quad))
+        monkeypatch.undo()
+        assert len(set(levels)) > 1, "every frequency stopped at the same level"
+        assert all(type(v) is complex for v in scalar)
+        assert batched.dtype == complex and batched.shape == omegas.shape
+        assert np.array_equal(batched, np.array(scalar))
+
+
+def test_delta_L_array_validation():
+    plate = Plate(59.8e6, 0.56e-3)
+    for omegas in ([1e3, 0.0], [1e3, np.nan], [1e3, np.inf], [[1e3, 2e3]]):
+        with pytest.raises(ValueError):
+            delta_L(COIL, plate, np.array(omegas), QUAD)
+
+
+def test_truncation_warning_for_array_call():
+    quad = QuadratureSpec(alpha_max=300.0, rule="fixed")
+    with pytest.warns(TruncationWarning):
+        delta_L(COIL, Plate(59.8e6, 0.56e-3), 2 * np.pi * np.array([1e3, 100e3]), quad)
+
+
+def test_sweep_error_names_first_unconverged_frequency():
+    # Round-off at this tolerance defeats some frequencies and not others;
+    # scalar calls tell which, and the sweep must name the first of them.
+    quad = QuadratureSpec(n_panels=8, rel_tolerance=2e-16)
+    spec = SweepSpec(10.0, 1e6, 12)
+    plate = Plate(59.8e6, 0.56e-3)
+    freqs = frequency_grid(spec)
+    failed = []
+    for f in freqs:
+        try:
+            delta_L(COIL, plate, 2 * np.pi * f, quad)
+        except QuadratureConvergenceError:
+            failed.append(f)
+    assert 0 < len(failed) < freqs.size
+    with pytest.raises(SweepError, match=f"f = {failed[0]:.6g} Hz") as info:
+        sweep("dodd_deeds", COIL, plate, spec, quad=quad)
+    assert isinstance(info.value.__cause__, QuadratureConvergenceError)

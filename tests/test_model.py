@@ -100,6 +100,13 @@ def test_sweep_spec_rejects_single_point_range():
         dict(liftoff=0.0),
         dict(turns_tx=0),
         dict(drive_current=0.0),
+        dict(inner_radius=np.nan),
+        dict(outer_radius=np.inf),
+        dict(coil_height=np.nan),
+        dict(gap=np.inf),
+        dict(liftoff=-np.inf),
+        dict(turns_rx=np.nan),
+        dict(drive_current=np.inf),
     ],
 )
 def test_coil_validation(kwargs):
@@ -125,5 +132,18 @@ def test_plate_validation():
         Plate(conductivity=1e6, thickness=0.0)
     with pytest.raises(ValueError):
         Plate(conductivity=1e6, thickness=1e-3, relative_permeability=0.5)
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="conductivity"):
+            Plate(conductivity=value, thickness=1e-3)
+        with pytest.raises(ValueError, match="thickness"):
+            Plate(conductivity=1e6, thickness=value)
+        with pytest.raises(ValueError, match="relative_permeability"):
+            Plate(conductivity=1e6, thickness=1e-3, relative_permeability=value)
     # sigma = 0 (free space slab) is allowed
     assert Plate(conductivity=0.0, thickness=1e-3).sigma_thickness_product == 0.0
+
+
+def test_sweep_spec_rejects_non_finite():
+    for args in ((np.nan, 1e3, 3), (1.0, np.inf, 3), (1.0, np.nan, 3), (1.0, 1e3, np.nan)):
+        with pytest.raises(ValueError):
+            SweepSpec(*args)
