@@ -68,6 +68,8 @@ def sweep(
     "dodd_deeds" (absolute henries, the whole grid in one batched
     ``dodd_deeds.delta_L`` call).
     """
+    if alpha0 is not None and not 0.0 < alpha0 < np.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     freqs = frequency_grid(spec)
     omegas = 2.0 * np.pi * freqs
 
@@ -180,6 +182,8 @@ def fit_sigma_d(
     Minimizes the stacked real/imaginary squared misfit of the thin-plate
     model against a normalized spectrum.
     """
+    if not 0.0 < alpha0 < np.inf:
+        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
     if not spectrum.normalized:
         raise ValueError("fit_sigma_d needs a normalized (thin-plate form) spectrum")
     if spectrum.frequencies.size < 3:

@@ -166,7 +166,9 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
 def _tail_density(coil: CoilPair, alpha_max: float):
     """Integrand density at alpha_max, (reflected, direct); |phi| <= 1 bounds the first."""
     kern = coil_kernel(coil, np.array([alpha_max]))
-    weight = kern.prefactor * kern.p_radial[0] ** 2 / alpha_max**6
+    # P oscillates and may have a node at alpha_max: take at least its envelope
+    envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
+    weight = kern.prefactor * max(kern.p_radial[0] ** 2, envelope) / alpha_max**6
     return weight * kern.axial[0], weight * kern.air[0]
 
 
@@ -251,6 +253,7 @@ def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
         return np.array([kern.prefactor * np.sum(base * kern.air)])
 
     value = float(np.real(_integrate(coil, quad, evaluate)[0]))
-    _, tail_density = _tail_density(coil, quad.resolve_alpha_max(coil))
-    _check_tail(quad, tail_density, 1.0 / coil.gap, value)
+    _, tail_density = _tail_density(coil, alpha_max := quad.resolve_alpha_max(coil))
+    # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
+    _check_tail(quad, tail_density, 1.0 / max(coil.gap, 4.0 / alpha_max), value)
     return value

@@ -3,7 +3,9 @@
 Wavenumbers, interface (Fresnel) coefficients, and the generalized
 reflection coefficient of a finite-thickness layer including all internal
 multiples. All functions are pure and accept numpy arrays in any argument
-that is not a structured object, broadcasting as usual.
+that is not a structured object, broadcasting as usual. The solver's inner
+loop, ``generalized_reflection``, forms k1 = |alpha0| and k2 in real
+arithmetic that rounds exactly as ``wavenumber`` would.
 """
 
 from __future__ import annotations
@@ -50,17 +52,14 @@ def fresnel(k_i, k_j, mu_i, mu_j) -> InterfaceCoeffs:
     return InterfaceCoeffs(reflection=r, transmission=1.0 + r)
 
 
-def _one_minus_exp_neg(z):
-    """1 - exp(-z) for complex z without cancellation at small |z|."""
-    a = np.real(z)
-    b = np.imag(z)
-    ea = np.exp(-a)
-    # 1 - e^{-a} cos b + j e^{-a} sin b, with the real part split into the
-    # cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
-    return -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2 + 1j * ea * np.sin(b)
+def _complex(real, imag):
+    """Complex array assembled from its parts, with no complex arithmetic."""
+    z = np.empty(np.broadcast(real, imag).shape, dtype=complex)
+    z.real, z.imag = real, imag
+    return z
 
 
-def generalized_reflection(alpha0, omega, plate: Plate, ambient_mu: float = MU_0):
+def generalized_reflection(alpha0, omega, plate: Plate):
     """Effective reflection of the plate seen from the coil side.
 
     Composition of the interface multiples in closed form,
@@ -76,20 +75,34 @@ def generalized_reflection(alpha0, omega, plate: Plate, ambient_mu: float = MU_0
     square roots, and 1 - E uses an expm1-style form; both would otherwise
     lose all significant digits in the weakly conducting / large-alpha
     regime. Only decaying exponentials appear; when Re(2 k2 D) is huge, E is
-    set to 0 and the half-space limit r is returned.
+    set to 0 and the half-space limit r is returned. k1 = sqrt(alpha0^2) is
+    |alpha0| to the last bit (a correctly rounded square has the operand as
+    its root), whatever the sign of alpha0. For alpha0 != 0 the principal
+    root k2 = t + j s, t = sqrt((hypot(alpha0^2, c) + alpha0^2) / 2), s =
+    (c / t) / 2, c = omega sigma mu2, is free of cancellation and is what the
+    C library's csqrt, behind numpy's complex sqrt, computes.
     """
-    mu1 = ambient_mu
     mu2 = MU_0 * plate.relative_permeability
-    k1 = wavenumber(alpha0, omega, 0.0, mu1)
-    k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
-    # mu2 k1 - mu1 k2 = (mu2^2 k1^2 - mu1^2 k2^2) / (mu2 k1 + mu1 k2), and
-    # k2^2 - k1^2 = j omega sigma2 mu2 exactly.
-    den = mu2 * k1 + mu1 * k2
-    num = (mu2 * mu2 - mu1 * mu1) * k1 * k1 - 1j * omega * plate.conductivity * mu2 * mu1 * mu1
+    k1 = np.abs(alpha0)
+    a2 = alpha0 * alpha0
+    c = omega * plate.conductivity * mu2
+    t = np.sqrt(0.5 * (np.hypot(a2, c) + a2))
+    s = 0.5 * (c / t)
+    # mu2 k1 - mu1 k2 = (mu2^2 k1^2 - mu1^2 k2^2) / (mu2 k1 + mu1 k2), with mu1 = MU_0
+    # and k2^2 - k1^2 = j omega sigma2 mu2 exactly. numpy fuses multiply-adds in complex
+    # array products only; 0-d calls keep den, num scalars ([()]) to round as the csqrt form.
+    den = _complex(mu2 * k1 + MU_0 * t, MU_0 * s)[()]
+    num = _complex((mu2 * mu2 - MU_0 * MU_0) * k1 * k1, 0.0 - c * MU_0 * MU_0)[()]
     r = num / (den * den)
-    x = 2.0 * k2 * plate.thickness
-    decayed = np.real(x) > _HALF_SPACE_EXPONENT
-    x_safe = np.where(decayed, 1.0, x)
-    one_minus_E = np.where(decayed, 1.0, _one_minus_exp_neg(x_safe))
-    E = 1.0 - one_minus_E
-    return r * one_minus_E / (1.0 - r * r * E)
+    a = 2.0 * t * plate.thickness
+    b = 2.0 * s * plate.thickness
+    ea = np.exp(-a)
+    # 1 - E = 1 - e^{-a} cos b + j e^{-a} sin b, with the real part split into
+    # the cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
+    ome_re = -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2
+    ome_im = ea * np.sin(b)
+    decayed = a > _HALF_SPACE_EXPONENT
+    if np.any(decayed):
+        ome_re, ome_im = np.where(decayed, 1.0, ome_re), np.where(decayed, 0.0, ome_im)
+    one_minus_E = _complex(ome_re, ome_im)
+    return r * one_minus_E / (1.0 - r * r * (1.0 - one_minus_E))

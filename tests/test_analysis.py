@@ -66,6 +66,10 @@ def test_sweep_alpha0_override():
     spec = SweepSpec(1e3, 500e3, 5)
     s = sweep("thin_plate", COIL, Plate(36.9e6, 20e-6), spec, alpha0=500.0)
     assert s.metadata["alpha0"] == 500.0
+    for bad in (np.nan, np.inf, 0.0, -166.67):
+        for model in ("thin_plate", "thin_plate_exact", "dodd_deeds"):
+            with pytest.raises(ValueError, match="alpha0"):
+                sweep(model, COIL, Plate(36.9e6, 20e-6), spec, alpha0=bad)
 
 
 def test_sweep_dodd_deeds_single_point_consistency():
@@ -235,3 +239,8 @@ def test_fit_rejects_bad_inputs():
     zero.delta_L = np.zeros_like(zero.delta_L)
     with pytest.raises(ValueError):
         fit_sigma_d(zero, A0)
+
+    good = synthetic_spectrum(33488.0, A0, freqs)
+    for bad in (np.nan, np.inf, 0.0, -A0):
+        with pytest.raises(ValueError, match="alpha0"):
+            fit_sigma_d(good, bad)

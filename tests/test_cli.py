@@ -141,6 +141,25 @@ def test_invert_malformed_row_exits_1(tmp_path, copper_brass, capsys, bad_row):
     assert f"{out}:{lineno}:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha0", ["nan", "inf", "0", "-1"])
+def test_bad_alpha0_exits_1(tmp_path, copper_brass, capsys, alpha0):
+    out = tmp_path / "cu.csv"
+    args = ["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)]
+    assert main(args + ["--alpha0", alpha0]) == EXIT_INVALID
+    assert "alpha0" in capsys.readouterr().err
+    assert not out.exists()
+
+    override = tmp_path / "override.ini"
+    override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
+    args_override = ["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)]
+    assert main(args_override) == EXIT_INVALID
+    assert "alpha0" in capsys.readouterr().err
+
+    assert main(args) == EXIT_OK
+    assert main(["invert", str(out), "--alpha0", alpha0]) == EXIT_INVALID
+    assert "alpha0" in capsys.readouterr().err
+
+
 def test_equivalent_thickness_target(copper_brass, capsys):
     rc = main(["equivalent", copper_brass, "copper", "--thickness", "2.0mm"])
     assert rc == EXIT_OK

@@ -6,6 +6,7 @@ from scipy import special
 
 from eddyplate import (
     MU_0,
+    CoilPair,
     Plate,
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -189,6 +190,22 @@ def test_delta_L_air_against_filament_oracle():
     oracle = filament_stack_mutual(COIL, n=25)
     value = delta_L_air(COIL, QUAD)
     assert abs(value - oracle) / oracle < 0.02
+
+
+def test_delta_L_air_touching_coils():
+    # At gap = 0 the direct integrand decays only algebraically, and the tail
+    # beyond the default alpha_max is about 7.5e-8 of the value, above
+    # rel_tolerance: finite, and reported like the 1 nm gap it approaches.
+    touching = CoilPair(6e-3, 6.315e-3, 8e-3, 0.0, 1e-3, 25, 25, 10e-3)
+    with pytest.warns(TruncationWarning):
+        value = delta_L_air(touching, QUAD)
+    with pytest.warns(TruncationWarning):
+        near = delta_L_air(CoilPair(6e-3, 6.315e-3, 8e-3, 1e-9, 1e-3, 25, 25, 10e-3), QUAD)
+    assert np.isfinite(value) and value > 0.0
+    assert abs(value - near) <= 1e-4 * near
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        delta_L_air(COIL, QUAD)
 
 
 def test_quadrature_spec_validation():

@@ -1,7 +1,29 @@
 import numpy as np
 import pytest
 
-from eddyplate import MU_0, Plate, fresnel, generalized_reflection, wavenumber
+from eddyplate import (
+    MU_0,
+    Plate,
+    QuadratureSpec,
+    default_sensor,
+    fresnel,
+    generalized_reflection,
+    wavenumber,
+)
+from eddyplate.dodd_deeds import _kernel_table
+from eddyplate.te_layered import _HALF_SPACE_EXPONENT
+
+# The five plates of the benchmark, a vacuum slab, and a thick magnetic
+# conductor whose high-frequency elements take the half-space branch.
+BITWISE_PLATES = (
+    Plate(59.8e6, 0.56e-3),
+    Plate(16.744e6, 2.0e-3),
+    Plate(36.9e6, 20e-6),
+    Plate(36.9e6 * 20e-6 / 55e-6, 55e-6),
+    Plate(5.0e6, 1.0e-3, 200.0),
+    Plate(0.0, 1e-3),
+    Plate(1e8, 5e-2, 1000.0),
+)
 
 
 def series_reflection(alpha0, omega, plate, min_terms=20, rel_term=1e-14):
@@ -28,6 +50,37 @@ def series_reflection(alpha0, omega, plate, min_terms=20, rel_term=1e-14):
             raise RuntimeError("series did not converge")
         term = term * (r21 * r23 * E)
         n += 1
+
+
+def complex_sqrt_reflection(alpha0, omega, plate):
+    """Reference: the reflection with both wavenumbers from complex sqrt.
+
+    ``generalized_reflection`` builds k1 = |alpha0| and k2 in real
+    arithmetic and must round exactly like this form.
+    """
+    mu2 = MU_0 * plate.relative_permeability
+    k1 = wavenumber(alpha0, omega, 0.0, MU_0)
+    k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
+    den = mu2 * k1 + MU_0 * k2
+    num = (mu2 * mu2 - MU_0 * MU_0) * k1 * k1 - 1j * omega * plate.conductivity * mu2 * MU_0 * MU_0
+    r = num / (den * den)
+    x = 2.0 * k2 * plate.thickness
+    decayed = np.real(x) > _HALF_SPACE_EXPONENT
+    x_safe = np.where(decayed, 1.0, x)
+    a, b = np.real(x_safe), np.imag(x_safe)
+    ea = np.exp(-a)
+    one_minus_E = np.where(
+        decayed, 1.0, -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2 + 1j * ea * np.sin(b)
+    )
+    E = 1.0 - one_minus_E
+    return r * one_minus_E / (1.0 - r * r * E)
+
+
+def assert_bitwise_equal(a, b):
+    """Same complex values bit for bit, signed zeros included."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    assert a.dtype == b.dtype == np.complex128
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def test_wavenumber_sigma_zero_is_alpha0():
@@ -172,3 +225,73 @@ def test_reflection_magnitude_nondecreasing_in_thickness():
     thicknesses = np.geomspace(1e-6, d_wrap, 40)
     mags = [abs(generalized_reflection(a0, omega, Plate(sigma, d))) for d in thicknesses]
     assert np.all(np.diff(mags) >= -1e-12)
+
+
+def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
+    coil = default_sensor()
+    nodes = _kernel_table(coil, QuadratureSpec().resolve_alpha_max(coil), 128)[0]
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
+    reached_half_space = False
+    for plate in BITWISE_PLATES:
+        for start in range(0, omegas.size, 50):
+            w = omegas[start : start + 50, None]
+            grid = np.broadcast_to(nodes, (w.size, nodes.size))
+            assert_bitwise_equal(
+                generalized_reflection(grid, w, plate), complex_sqrt_reflection(grid, w, plate)
+            )
+            k2 = wavenumber(grid, w, plate.conductivity, MU_0 * plate.relative_permeability)
+            x_re = 2.0 * k2.real * plate.thickness
+            reached_half_space |= bool(np.any(x_re > _HALF_SPACE_EXPONENT))
+    assert reached_half_space
+
+
+def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
+    omega = 2 * np.pi * 1e5
+    for plate in BITWISE_PLATES + (Plate(1.0, 1e-6),):
+        for a0 in (166.67, -166.67, np.float64(3e4), np.array(1e-3)):
+            value = generalized_reflection(a0, omega, plate)
+            reference = complex_sqrt_reflection(a0, omega, plate)
+            assert type(value) is type(reference) is np.complex128
+            assert_bitwise_equal(value, reference)
+        # k1 = sqrt(alpha0^2): the sign of alpha0 never matters
+        alphas = np.geomspace(1e-3, 1e5, 50)
+        assert_bitwise_equal(
+            generalized_reflection(-alphas, omega, plate),
+            complex_sqrt_reflection(-alphas, omega, plate),
+        )
+        assert_bitwise_equal(
+            generalized_reflection(-alphas, omega, plate),
+            generalized_reflection(alphas, omega, plate),
+        )
+
+
+def mp_reflection(alpha0, omega, plate):
+    """Oracle: R~ = r (1 - E) / (1 - r^2 E) straight from its definition at 60 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        mu1 = mpmath.mpf(MU_0)
+        mu2 = mu1 * mpmath.mpf(plate.relative_permeability)
+        k1 = mpmath.mpf(alpha0)
+        k2 = mpmath.sqrt(k1 * k1 + 1j * mpmath.mpf(omega) * mpmath.mpf(plate.conductivity) * mu2)
+        r = (mu2 * k1 - mu1 * k2) / (mu2 * k1 + mu1 * k2)
+        E = mpmath.exp(-2 * k2 * mpmath.mpf(plate.thickness))
+        return complex(r * (1 - E) / (1 - r * r * E))
+
+
+def test_generalized_reflection_against_mpmath():
+    alphas = np.geomspace(1e-4, 1e5, 25)
+    omegas = 2 * np.pi * np.geomspace(1.0, 1e7, 15)
+    plates = (
+        Plate(59.8e6, 0.56e-3),         # copper
+        Plate(36.9e6, 20e-6),           # aluminium foil
+        Plate(5.0e6, 1.0e-3, 200.0),    # magnetic steel
+        Plate(1.0, 1e-6),               # weakly conducting film
+        Plate(1e3, 1e-2),               # poor conductor, thick
+    )
+    worst = 0.0
+    for plate in plates:
+        values = generalized_reflection(alphas[:, None], omegas[None, :], plate)
+        for (i, j), value in np.ndenumerate(values):
+            exact = mp_reflection(alphas[i], omegas[j], plate)
+            worst = max(worst, abs(value - exact) / abs(exact))
+    assert worst < 1e-10
