@@ -41,7 +41,11 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
 
 
 def read_spectrum_csv(path: str) -> InductanceSpectrum:
-    """Parse a spectrum file; a malformed data row raises ValueError naming its line."""
+    """Parse a spectrum file.
+
+    A malformed data row, or a format line naming another version than
+    FORMAT_VERSION, raises ValueError naming its line.
+    """
     meta: dict[str, str] = {}
     freqs, re, im = [], [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -53,7 +57,13 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
                 body = line[1:].strip()
                 if "=" in body:
                     key, _, value = body.partition("=")
-                    meta[key.strip()] = value.strip()
+                    key, value = key.strip(), value.strip()
+                    if key == "eddyplate_spectrum_format" and value != FORMAT_VERSION:
+                        raise ValueError(
+                            f"{path}:{lineno}: unsupported eddyplate_spectrum_format "
+                            f"{value!r}, expected {FORMAT_VERSION!r}"
+                        )
+                    meta[key] = value
                 continue
             if line.startswith("freq_hz"):
                 continue

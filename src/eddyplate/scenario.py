@@ -26,8 +26,8 @@ Example::
     n_points = 50
     spacing = logarithmic
 
-    [quadrature]            ; optional
-    n_panels = 64
+    [quadrature]            ; optional, as is each key; unset keys keep
+    n_panels = 16           ; QuadratureSpec's defaults, shown here
     rule = adaptive
     rel_tolerance = 1e-8
 
@@ -58,6 +58,9 @@ _UNIT_SUFFIXES = {
     "_MHz": 1e6,
     "_per_m": 1.0,
 }
+
+# Keys a [quadrature] section may set; unset ones keep QuadratureSpec's defaults.
+_QUADRATURE_TYPES = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
 
 
 class ScenarioError(ValueError):
@@ -177,16 +180,10 @@ def load_scenario(path: str) -> Scenario:
             spacing=str(sweep_values.get("spacing", "logarithmic")),
         )
 
-        if cp.has_section("quadrature"):
-            qv = _strip_units(_section(cp, "quadrature"))
-            quadrature = QuadratureSpec(
-                alpha_max=qv.get("alpha_max"),
-                n_panels=int(qv.get("n_panels", 64)),
-                rule=str(qv.get("rule", "adaptive")),
-                rel_tolerance=float(qv.get("rel_tolerance", 1e-8)),
-            )
-        else:
-            quadrature = QuadratureSpec()
+        qv = _strip_units(_section(cp, "quadrature")) if cp.has_section("quadrature") else {}
+        quadrature = QuadratureSpec(
+            **{key: cast(qv[key]) for key, cast in _QUADRATURE_TYPES.items() if key in qv}
+        )
 
         alpha0_override = None
         if cp.has_section("alpha0"):
@@ -194,7 +191,7 @@ def load_scenario(path: str) -> Scenario:
 
     except ScenarioError:
         raise
-    except (KeyError, ValueError, configparser.Error) as exc:
+    except (KeyError, ValueError, OverflowError, configparser.Error) as exc:
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
     return Scenario(

@@ -16,10 +16,6 @@ import numpy as np
 
 from .model import MU_0, Plate
 
-# Above this value of Re(2*k2*D) the transmitted wave is fully absorbed and
-# the slab behaves as a half-space; exp(-x) would underflow anyway.
-_HALF_SPACE_EXPONENT = 700.0
-
 
 class InterfaceCoeffs(NamedTuple):
     """Fresnel reflection/transmission amplitude ratios at one interface."""
@@ -74,8 +70,8 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     (which is j omega sigma mu, known exactly) rather than the difference of
     square roots, and 1 - E uses an expm1-style form; both would otherwise
     lose all significant digits in the weakly conducting / large-alpha
-    regime. Only decaying exponentials appear; when Re(2 k2 D) is huge, E is
-    set to 0 and the half-space limit r is returned. k1 = sqrt(alpha0^2) is
+    regime. Only decaying exponentials appear; when Re(2 k2 D) is large, 1 - E
+    rounds to 1 and the half-space limit r comes out. k1 = sqrt(alpha0^2) is
     |alpha0| to the last bit (a correctly rounded square has the operand as
     its root), whatever the sign of alpha0. For alpha0 != 0 the principal
     root k2 = t + j s, t = sqrt((hypot(alpha0^2, c) + alpha0^2) / 2), s =
@@ -100,9 +96,5 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     # 1 - E = 1 - e^{-a} cos b + j e^{-a} sin b, with the real part split into
     # the cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
     ome_re = -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2
-    ome_im = ea * np.sin(b)
-    decayed = a > _HALF_SPACE_EXPONENT
-    if np.any(decayed):
-        ome_re, ome_im = np.where(decayed, 1.0, ome_re), np.where(decayed, 0.0, ome_im)
-    one_minus_E = _complex(ome_re, ome_im)
+    one_minus_E = _complex(ome_re, ea * np.sin(b))
     return r * one_minus_E / (1.0 - r * r * (1.0 - one_minus_E))

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from eddyplate import QuadratureSpec
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, main
 from eddyplate.fileio import read_spectrum_csv
+from eddyplate.scenario import load_scenario
 
 
 @pytest.fixture()
@@ -58,6 +60,27 @@ def test_spectrum_nonconvergence_exits_2(tmp_path, copper_brass):
     bad.write_text(body)
     rc = main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")])
     assert rc == EXIT_NO_CONVERGENCE
+
+
+def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
+    base = open(copper_brass).read()
+    assert load_scenario(copper_brass).quadrature == QuadratureSpec()
+    for section, expected in (
+        ("", QuadratureSpec()),
+        ("rule = fixed\n", QuadratureSpec(rule="fixed")),
+        ("alpha_max_per_m = 2e4\nn_panels = 32\n", QuadratureSpec(alpha_max=2e4, n_panels=32)),
+    ):
+        path = tmp_path / "quad.ini"
+        path.write_text(base + "\n[quadrature]\n" + section)
+        assert load_scenario(str(path)).quadrature == expected
+
+
+@pytest.mark.parametrize("entry", ["[quadrature]\nn_panels = inf", "[quadrature]\nn_panels = x"])
+def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(open(copper_brass).read() + "\n" + entry + "\n")
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    assert "invalid scenario" in capsys.readouterr().err
 
 
 def test_spectrum_deterministic_bytes(tmp_path, copper_brass):
@@ -197,3 +220,18 @@ def test_equivalent_needs_exactly_one_target(copper_brass):
         )
         == EXIT_INVALID
     )
+
+
+def test_foreign_spectrum_format_exits_1(tmp_path, copper_brass, capsys):
+    good = tmp_path / "cu.csv"
+    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(good)])
+    foreign = tmp_path / "foreign.csv"
+    text = good.read_text()
+    assert text.startswith("# eddyplate_spectrum_format=1\n")
+    foreign.write_text(text.replace("format=1\n", "format=2\n", 1))
+    capsys.readouterr()
+    assert main(["invert", str(foreign)]) == EXIT_INVALID
+    assert f"{foreign}:1: unsupported eddyplate_spectrum_format '2'" in capsys.readouterr().err
+    assert main(["compare", str(good), str(foreign)]) == EXIT_INVALID
+    assert f"{foreign}:1:" in capsys.readouterr().err
+    assert main(["compare", str(good), str(good)]) == EXIT_OK

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -295,9 +296,10 @@ def test_truncation_warning_for_array_call():
 
 
 def test_sweep_error_names_first_unconverged_frequency():
-    # Round-off at this tolerance defeats some frequencies and not others;
-    # scalar calls tell which, and the sweep must name the first of them.
-    quad = QuadratureSpec(n_panels=8, rel_tolerance=2e-16)
+    # Round-off at this tolerance defeats some frequencies and not others
+    # within the 8 doublings allowed; scalar calls tell which, and the sweep
+    # must name the first of them.
+    quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     spec = SweepSpec(10.0, 1e6, 12)
     plate = Plate(59.8e6, 0.56e-3)
     freqs = frequency_grid(spec)
@@ -311,3 +313,117 @@ def test_sweep_error_names_first_unconverged_frequency():
     with pytest.raises(SweepError, match=f"f = {failed[0]:.6g} Hz") as info:
         sweep("dodd_deeds", COIL, plate, spec, quad=quad)
     assert isinstance(info.value.__cause__, QuadratureConvergenceError)
+
+
+def mp_delta_L(coil, cases):
+    """Oracle: dL for each (plate, f) in ``cases`` by mpmath quadrature at 25 digits.
+
+    Independent of the solver's Gauss-Legendre grid, scipy Bessel calls and
+    real-arithmetic reflection: P(alpha) uses the closed form
+    int_0^X x J1(x) dx = (pi X / 2) [J1(X) H0(X) - J0(X) H1(X)] (H: Struve),
+    and tanh-sinh quadrature runs over half-decade intervals from 1e-4 to
+    10^4.5 1/m (the decades below 1e-3 need their own breakpoints). The
+    frequency-independent kernel is cached per node, so later cases are
+    cheap. Returns (value, quad's own relative error estimate) per case.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    out = []
+    kernel = {}
+    with mpmath.workdps(25):
+        mu0 = mpmath.mpf(MU_0)
+        r1, r2, h = (mpmath.mpf(v) for v in (coil.inner_radius, coil.outer_radius, coil.coil_height))
+        z1 = mpmath.mpf(coil.liftoff)
+        z3 = z1 + h + mpmath.mpf(coil.gap)
+        prefactor = mpmath.pi * mu0 * coil.turns_tx * coil.turns_rx / ((r2 - r1) ** 2 * h * h)
+        breakpoints = [0] + [mpmath.mpf(10) ** (k / 2) for k in range(-8, 10)]
+
+        def winding(x):
+            return mpmath.pi * x / 2 * (
+                mpmath.besselj(1, x) * mpmath.struveh(0, x)
+                - mpmath.besselj(0, x) * mpmath.struveh(1, x)
+            )
+
+        def p2_axial(a):
+            if a not in kernel:
+                p = winding(a * r2) - winding(a * r1)
+                tx = mpmath.exp(-a * z1) - mpmath.exp(-a * (z1 + h))
+                rx = mpmath.exp(-a * z3) - mpmath.exp(-a * (z3 + h))
+                kernel[a] = p * p / a**6 * tx * rx
+            return kernel[a]
+
+        for plate, f in cases:
+            mu2 = mu0 * plate.relative_permeability
+            c = 2 * mpmath.pi * mpmath.mpf(f) * plate.conductivity * mu2
+            d = mpmath.mpf(plate.thickness)
+
+            def integrand(a):
+                k2 = mpmath.sqrt(a * a + 1j * c)
+                # r = (mu2 a - mu0 k2) / (mu2 a + mu0 k2), cancellation-free
+                r = ((mu2 * mu2 - mu0 * mu0) * a * a - 1j * c * mu0 * mu0) / (mu2 * a + mu0 * k2) ** 2
+                e = mpmath.exp(-2 * k2 * d)
+                return p2_axial(a) * r * (1 - e) / (1 - r * r * e)
+
+            value, error = mpmath.quad(integrand, breakpoints, error=True)
+            out.append((complex(prefactor * value), float(error / abs(value))))
+    return out
+
+
+def test_delta_L_against_mpmath():
+    cases = (
+        (PLATES[0], 1e4),                   # copper
+        (PLATES[4], 1e3),                   # magnetic steel, mu_r = 200
+        (PLATES[2], 1e5),                   # aluminium foil
+        (Plate(1e8, 0.1, 1000.0), 1e5),     # thick, mu_r = 1000, half-space regime
+    )
+    for (plate, f), (exact, error) in zip(cases, mp_delta_L(COIL, cases)):
+        # quad returns an unconverged value without complaint (at 25 digits it
+        # does so for sigma = 1 S/m x 1 um at 10 Hz, estimate 1.5e-4): check it.
+        assert error < 1e-10, f"mpmath quadrature did not converge for {plate} at {f} Hz"
+        value = delta_L(COIL, plate, 2 * np.pi * f, QUAD)
+        assert abs(value - exact) <= 1e-8 * abs(exact), (plate, f, value, exact)
+
+
+def test_default_rule_accuracy_audit(monkeypatch):
+    # The default adaptive rule against a fixed rule 16x finer than the level
+    # it returns, on extreme plates, frequencies and lift-offs.
+    reference = QuadratureSpec(rule="fixed", n_panels=512)
+    plates = (
+        Plate(1.0, 1e-6),
+        Plate(1.0, 1e-6, 1000.0),
+        Plate(1e8, 0.1),
+        Plate(1e8, 0.1, 1000.0),
+    )
+    omegas = 2 * np.pi * np.geomspace(0.01, 1e8, 11)
+    for liftoff in (0.1e-3, 10e-3):
+        coil = dataclasses.replace(COIL, liftoff=liftoff)
+        for plate in plates:
+            value = delta_L(coil, plate, omegas, QUAD)
+            exact = delta_L(coil, plate, omegas, reference)
+            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
+    # The direct integrand of L_air decays only as exp(-alpha gap), so the
+    # graded grid resolves it less well: where it stops at 32 panels it is
+    # within about 7e-12 (worst over lift-offs of 0.1 - 10 mm), not 1e-14.
+    for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
+        coil = dataclasses.replace(COIL, liftoff=liftoff)
+        air = delta_L_air(coil, QUAD)
+        assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, liftoff
+
+    # The benchmark's inputs converge at the first check: one 16-panel and one
+    # 32-panel evaluation of every frequency, (256 + 512) nodes each.
+    nodes_per_level = {}
+    reflection = dodd_deeds.generalized_reflection
+
+    def counting(alpha0, omega, plate):
+        n = alpha0.shape[-1]
+        nodes_per_level[n] = nodes_per_level.get(n, 0) + alpha0.size
+        return reflection(alpha0, omega, plate)
+
+    monkeypatch.setattr(dodd_deeds, "generalized_reflection", counting)
+    inputs = [(COIL, SweepSpec(10.0, 1e6, 400))]
+    inputs += [(dataclasses.replace(COIL, liftoff=x), SweepSpec(1e3, 1e5, 4)) for x in (0.5e-3, 3e-3)]
+    for coil, spec in inputs:
+        for plate in PLATES:
+            nodes_per_level.clear()
+            sweep("dodd_deeds", coil, plate, spec, quad=QUAD)
+            n = spec.n_points
+            assert nodes_per_level == {256: 256 * n, 512: 512 * n}, (coil.liftoff, plate)

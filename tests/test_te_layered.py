@@ -11,10 +11,13 @@ from eddyplate import (
     wavenumber,
 )
 from eddyplate.dodd_deeds import _kernel_table
-from eddyplate.te_layered import _HALF_SPACE_EXPONENT
+
+# Above this Re(2 k2 D) the reference form below sets E = 0 (the half-space
+# limit); generalized_reflection has no such branch and must match it anyway.
+HALF_SPACE_EXPONENT = 700.0
 
 # The five plates of the benchmark, a vacuum slab, and a thick magnetic
-# conductor whose high-frequency elements take the half-space branch.
+# conductor whose high-frequency elements are in the half-space regime.
 BITWISE_PLATES = (
     Plate(59.8e6, 0.56e-3),
     Plate(16.744e6, 2.0e-3),
@@ -65,7 +68,7 @@ def complex_sqrt_reflection(alpha0, omega, plate):
     num = (mu2 * mu2 - MU_0 * MU_0) * k1 * k1 - 1j * omega * plate.conductivity * mu2 * MU_0 * MU_0
     r = num / (den * den)
     x = 2.0 * k2 * plate.thickness
-    decayed = np.real(x) > _HALF_SPACE_EXPONENT
+    decayed = np.real(x) > HALF_SPACE_EXPONENT
     x_safe = np.where(decayed, 1.0, x)
     a, b = np.real(x_safe), np.imag(x_safe)
     ea = np.exp(-a)
@@ -231,7 +234,7 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
     coil = default_sensor()
     nodes = _kernel_table(coil, QuadratureSpec().resolve_alpha_max(coil), 128)[0]
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
-    reached_half_space = False
+    half_space_elements = 0
     for plate in BITWISE_PLATES:
         for start in range(0, omegas.size, 50):
             w = omegas[start : start + 50, None]
@@ -241,8 +244,8 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
             )
             k2 = wavenumber(grid, w, plate.conductivity, MU_0 * plate.relative_permeability)
             x_re = 2.0 * k2.real * plate.thickness
-            reached_half_space |= bool(np.any(x_re > _HALF_SPACE_EXPONENT))
-    assert reached_half_space
+            half_space_elements += int(np.count_nonzero(x_re > HALF_SPACE_EXPONENT))
+    assert half_space_elements > 0, "the grid never reaches the half-space regime"
 
 
 def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
