@@ -10,6 +10,7 @@ from eddyplate import (
     compare,
     default_sensor,
     derive_alpha0,
+    dodd_deeds,
     fit_sigma_d,
     sweep,
 )
@@ -87,7 +88,9 @@ def test_sweep_unknown_model():
         sweep("fem", COIL, Plate(1e6, 1e-3), SweepSpec(1e3, 1e4, 3))
 
 
-def test_sweep_error_names_frequency():
+def test_sweep_error_names_frequency(monkeypatch):
+    # One doubling, 8 -> 16 panels (about 2e-8 apart): no frequency converges.
+    monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     spec = SweepSpec(10.0, 20.0, 2)
     with pytest.raises(SweepError, match="f = 10"):

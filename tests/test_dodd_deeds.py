@@ -63,11 +63,16 @@ def filament_mutual(r_a, r_b, z):
     )
 
 
-def filament_stack_mutual(coil, n=25):
-    """Oracle: coil pair as two stacks of n filaments at the mean radius."""
+def filament_stack_mutual(coil, n=25, mirrored=False):
+    """Oracle: coil pair as two stacks of n filaments at the mean radius.
+
+    ``mirrored`` reflects the receive stack in the plate surface z = 0.
+    """
     r = 0.5 * (coil.inner_radius + coil.outer_radius)
     z_tx = coil.tx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
     z_rx = coil.rx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
+    if mirrored:
+        z_rx = -z_rx
     per_filament_tx = coil.turns_tx / n
     per_filament_rx = coil.turns_rx / n
     total = 0.0
@@ -99,12 +104,50 @@ def test_radial_integral_frozen_value():
     )
 
 
+def test_radial_integral_against_struve_closed_form():
+    # int_0^X x J1(x) dx = (pi X / 2) [J1(X) H0(X) - J0(X) H1(X)] (H: Struve)
+    # at 40 digits. The error is gated against |P| or, near the zeros of P,
+    # its large-alpha envelope sqrt(2 alpha / pi) (sqrt(r1) + sqrt(r2)).
+    # 4e5 1/m is the default alpha_max at 0.1 mm lift-off.
+    mpmath = pytest.importorskip("mpmath")
+    wide = dataclasses.replace(COIL, inner_radius=1e-3, outer_radius=5e-3)
+    for coil, alpha_max in ((COIL, 4e5), (wide, 4e4)):
+        alphas = np.geomspace(1e-6, alpha_max, 200)
+        with mpmath.workdps(40):
+
+            def winding(x):
+                x = mpmath.mpf(x)
+                return mpmath.pi * x / 2 * (
+                    mpmath.besselj(1, x) * mpmath.struveh(0, x)
+                    - mpmath.besselj(0, x) * mpmath.struveh(1, x)
+                )
+
+            exact = np.array(
+                [float(winding(a * coil.outer_radius) - winding(a * coil.inner_radius)) for a in alphas]
+            )
+        envelope = np.sqrt(2.0 * alphas / np.pi) * (coil.inner_radius**0.5 + coil.outer_radius**0.5)
+        error = np.abs(radial_integral(coil, alphas) - exact)
+        assert np.all(error <= 1e-12 * np.maximum(np.abs(exact), envelope)), coil
+
+
 def test_radial_integral_vectorized_matches_scalar():
+    # One call mixes nodes of one sub-panel (alpha (r2 - r1) <= 8) with
+    # nodes of up to 40, in shuffled order: each node's value is its own.
     alphas = np.array([10.0, 166.67, 3000.0])
+    alphas = np.concatenate([alphas, np.random.default_rng(5).permutation(np.geomspace(1e-6, 1e6, 97))])
     vec = radial_integral(COIL, alphas)
-    assert vec.shape == (3,)
+    assert vec.shape == alphas.shape
     for i, a in enumerate(alphas):
         assert vec[i] == radial_integral(COIL, float(a))
+
+
+def test_radial_integral_rejects_bad_alpha():
+    for bad in (-1.0, np.nan, np.inf, np.array([1.0, -1e-9]), np.array([1.0, np.nan])):
+        with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
+            radial_integral(COIL, bad)
+        with pytest.raises(ValueError, match="alpha"):
+            coil_kernel(COIL, bad)
+    assert radial_integral(COIL, 0.0) == 0.0
 
 
 def test_axial_factor_zero_at_origin_and_decaying():
@@ -177,6 +220,17 @@ def test_delta_L_air_positive_and_frequency_free():
     assert delta_L_air(COIL, QUAD) == value
 
 
+def test_delta_L_perfect_conductor_limit():
+    # sigma -> inf on a non-magnetic plate gives phi -> -1: the plate acts as
+    # a mirror, and dL is minus the mutual inductance of the transmit coil
+    # with the receive coil mirrored in the plate surface. The filaments at
+    # the mean radius limit the agreement (2.3e-4 observed).
+    value = delta_L(COIL, Plate(1e20, 1e-2), 2 * np.pi * 100e3, QUAD)
+    image = filament_stack_mutual(COIL, n=50, mirrored=True)
+    assert abs(value.real + image) <= 1e-3 * image
+    assert abs(value.imag) <= 1e-6 * abs(value.real)
+
+
 def test_delta_L_air_turns_scaling():
     base = delta_L_air(COIL, QUAD)
     doubled = COIL.__class__(**{**COIL.__dict__, "turns_rx": COIL.turns_rx * 2})
@@ -222,8 +276,10 @@ def test_quadrature_spec_validation():
     assert QuadratureSpec(alpha_max=123.0).resolve_alpha_max(COIL) == 123.0
 
 
-def test_quadrature_convergence_error():
-    # An absurdly tight tolerance cannot be met by panel doubling alone.
+def test_quadrature_convergence_error(monkeypatch):
+    # One doubling allowed: the 8- and 16-panel values differ by about 2e-8,
+    # far above the tolerance, so the outcome does not rest on round-off.
+    monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     with pytest.raises(QuadratureConvergenceError):
         delta_L(COIL, Plate(59.8e6, 0.56e-3), 2 * np.pi * 10.0, quad)
@@ -258,8 +314,9 @@ def test_quadrature_spec_rejects_non_finite():
 
 def test_delta_L_array_matches_scalar_calls(monkeypatch):
     # At this tolerance round-off decides the level at which each frequency
-    # stops, so the array call refines a masked subset of its frequencies.
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-15)
+    # stops (three different levels on each plate), so the array call
+    # refines a masked subset of its frequencies.
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=3e-16)
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
     reflection = dodd_deeds.generalized_reflection
     for plate in PLATES:
