@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse/validation error, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, analysis, fileio, thin_plate
@@ -251,7 +252,9 @@ def cmd_paper_cases(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="eddyplate",
         description="Eddy-current forward modelling and sigma*D analysis for thin plates",

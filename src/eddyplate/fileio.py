@@ -76,9 +76,12 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
             freqs.append(f)
             re.append(dl_re)
             im.append(dl_im)
+    # assembled part by part: re + 1j * im would turn -0.0 parts into +0.0
+    delta = np.empty(len(re), dtype=complex)
+    delta.real, delta.imag = re, im
     return InductanceSpectrum(
         frequencies=np.array(freqs),
-        delta_L=np.array(re) + 1j * np.array(im),
+        delta_L=delta,
         normalized=meta.get("normalized", "false") == "true",
         model_tag=meta.get("model", "unknown"),
         metadata=meta,

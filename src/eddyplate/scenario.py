@@ -27,9 +27,9 @@ Example::
     spacing = logarithmic
 
     [quadrature]            ; optional, as is each key; unset keys keep
-    n_panels = 16           ; QuadratureSpec's defaults, shown here
-    rule = adaptive
-    rel_tolerance = 1e-8
+    n_panels = 16           ; QuadratureSpec's defaults, shown here: 21-point
+    rule = adaptive         ; Kronrod panels, doubled only where |K21 - G10|
+    rel_tolerance = 1e-8    ; exceeds rel_tolerance
 
     [alpha0]                ; optional
     override_per_m = 166.67

@@ -89,7 +89,8 @@ def test_sweep_unknown_model():
 
 
 def test_sweep_error_names_frequency(monkeypatch):
-    # One doubling, 8 -> 16 panels (about 2e-8 apart): no frequency converges.
+    # One doubling, 8 -> 16 panels (|K21 - G10| about 1e-4, then 6e-11): no
+    # frequency converges.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     spec = SweepSpec(10.0, 20.0, 2)

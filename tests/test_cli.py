@@ -3,7 +3,7 @@ import json
 import pytest
 
 from eddyplate import QuadratureSpec
-from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, main
+from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
 from eddyplate.scenario import load_scenario
 
@@ -235,3 +235,17 @@ def test_foreign_spectrum_format_exits_1(tmp_path, copper_brass, capsys):
     assert main(["compare", str(good), str(foreign)]) == EXIT_INVALID
     assert f"{foreign}:1:" in capsys.readouterr().err
     assert main(["compare", str(good), str(good)]) == EXIT_OK
+
+
+def test_parser_reused_across_subcommands(tmp_path, copper_brass, capsys):
+    # main builds its parser once per process; an option given to one call
+    # must not carry into the next, whatever subcommand either names.
+    assert build_parser() is build_parser()
+    assert main(["equivalent", copper_brass, "copper", "--thickness", "2.0mm"]) == EXIT_OK
+    assert "16.744 MS/m" in capsys.readouterr().out
+    assert main(["equivalent", copper_brass, "copper", "--conductivity", "16.744MS/m"]) == EXIT_OK
+    assert "thickness    = 0.002 m" in capsys.readouterr().out
+    out = tmp_path / "cu.csv"
+    assert main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_OK
+    assert main(["equivalent", copper_brass, "copper"]) == EXIT_INVALID
+    assert read_spectrum_csv(str(out)).model_tag == "thin_plate"

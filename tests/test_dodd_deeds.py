@@ -82,6 +82,29 @@ def filament_stack_mutual(coil, n=25, mirrored=False):
     return total * per_filament_tx * per_filament_rx
 
 
+def test_kronrod_rule_exactness():
+    # K21 integrates x^k on [-1, 1] exactly up to degree 31 and G10 up to 19;
+    # the first even degree beyond each shows the check can fail (odd powers
+    # integrate to 0 on any symmetric rule).
+    x = dodd_deeds._KRONROD_NODES
+    kronrod, gauss = dodd_deeds._KRONROD_WEIGHTS.T
+    eps = np.finfo(float).eps
+    for k in range(33):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert (abs(kronrod @ x**k - exact) <= 4 * eps) == (k <= 31 or k % 2 == 1), k
+        assert (abs(gauss @ x**k - exact) <= 4 * eps) == (k <= 19 or k % 2 == 1), k
+    assert abs(kronrod.sum() - 2.0) <= 2 * eps and abs(gauss.sum() - 2.0) <= 2 * eps
+
+
+def test_kronrod_rule_embeds_gauss_legendre():
+    x, w = np.polynomial.legendre.leggauss(10)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(dodd_deeds._KRONROD_NODES[1::2] - x) <= 4 * eps)
+    assert np.all(np.abs(dodd_deeds._KRONROD_WEIGHTS[1::2, 1] - w) <= 4 * eps)
+    assert np.all(dodd_deeds._KRONROD_WEIGHTS[::2, 1] == 0.0)
+    assert np.array_equal(dodd_deeds._KRONROD_NODES, -dodd_deeds._KRONROD_NODES[::-1])
+
+
 def test_radial_integral_small_alpha_expansion():
     # x J1(x) ~ x^2/2 for small x, so P(a) -> a^3 (r2^3 - r1^3) / 6 * ... :
     # int x*(x/2) dx = x^3/6 evaluated over [a r1, a r2].
@@ -114,16 +137,9 @@ def test_radial_integral_against_struve_closed_form():
     for coil, alpha_max in ((COIL, 4e5), (wide, 4e4)):
         alphas = np.geomspace(1e-6, alpha_max, 200)
         with mpmath.workdps(40):
-
-            def winding(x):
-                x = mpmath.mpf(x)
-                return mpmath.pi * x / 2 * (
-                    mpmath.besselj(1, x) * mpmath.struveh(0, x)
-                    - mpmath.besselj(0, x) * mpmath.struveh(1, x)
-                )
-
+            r1, r2 = mpmath.mpf(coil.inner_radius), mpmath.mpf(coil.outer_radius)
             exact = np.array(
-                [float(winding(a * coil.outer_radius) - winding(a * coil.inner_radius)) for a in alphas]
+                [float(mp_winding(mpmath, a * r2) - mp_winding(mpmath, a * r1)) for a in map(mpmath.mpf, alphas)]
             )
         envelope = np.sqrt(2.0 * alphas / np.pi) * (coil.inner_radius**0.5 + coil.outer_radius**0.5)
         error = np.abs(radial_integral(coil, alphas) - exact)
@@ -277,8 +293,9 @@ def test_quadrature_spec_validation():
 
 
 def test_quadrature_convergence_error(monkeypatch):
-    # One doubling allowed: the 8- and 16-panel values differ by about 2e-8,
-    # far above the tolerance, so the outcome does not rest on round-off.
+    # One doubling allowed: the |K21 - G10| estimates are about 1e-4 at 8
+    # panels and 6e-11 at 16, far above the tolerance, so the outcome does
+    # not rest on round-off.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     with pytest.raises(QuadratureConvergenceError):
@@ -313,10 +330,11 @@ def test_quadrature_spec_rejects_non_finite():
 
 
 def test_delta_L_array_matches_scalar_calls(monkeypatch):
-    # At this tolerance round-off decides the level at which each frequency
-    # stops (three different levels on each plate), so the array call
-    # refines a masked subset of its frequencies.
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=3e-16)
+    # The 16-panel |K21 - G10| estimates of these frequencies span about
+    # 6e-11 - 9e-10 on every plate and the 32-panel ones are below 3e-15, so
+    # at this tolerance each plate stops some frequencies at the first level
+    # and the rest at the second: the array call refines a masked subset.
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=4.5e-10)
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
     reflection = dodd_deeds.generalized_reflection
     for plate in PLATES:
@@ -352,11 +370,13 @@ def test_truncation_warning_for_array_call():
         delta_L(COIL, Plate(59.8e6, 0.56e-3), 2 * np.pi * np.array([1e3, 100e3]), quad)
 
 
-def test_sweep_error_names_first_unconverged_frequency():
-    # Round-off at this tolerance defeats some frequencies and not others
-    # within the 8 doublings allowed; scalar calls tell which, and the sweep
-    # must name the first of them.
-    quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
+def test_sweep_error_names_first_unconverged_frequency(monkeypatch):
+    # With no doubling allowed, the 16-panel |K21 - G10| estimates decide:
+    # about 6e-11 - 8e-11 below 1 kHz and 2e-10 - 7e-10 above, so some
+    # frequencies fail and others do not. Scalar calls tell which, and the
+    # sweep must name the first of them.
+    monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 0)
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-10)
     spec = SweepSpec(10.0, 1e6, 12)
     plate = Plate(59.8e6, 0.56e-3)
     freqs = frequency_grid(spec)
@@ -372,41 +392,54 @@ def test_sweep_error_names_first_unconverged_frequency():
     assert isinstance(info.value.__cause__, QuadratureConvergenceError)
 
 
+def mp_winding(mpmath, x):
+    """int_0^X x J1(x) dx = (pi X / 2) [J1(X) H0(X) - J0(X) H1(X)] (H: Struve)."""
+    return mpmath.pi * x / 2 * (
+        mpmath.besselj(1, x) * mpmath.struveh(0, x) - mpmath.besselj(0, x) * mpmath.struveh(1, x)
+    )
+
+
+# P(alpha)^2 / alpha^6 of the 25-digit oracles per (radii, node): the Struve
+# form is their costly part, and the tanh-sinh nodes recur across integrands.
+_MP_P2 = {}
+
+
+def mp_kernel(mpmath, coil):
+    """(prefactor, breakpoints, P^2 / alpha^6) of the 25-digit oracles below.
+
+    The tanh-sinh intervals are half decades from 1e-4 to 10^4.5 1/m (the
+    decades below 1e-3 need their own breakpoints).
+    """
+    r1, r2, h = (mpmath.mpf(v) for v in (coil.inner_radius, coil.outer_radius, coil.coil_height))
+    prefactor = mpmath.pi * mpmath.mpf(MU_0) * coil.turns_tx * coil.turns_rx / ((r2 - r1) ** 2 * h * h)
+    breakpoints = [0] + [mpmath.mpf(10) ** (k / 2) for k in range(-8, 10)]
+
+    def p2(a):
+        key = (coil.inner_radius, coil.outer_radius, a)
+        if key not in _MP_P2:
+            p = mp_winding(mpmath, a * r2) - mp_winding(mpmath, a * r1)
+            _MP_P2[key] = p * p / a**6
+        return _MP_P2[key]
+
+    return prefactor, breakpoints, p2
+
+
 def mp_delta_L(coil, cases):
     """Oracle: dL for each (plate, f) in ``cases`` by mpmath quadrature at 25 digits.
 
-    Independent of the solver's Gauss-Legendre grid, scipy Bessel calls and
-    real-arithmetic reflection: P(alpha) uses the closed form
-    int_0^X x J1(x) dx = (pi X / 2) [J1(X) H0(X) - J0(X) H1(X)] (H: Struve),
-    and tanh-sinh quadrature runs over half-decade intervals from 1e-4 to
-    10^4.5 1/m (the decades below 1e-3 need their own breakpoints). The
-    frequency-independent kernel is cached per node, so later cases are
-    cheap. Returns (value, quad's own relative error estimate) per case.
+    Independent of the solver's Gauss-Kronrod grid, scipy Bessel calls and
+    real-arithmetic reflection: P(alpha) uses the Struve closed form, and
+    tanh-sinh quadrature runs over the intervals of ``mp_kernel``. Returns
+    (value, quad's own relative error estimate) per case.
     """
     mpmath = pytest.importorskip("mpmath")
     out = []
-    kernel = {}
     with mpmath.workdps(25):
+        prefactor, breakpoints, p2 = mp_kernel(mpmath, coil)
         mu0 = mpmath.mpf(MU_0)
-        r1, r2, h = (mpmath.mpf(v) for v in (coil.inner_radius, coil.outer_radius, coil.coil_height))
+        h = mpmath.mpf(coil.coil_height)
         z1 = mpmath.mpf(coil.liftoff)
         z3 = z1 + h + mpmath.mpf(coil.gap)
-        prefactor = mpmath.pi * mu0 * coil.turns_tx * coil.turns_rx / ((r2 - r1) ** 2 * h * h)
-        breakpoints = [0] + [mpmath.mpf(10) ** (k / 2) for k in range(-8, 10)]
-
-        def winding(x):
-            return mpmath.pi * x / 2 * (
-                mpmath.besselj(1, x) * mpmath.struveh(0, x)
-                - mpmath.besselj(0, x) * mpmath.struveh(1, x)
-            )
-
-        def p2_axial(a):
-            if a not in kernel:
-                p = winding(a * r2) - winding(a * r1)
-                tx = mpmath.exp(-a * z1) - mpmath.exp(-a * (z1 + h))
-                rx = mpmath.exp(-a * z3) - mpmath.exp(-a * (z3 + h))
-                kernel[a] = p * p / a**6 * tx * rx
-            return kernel[a]
 
         for plate, f in cases:
             mu2 = mu0 * plate.relative_permeability
@@ -418,11 +451,27 @@ def mp_delta_L(coil, cases):
                 # r = (mu2 a - mu0 k2) / (mu2 a + mu0 k2), cancellation-free
                 r = ((mu2 * mu2 - mu0 * mu0) * a * a - 1j * c * mu0 * mu0) / (mu2 * a + mu0 * k2) ** 2
                 e = mpmath.exp(-2 * k2 * d)
-                return p2_axial(a) * r * (1 - e) / (1 - r * r * e)
+                tx = mpmath.exp(-a * z1) - mpmath.exp(-a * (z1 + h))
+                rx = mpmath.exp(-a * z3) - mpmath.exp(-a * (z3 + h))
+                return p2(a) * tx * rx * r * (1 - e) / (1 - r * r * e)
 
             value, error = mpmath.quad(integrand, breakpoints, error=True)
             out.append((complex(prefactor * value), float(error / abs(value))))
     return out
+
+
+def mp_delta_L_air(coil):
+    """Oracle: L_air by the quadrature of ``mp_delta_L``; (value, its error estimate)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(25):
+        prefactor, breakpoints, p2 = mp_kernel(mpmath, coil)
+        h, gap = mpmath.mpf(coil.coil_height), mpmath.mpf(coil.gap)
+
+        def integrand(a):
+            return p2(a) * mpmath.exp(-a * gap) * mpmath.expm1(-a * h) ** 2
+
+        value, error = mpmath.quad(integrand, breakpoints, error=True)
+        return float(prefactor * value), float(error / abs(value))
 
 
 def test_delta_L_against_mpmath():
@@ -438,6 +487,16 @@ def test_delta_L_against_mpmath():
         assert error < 1e-10, f"mpmath quadrature did not converge for {plate} at {f} Hz"
         value = delta_L(COIL, plate, 2 * np.pi * f, QUAD)
         assert abs(value - exact) <= 1e-8 * abs(exact), (plate, f, value, exact)
+
+
+def test_delta_L_air_against_mpmath():
+    # L_air does not depend on the lift-off, but its default grid does: the
+    # lift-off sets alpha_max, and the gap can set it instead (10 mm).
+    exact, error = mp_delta_L_air(COIL)
+    assert error < 1e-10, "mpmath quadrature did not converge"
+    for liftoff in (0.1e-3, 1e-3, 10e-3):
+        value = delta_L_air(dataclasses.replace(COIL, liftoff=liftoff), QUAD)
+        assert abs(value - exact) <= 1e-12 * exact, (liftoff, value, exact)
 
 
 def test_default_rule_accuracy_audit(monkeypatch):
@@ -458,15 +517,15 @@ def test_default_rule_accuracy_audit(monkeypatch):
             exact = delta_L(coil, plate, omegas, reference)
             assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
     # The direct integrand of L_air decays only as exp(-alpha gap), so the
-    # graded grid resolves it less well: where it stops at 32 panels it is
-    # within about 7e-12 (worst over lift-offs of 0.1 - 10 mm), not 1e-14.
+    # graded grid resolves it less well: it stops at 32 or 64 panels, within
+    # about 2e-14 (worst over lift-offs of 0.1 - 10 mm).
     for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
         coil = dataclasses.replace(COIL, liftoff=liftoff)
         air = delta_L_air(coil, QUAD)
         assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, liftoff
 
-    # The benchmark's inputs converge at the first check: one 16-panel and one
-    # 32-panel evaluation of every frequency, (256 + 512) nodes each.
+    # The benchmark's inputs converge at the first check: one 16-panel
+    # evaluation of every frequency, 16 x 21 = 336 nodes each.
     nodes_per_level = {}
     reflection = dodd_deeds.generalized_reflection
 
@@ -483,4 +542,4 @@ def test_default_rule_accuracy_audit(monkeypatch):
             nodes_per_level.clear()
             sweep("dodd_deeds", coil, plate, spec, quad=QUAD)
             n = spec.n_points
-            assert nodes_per_level == {256: 256 * n, 512: 512 * n}, (coil.liftoff, plate)
+            assert nodes_per_level == {336: 336 * n}, (coil.liftoff, plate)
