@@ -2,8 +2,11 @@
 
 Generates a synthetic normalized spectrum for a known sigma*D, corrupts it
 with multiplicative complex noise, and recovers the product with the
-damped Gauss-Newton fit. Repeats over noise levels to show how the
-estimate degrades gracefully.
+one-parameter damped Gauss-Newton fit. The fit starts from the closed-form
+least-squares solution of the model made linear in sigma*D,
+s = -u sigma*D (1 + s), and reports a linearized standard error with the
+noise taken from its residual. Repeats over noise levels to show how the
+estimate, and the error the fit expects of it, degrade gracefully.
 
 Run:  python3 demos/sigma_d_inversion.py
 """
@@ -27,7 +30,10 @@ c = 1j * omegas * MU_0 * sigma_d_true / (2.0 * alpha0)
 clean = -c / (1.0 + c)
 
 print(f"true sigma*D = {sigma_d_true:.1f} S\n")
-print(f"{'noise':>6}  {'recovered [S]':>14}  {'rel error':>10}  {'residual':>10}  {'iters':>5}")
+print(
+    f"{'noise':>6}  {'recovered [S]':>14}  {'std [S]':>9}  {'rel error':>10}  "
+    f"{'residual':>10}  {'iters':>5}"
+)
 
 rng = np.random.default_rng(0)
 for noise in (0.0, 0.001, 0.01, 0.05):
@@ -43,7 +49,7 @@ for noise in (0.0, 0.001, 0.01, 0.05):
     fit = fit_sigma_d(spectrum, alpha0)
     rel = abs(fit.sigma_d - sigma_d_true) / sigma_d_true
     print(
-        f"{noise:6.1%}  {fit.sigma_d:14.2f}  {rel:10.2%}  "
+        f"{noise:6.1%}  {fit.sigma_d:14.2f}  {fit.sigma_d_std:9.2f}  {rel:10.2%}  "
         f"{fit.residual_norm:10.3g}  {fit.iterations:5d}"
     )
 

@@ -46,7 +46,7 @@ class SigmaDFit:
     """Least-squares estimate of the sigma*D product from a spectrum."""
 
     sigma_d: float               # [S]
-    alpha0_fit: float | None
+    sigma_d_std: float           # [S], linearized 1-sigma error
     residual_norm: float         # ||model - data|| / ||data||
     iterations: int
     converged: bool
@@ -99,7 +99,10 @@ def sweep(
             delta_L=values,
             normalized=False,
             model_tag="dodd_deeds",
-            metadata={"quadrature": q},
+            metadata={
+                "quadrature": f"alpha_max={q.resolve_alpha_max(coil):.6g} "
+                f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
+            },
         )
 
     raise ValueError(f"unknown model {model!r}")
@@ -145,42 +148,32 @@ def compare(
     )
 
 
-def _thin_model(omega, sigma_d, alpha0):
-    c = 1j * omega * MU_0 * sigma_d / (2.0 * alpha0)
-    return -c / (1.0 + c)
+def _thin_slope(u, sigma_d):
+    """d/d(sigma_d) of the thin-plate response -c / (1 + c), c = u sigma_d."""
+    return -u / (1.0 + u * sigma_d) ** 2
 
 
-def _thin_model_jacobian(omega, sigma_d, alpha0, fit_alpha0):
-    """Analytic derivatives of the thin-plate model w.r.t. the fit parameters."""
-    u = 1j * omega * MU_0
-    den = 2.0 * alpha0 + u * sigma_d
-    cols = [-2.0 * alpha0 * u / den**2]
-    if fit_alpha0:
-        cols.append(2.0 * u * sigma_d / den**2)
-    return np.stack(cols, axis=-1)
+def _linear_start(u, data) -> float:
+    """Least-squares sigma_d of s = -u sigma_d (1 + s), the model made linear.
 
-
-def initial_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> float:
-    """Closed-form starting guess from the low-frequency imaginary slope.
-
-    Im(s)/omega -> -mu0 sigma D / (2 alpha0) as omega -> 0.
+    Its residual is (1 + c) times the model's, so each equation is scaled by
+    1 + s = 1 / (1 + c) to weigh the frequencies as the fit does. Exact on
+    noiseless data. A negative result falls back to its magnitude, and a
+    zero or non-finite one to 1 S.
     """
-    omega0 = 2.0 * np.pi * spectrum.frequencies[0]
-    guess = -2.0 * alpha0 * np.imag(spectrum.delta_L[0]) / (omega0 * MU_0)
-    if not np.isfinite(guess) or guess <= 0.0:
-        guess = abs(guess) or 1.0
-    return float(guess)
+    a = -u * (1.0 + data) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 where s = -1
+        guess = np.vdot(a, data * (1.0 + data)).real / np.vdot(a, a).real
+    return float(abs(guess)) if np.isfinite(guess) and guess != 0.0 else 1.0
 
 
-def fit_sigma_d(
-    spectrum: InductanceSpectrum,
-    alpha0: float,
-    fit_alpha0: bool = False,
-) -> SigmaDFit:
-    """Damped Gauss-Newton fit of sigma*D (and optionally alpha0).
+def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
+    """Damped Gauss-Newton fit of sigma*D at a given alpha0.
 
-    Minimizes the stacked real/imaginary squared misfit of the thin-plate
-    model against a normalized spectrum.
+    Minimizes the squared misfit |model - data|^2 of the thin-plate model
+    against a normalized spectrum. The model depends on the plate only
+    through sigma*D / alpha0, so at a known alpha0 sigma*D is its one
+    unknown, and each step is the scalar -Re<J, r> / ||J||^2.
     """
     if not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -192,70 +185,52 @@ def fit_sigma_d(
         raise ValueError("spectrum is identically zero")
 
     omegas = 2.0 * np.pi * spectrum.frequencies
+    u = 1j * omegas * MU_0 / (2.0 * alpha0)
     data = spectrum.delta_L
-    data_norm = float(np.linalg.norm(np.concatenate([data.real, data.imag])))
 
-    theta = np.array(
-        [initial_sigma_d(spectrum, alpha0)] + ([alpha0] if fit_alpha0 else [])
-    )
+    def misfit(sigma_d):
+        r = thin_plate._thin_response(alpha0, omegas, sigma_d) - data
+        return r, float(np.vdot(r, r).real)
 
-    # The model depends on sigma_d and alpha0 only through their ratio, so
-    # the two-parameter problem is degenerate along (t*sigma_d, t*alpha0).
-    # A weak gauge penalty anchors alpha0 to its supplied starting value;
-    # the data still fully determine the identifiable ratio.
-    gauge_weight = 1e-3 * data_norm
-
-    def residual(t):
-        a0 = t[1] if fit_alpha0 else alpha0
-        diff = _thin_model(omegas, t[0], a0) - data
-        parts = [diff.real, diff.imag]
-        if fit_alpha0:
-            parts.append(np.array([gauge_weight * (t[1] / alpha0 - 1.0)]))
-        return np.concatenate(parts)
-
-    r = residual(theta)
-    cost = float(r @ r)
+    sigma_d = _linear_start(u, data)
+    r, cost = misfit(sigma_d)
     history = [cost]
     converged = False
     iterations = 0
 
     for iterations in range(1, _MAX_FIT_ITERATIONS + 1):
-        a0 = theta[1] if fit_alpha0 else alpha0
-        jc = _thin_model_jacobian(omegas, theta[0], a0, fit_alpha0)
-        jac = np.concatenate([jc.real, jc.imag])
-        if fit_alpha0:
-            jac = np.vstack([jac, [0.0, gauge_weight / alpha0]])
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
+        jac = _thin_slope(u, sigma_d)
+        step = -np.vdot(jac, r).real / np.vdot(jac, jac).real
 
-        # Backtracking damping: halve until the cost decreases and the
-        # iterate stays in the positive-parameter domain.
+        # Backtracking: halve the step until the cost drops at a positive iterate.
         lam = 1.0
-        accepted = False
         for _ in range(30):
-            cand = theta + lam * step
-            if np.all(cand > 0.0):
-                r_cand = residual(cand)
-                cost_cand = float(r_cand @ r_cand)
+            cand = sigma_d + lam * step
+            if cand > 0.0:
+                r_cand, cost_cand = misfit(cand)
                 if cost_cand < cost:
-                    accepted = True
                     break
             lam *= 0.5
-        if not accepted:
+        else:
             converged = True  # no descent direction left: at the optimum
             break
 
-        step_size = np.linalg.norm(lam * step) / np.linalg.norm(cand)
+        step_size = abs(lam * step) / cand
         cost_drop = (cost - cost_cand) / cost if cost > 0 else 0.0
-        theta, r, cost = cand, r_cand, cost_cand
+        sigma_d, r, cost = cand, r_cand, cost_cand
         history.append(cost)
         if step_size < _STEP_TOLERANCE or cost_drop < _RESIDUAL_TOLERANCE:
             converged = True
             break
 
+    # Linearized 1-sigma error, with the noise variance taken from the
+    # residual over 2N real residuals and one parameter.
+    jac = _thin_slope(u, sigma_d)
+    noise_var = cost / (2 * data.size - 1)
     return SigmaDFit(
-        sigma_d=float(theta[0]),
-        alpha0_fit=float(theta[1]) if fit_alpha0 else None,
-        residual_norm=float(np.sqrt(cost)) / data_norm,
+        sigma_d=float(sigma_d),
+        sigma_d_std=float(np.sqrt(noise_var / np.vdot(jac, jac).real)),
+        residual_norm=float(np.sqrt(cost / np.vdot(data, data).real)),
         iterations=iterations,
         converged=converged,
         history=history,

@@ -12,7 +12,6 @@ import sys
 
 from . import __version__, analysis, fileio, thin_plate
 from .dodd_deeds import QuadratureConvergenceError
-from .model import derive_alpha0
 from .scenario import ScenarioError, load_scenario, parse_quantity
 
 EXIT_OK = 0
@@ -36,9 +35,7 @@ def cmd_spectrum(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    alpha0 = scen.alpha0_override
-    if args.alpha0 is not None:
-        alpha0 = args.alpha0
+    alpha0 = scen.alpha0_override if args.alpha0 is None else args.alpha0
     try:
         spectrum = analysis.sweep(
             model=args.model,
@@ -62,12 +59,6 @@ def cmd_spectrum(args) -> int:
         "coil": _coil_summary(scen.coil),
         "tool_version": __version__,
     }
-    if spectrum.model_tag == "dodd_deeds":
-        q = scen.quadrature
-        meta["quadrature"] = (
-            f"alpha_max={q.resolve_alpha_max(scen.coil):.6g} "
-            f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
-        )
     fileio.write_spectrum_csv(args.output, spectrum, meta)
     print(f"wrote {len(spectrum.frequencies)} rows to {args.output}")
     return EXIT_OK
@@ -116,7 +107,7 @@ def cmd_compare(args) -> int:
         a = fileio.read_spectrum_csv(args.spectrum_a)
         b = fileio.read_spectrum_csv(args.spectrum_b)
         report = analysis.compare(a, b, band=band)
-    except (OSError, ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.report:
@@ -139,24 +130,14 @@ def cmd_compare(args) -> int:
 def cmd_invert(args) -> int:
     try:
         spectrum = fileio.read_spectrum_csv(args.spectrum)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    if not spectrum.normalized:
-        print(
-            "error: spectrum is absolute (henries); inversion needs the "
-            "normalized thin-plate form",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
-    alpha0 = args.alpha0
-    if alpha0 is None and "alpha0" in spectrum.metadata:
-        alpha0 = float(spectrum.metadata["alpha0"])
-    if alpha0 is None:
-        print("error: --alpha0 required (no alpha0 in spectrum metadata)", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        fit = analysis.fit_sigma_d(spectrum, alpha0, fit_alpha0=args.fit_alpha0)
+        if not spectrum.normalized:
+            raise ValueError(
+                "spectrum is absolute (henries); inversion needs the normalized thin-plate form"
+            )
+        alpha0 = spectrum.metadata.get("alpha0") if args.alpha0 is None else args.alpha0
+        if alpha0 is None:
+            raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
+        fit = analysis.fit_sigma_d(spectrum, float(alpha0))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -170,10 +151,10 @@ def cmd_invert(args) -> int:
                 "tool_version": __version__,
             },
         )
-    print(f"sigma_d={fit.sigma_d:.9g} S", end="")
-    if fit.alpha0_fit is not None:
-        print(f" alpha0={fit.alpha0_fit:.9g} /m", end="")
-    print(f" residual={fit.residual_norm:.3g} converged={fit.converged}")
+    print(
+        f"sigma_d={fit.sigma_d:.9g} S residual={fit.residual_norm:.3g} "
+        f"converged={fit.converged}"
+    )
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
@@ -291,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="fit sigma*D to a normalized spectrum")
     p.add_argument("spectrum")
     p.add_argument("--alpha0", type=float, default=None)
-    p.add_argument("--fit-alpha0", action="store_true")
     p.add_argument("--output", "-o", help="write the fit as JSON")
     p.set_defaults(func=cmd_invert)
 
@@ -303,8 +283,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which here means no convergence.
+        if exc.code == 0:  # --help or --version
+            raise
+        return EXIT_INVALID
+    try:
+        return args.func(args)
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -124,8 +125,8 @@ class QuadratureSpec:
     def __post_init__(self):
         if self.alpha_max is not None and not 0.0 < self.alpha_max < np.inf:
             raise ValueError("alpha_max must be positive and finite")
-        if not 8 <= self.n_panels < np.inf:
-            raise ValueError("n_panels must be finite and >= 8")
+        if not (isinstance(self.n_panels, Integral) and self.n_panels >= 8):
+            raise ValueError("n_panels must be an integer >= 8")
         if self.rule not in ("adaptive", "fixed"):
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
         if not 0.0 < self.rel_tolerance < 1.0:

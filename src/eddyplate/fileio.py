@@ -88,6 +88,14 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
     )
 
 
+def _write_json(path: str, payload: dict, extra: dict | None):
+    if extra:
+        payload.update(extra)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_report_json(path: str, report: EquivalenceReport, extra: dict | None = None):
     payload = {
         "max_rel_error": report.max_rel_error,
@@ -98,23 +106,15 @@ def write_report_json(path: str, report: EquivalenceReport, extra: dict | None =
             None if not np.isfinite(x) else x for x in report.per_frequency_rel_error
         ],
     }
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload, extra)
 
 
 def write_fit_json(path: str, fit: SigmaDFit, extra: dict | None = None):
     payload = {
         "sigma_d_S": fit.sigma_d,
-        "alpha0_fit_per_m": fit.alpha0_fit,
+        "sigma_d_std_S": fit.sigma_d_std,
         "residual_norm": fit.residual_norm,
         "iterations": fit.iterations,
         "converged": fit.converged,
     }
-    if extra:
-        payload.update(extra)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, payload, extra)

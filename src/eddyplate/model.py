@@ -7,6 +7,7 @@ conversion (mm, MS/m, ...) belongs to the scenario parser, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -98,8 +99,8 @@ class SweepSpec:
     def __post_init__(self):
         if not 0.0 < self.f_min <= self.f_max < np.inf:
             raise ValueError("need 0 < f_min <= f_max < inf")
-        if not 1 <= self.n_points < np.inf:
-            raise ValueError("n_points must be finite and >= 1")
+        if not (isinstance(self.n_points, Integral) and self.n_points >= 1):
+            raise ValueError("n_points must be an integer >= 1")
         if self.n_points == 1 and self.f_min != self.f_max:
             raise ValueError("n_points = 1 requires f_min == f_max")
         if self.spacing not in ("logarithmic", "linear"):

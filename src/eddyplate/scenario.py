@@ -142,7 +142,7 @@ def load_scenario(path: str) -> Scenario:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
         cp.read_string(raw)
-    except (OSError, configparser.Error) as exc:
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
     sha = hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
@@ -187,11 +187,13 @@ def load_scenario(path: str) -> Scenario:
 
         alpha0_override = None
         if cp.has_section("alpha0"):
-            alpha0_override = _strip_units(_section(cp, "alpha0")).get("override")
+            override = _strip_units(_section(cp, "alpha0")).get("override")
+            alpha0_override = None if override is None else float(override)
 
     except ScenarioError:
         raise
-    except (KeyError, ValueError, OverflowError, configparser.Error) as exc:
+    # TypeError: a non-numeric value stays a string, which no check can compare.
+    except (KeyError, TypeError, ValueError, OverflowError, configparser.Error) as exc:
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
     return Scenario(

@@ -61,7 +61,12 @@ def normalized_response_thin(alpha0, omega, plate: Plate):
             ThinRegimeWarning,
             stacklevel=2,
         )
-    c = 1j * omega * MU_0 * plate.sigma_thickness_product / (2.0 * alpha0)
+    return _thin_response(alpha0, omega, plate.sigma_thickness_product)
+
+
+def _thin_response(alpha0, omega, sigma_d):
+    """-c / (1 + c) with c = j omega mu0 sigma_d / (2 alpha0), for any sigma_d."""
+    c = 1j * omega * MU_0 * sigma_d / (2.0 * alpha0)
     return -c / (1.0 + c)
 
 

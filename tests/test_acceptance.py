@@ -240,16 +240,17 @@ def test_criterion_8_inversion_round_trip(announce):
         worst_noisy = max(worst_noisy, abs(fit.sigma_d - sigma_d) / sigma_d)
 
     # objective gradient g = 2 J^T r vs central finite differences
-    from eddyplate.analysis import _thin_model, _thin_model_jacobian
+    from eddyplate.analysis import _thin_slope
+    from eddyplate.thin_plate import _thin_response
 
     theta = sigma_d * 1.05  # near but not at the optimum
-    resid = _thin_model(omegas, theta, A0) - clean
-    jac = _thin_model_jacobian(omegas, theta, A0, fit_alpha0=False)[:, 0]
+    resid = _thin_response(A0, omegas, theta) - clean
+    jac = _thin_slope(1j * omegas * MU_0 / (2.0 * A0), theta)
     grad = 2.0 * float(np.sum(jac.real * resid.real + jac.imag * resid.imag))
     h = theta * 1e-6
 
     def cost(p):
-        d = _thin_model(omegas, p, A0) - clean
+        d = _thin_response(A0, omegas, p) - clean
         return float(np.sum(d.real**2 + d.imag**2))
 
     grad_fd = (cost(theta + h) - cost(theta - h)) / (2.0 * h)

@@ -1,8 +1,17 @@
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from eddyplate import QuadratureSpec
+import numpy as np
+
+from eddyplate import MU_0, QuadratureSpec
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
 from eddyplate.scenario import load_scenario
@@ -130,17 +139,8 @@ def test_invert_round_trip(tmp_path, copper_brass, capsys):
     payload = json.loads(fit_json.read_text())
     assert payload["converged"] is True
     assert abs(payload["sigma_d_S"] - 33488.0) / 33488.0 < 1e-6
+    assert 0.0 <= payload["sigma_d_std_S"] < 1e-6 * 33488.0
     assert "sigma_d=" in capsys.readouterr().out
-
-
-def test_invert_fit_alpha0(tmp_path, copper_brass):
-    out = tmp_path / "cu.csv"
-    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
-    fit_json = tmp_path / "fit.json"
-    rc = main(["invert", str(out), "--fit-alpha0", "-o", str(fit_json)])
-    assert rc == EXIT_OK
-    payload = json.loads(fit_json.read_text())
-    assert abs(payload["alpha0_fit_per_m"] - 1.0 / 0.006) * 0.006 < 1e-4
 
 
 def test_invert_absolute_spectrum_exits_1(tmp_path, copper_brass, capsys):
@@ -249,3 +249,124 @@ def test_parser_reused_across_subcommands(tmp_path, copper_brass, capsys):
     assert main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_OK
     assert main(["equivalent", copper_brass, "copper"]) == EXIT_INVALID
     assert read_spectrum_csv(str(out)).model_tag == "thin_plate"
+
+
+# ---------------------------------------------------------------- exit codes
+
+# Values that each break a field in its own way, besides the valid ones.
+TOKENS = st.sampled_from(["x", "", "nan", "inf", "-1", "0", "2.5", "1e-3", "1e400"])
+SCENARIO = (
+    ("coil", (("inner_radius_mm", "6.0"), ("outer_radius_mm", "6.315"), ("height_mm", "8"),
+              ("gap_mm", "2"), ("liftoff_mm", "1"), ("turns_tx", "25"), ("turns_rx", "25"),
+              ("drive_current_mA", "10"))),
+    ("plate.copper", (("conductivity_MSm", "59.8"), ("thickness_mm", "0.56"))),
+    ("sweep", (("f_min_Hz", "1e3"), ("f_max_Hz", "5e5"), ("n_points", "4"))),
+    ("quadrature", (("n_panels", "16"), ("rule", "fixed"), ("rel_tolerance", "1e-8"))),
+    ("alpha0", (("override_per_m", "200"),)),
+)
+COMMANDS = {
+    "spectrum": ["scen.ini", "copper", "--model", "thin_plate", "-o", "out.csv"],
+    "equivalent": ["scen.ini", "copper", "--thickness", "2mm"],
+    "compare": ["spec.csv", "spec.csv", "--band", "1e3:1e5", "--report", "report.json"],
+    "invert": ["spec.csv", "--alpha0", "200", "-o", "fit.json"],
+    "paper-cases": ["--outdir", "cases"],
+}
+WORDS = TOKENS | st.sampled_from(
+    ["scen.ini", "spec.csv", "absent.csv", "dir", "dir/absent/x.json", "gold", "--model",
+     "thin_plate_exact", "dodd_deeds", "fem", "-o", "--alpha0", "--band", "x:y", "--report",
+     "--conductivity", "17.3MS/m", "--outdir", "--nope", "--fit-alpha0", "--help", "--version"]
+)
+
+
+def _mostly(draw, value, other, odds=12):
+    """value, or one draw of the strategy other about once in odds.
+
+    The simplest draw, which hypothesis tries first, keeps value.
+    """
+    return draw(other) if draw(st.integers(0, odds - 1)) == odds - 1 else value
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    words = [_mostly(draw, w, WORDS) for w in COMMANDS[command]]
+    if command == "spectrum":
+        words[3] = draw(st.sampled_from(["thin_plate", "thin_plate_exact", "dodd_deeds"]))
+    command = _mostly(draw, command, WORDS)
+    return [command, *words, *_mostly(draw, [], st.lists(WORDS, min_size=1, max_size=3))]
+
+
+@st.composite
+def scenarios(draw):
+    lines = []
+    for section, entries in SCENARIO:
+        if _mostly(draw, True, st.just(False), 16):
+            lines.append(f"[{section}]")
+            lines += [f"{key} = {_mostly(draw, value, TOKENS, 40)}" for key, value in entries]
+    return "\n".join(lines).encode()
+
+
+@st.composite
+def spectra(draw):
+    lines = [
+        f"# eddyplate_spectrum_format={_mostly(draw, '1', st.just('2'), 16)}",
+        f"# normalized={_mostly(draw, 'true', st.just('false'), 16)}",
+        f"# alpha0={_mostly(draw, '166.66666666666666', TOKENS, 16)}",
+        "freq_hz,dL_re,dL_im",
+    ]
+    n = draw(st.integers(0, 6))
+    sigma_d = draw(st.floats(1e-3, 1e7))
+    for f in np.geomspace(1e2, 1e6, n):
+        c = 1j * 2 * np.pi * f * MU_0 * sigma_d / (2.0 * 166.66666666666666)
+        s = -c / (1.0 + c)
+        parts = [repr(float(f)), repr(s.real), repr(s.imag)]
+        lines.append(",".join(_mostly(draw, p, TOKENS, 40) for p in parts))
+    return "\n".join(lines).encode()
+
+
+def _either(files):
+    """Mostly files, sometimes arbitrary bytes."""
+    return st.integers(0, 7).flatmap(lambda k: st.binary(max_size=64) if k == 7 else files)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    argv=argvs(),
+    scenario=_either(scenarios()),
+    spectrum=_either(spectra()),
+)
+@example(argv=["invert"], scenario=b"", spectrum=b"")
+@example(argv=["bogus"], scenario=b"", spectrum=b"")
+@example(argv=["invert", "spec.csv", "--nope"], scenario=b"", spectrum=b"")
+@example(argv=["invert", "spec.csv", "--fit-alpha0"], scenario=b"", spectrum=b"")
+@example(  # s = -1 at every frequency: the linear start's equations all vanish
+    argv=["invert", "spec.csv"],
+    scenario=b"",
+    spectrum=b"# normalized=true\n# alpha0=200\n1,-1,0\n2,-1,0\n3,-1,0\n",
+)
+def test_exit_code_contract(argv, scenario, spectrum):
+    # Whatever the command line and file contents, main returns or exits
+    # with 0 (ok), 1 (invalid) or 2 (no convergence), and a command line
+    # the parser rejects is invalid, not unconverged.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("scen.ini").write_bytes(scenario)
+            Path("spec.csv").write_bytes(spectrum)
+            Path("dir").mkdir()
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                try:
+                    build_parser().parse_args(argv)
+                    usage_error = False
+                except SystemExit as exc:
+                    usage_error = exc.code != 0
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    assert code in (EXIT_OK, EXIT_INVALID, EXIT_NO_CONVERGENCE)
+    if usage_error:
+        assert code == EXIT_INVALID

@@ -323,6 +323,7 @@ def test_quadrature_spec_rejects_non_finite():
         dict(alpha_max=np.inf),
         dict(n_panels=np.nan),
         dict(n_panels=np.inf),
+        dict(n_panels=16.5),
         dict(rel_tolerance=np.nan),
     ):
         with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -144,6 +144,12 @@ def test_plate_validation():
 
 
 def test_sweep_spec_rejects_non_finite():
-    for args in ((np.nan, 1e3, 3), (1.0, np.inf, 3), (1.0, np.nan, 3), (1.0, 1e3, np.nan)):
-        with pytest.raises(ValueError):
+    for args, name in (
+        ((np.nan, 1e3, 3), "f_min"),
+        ((1.0, np.inf, 3), "f_max"),
+        ((1.0, np.nan, 3), "f_max"),
+        ((1.0, 1e3, np.nan), "n_points"),
+        ((10.0, 100.0, 2.5), "n_points"),
+    ):
+        with pytest.raises(ValueError, match=name):
             SweepSpec(*args)
