@@ -123,6 +123,8 @@ def compare(
         raise ValueError("spectra are on different frequency grids")
     if a.normalized != b.normalized:
         raise ValueError("cannot compare normalized against absolute spectra")
+    if a.frequencies.size == 0:
+        raise ValueError("cannot compare spectra with no frequencies")
 
     mag = np.abs(a.delta_L)
     usable = mag >= NEAR_ZERO_FRACTION * mag.max()
@@ -159,10 +161,10 @@ def _linear_start(u, data) -> float:
     Its residual is (1 + c) times the model's, so each equation is scaled by
     1 + s = 1 / (1 + c) to weigh the frequencies as the fit does. Exact on
     noiseless data. A negative result falls back to its magnitude, and a
-    zero or non-finite one to 1 S.
+    zero or non-finite one (a = 0 where s = -1, or huge data) to 1 S.
     """
-    a = -u * (1.0 + data) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):  # a = 0 where s = -1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = -u * (1.0 + data) ** 2
         guess = np.vdot(a, data * (1.0 + data)).real / np.vdot(a, a).real
     return float(abs(guess)) if np.isfinite(guess) and guess != 0.0 else 1.0
 
@@ -173,7 +175,8 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     Minimizes the squared misfit |model - data|^2 of the thin-plate model
     against a normalized spectrum. The model depends on the plate only
     through sigma*D / alpha0, so at a known alpha0 sigma*D is its one
-    unknown, and each step is the scalar -Re<J, r> / ||J||^2.
+    unknown, and each step is the scalar -Re<J, r> / ||J||^2. A spectrum
+    whose misfit overflows is rejected: its cost could not tell convergence.
     """
     if not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -193,7 +196,10 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
         return r, float(np.vdot(r, r).real)
 
     sigma_d = _linear_start(u, data)
-    r, cost = misfit(sigma_d)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        r, cost = misfit(sigma_d)
+    if not np.isfinite(cost):
+        raise ValueError("the squared misfit overflows: spectrum values are too large")
     history = [cost]
     converged = False
     iterations = 0
@@ -227,9 +233,11 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     # residual over 2N real residuals and one parameter.
     jac = _thin_slope(u, sigma_d)
     noise_var = cost / (2 * data.size - 1)
+    with np.errstate(over="ignore"):  # inf: the data pin sigma*D down not at all
+        sigma_d_var = noise_var / np.vdot(jac, jac).real
     return SigmaDFit(
         sigma_d=float(sigma_d),
-        sigma_d_std=float(np.sqrt(noise_var / np.vdot(jac, jac).real)),
+        sigma_d_std=float(np.sqrt(sigma_d_var)),
         residual_norm=float(np.sqrt(cost / np.vdot(data, data).real)),
         iterations=iterations,
         converged=converged,

@@ -20,13 +20,14 @@ again with twice the panels.
 
 The kernel (P, axial factors) is frequency independent and cached per
 (coil, quadrature grid), so a frequency sweep pays the Bessel evaluations
-only once.
+only once; alpha_max is the table's last node, for the truncation check.
+L_air is cached without the lift-off, on its own grid set by the gap.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
 from typing import NamedTuple
@@ -100,7 +101,7 @@ class QuadratureSpec:
     ``alpha_max = None`` derives the truncation point from the coil geometry
     (40 / min(liftoff, inner_radius)), which puts the neglected tail far
     below double precision for the axial decay rates involved; delta_L_air
-    may reach further, for its gap.
+    derives its own from the gap instead.
 
     The adaptive rule evaluates K21 and G10 on ``n_panels`` panels (21
     nodes each) and accepts an integral when |K21 - G10| <= rel_tolerance
@@ -112,9 +113,10 @@ class QuadratureSpec:
     mu_r up to 1000 and lift-offs of 0.1 - 10 mm only sigma = 1 S/m x 1 um,
     mu_r = 1000 at 0.1 mm lift-off needs 32 panels, and every value is
     within 7e-14 of the 512-panel rule. delta_L_air, whose integrand decays
-    only as exp(-alpha gap), stops at 32 panels for 80% of lift-offs in
-    0.5 - 3 mm and at 64 for the rest, within 4e-14 of the 512-panel rule.
-    The fixed rule returns K21 on ``n_panels`` panels.
+    only as exp(-alpha gap), is solved once per coil geometry: at the 2 mm
+    gap it stops at 64 panels, 4e-16 off the 512-panel rule; over gaps of
+    0.1 - 10 mm at 16 - 128 panels, within 1.6e-10 of it. The fixed rule
+    returns K21 on ``n_panels`` panels.
     """
 
     alpha_max: float | None = None   # [1/m]
@@ -185,11 +187,8 @@ def axial_factor(coil: CoilPair, alpha):
 def air_factor(coil: CoilPair, alpha):
     """Direct propagation window between the two (non-overlapping) coils."""
     a = np.asarray(alpha, dtype=float)
-    return (
-        np.exp(-a * coil.gap)
-        * (1.0 - np.exp(-a * coil.coil_height))
-        * (1.0 - np.exp(-a * coil.coil_height))
-    )
+    window = 1.0 - np.exp(-a * coil.coil_height)
+    return np.exp(-a * coil.gap) * window * window
 
 
 def kernel_prefactor(coil: CoilPair) -> float:
@@ -212,8 +211,10 @@ def coil_kernel(coil: CoilPair, alpha) -> CoilKernel:
 def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
     """Gauss-Kronrod nodes on [0, alpha_max], their weights and kernel samples.
 
-    Returns (nodes, base, kern): ``base`` has one column of K21 and one of
-    G10 weights, each times P^2 / alpha^6.
+    Returns (nodes, base, kern, tail): ``base`` has one column of K21 and one
+    of G10 weights, each times P^2 / alpha^6. alpha_max is the last node of
+    the one coil_kernel call, and ``tail`` the integrand density there,
+    (reflected, direct), for the truncation check; |phi| <= 1 bounds the first.
     """
     x, w = _KRONROD_NODES, _KRONROD_WEIGHTS
     # Geometrically graded panels: the low-frequency reflection factor has a
@@ -226,20 +227,14 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None, None] * w).reshape(-1, 2)
-    kern = coil_kernel(coil, nodes)
+    sampled = coil_kernel(coil, np.append(nodes, alpha_max))
+    kern = CoilKernel(*(a[:-1] for a in sampled[:3]), sampled.prefactor)
     # P^2 / alpha^6 * weight, shared by every integrand below
     base = weights * (kern.p_radial**2 / nodes**6)[:, None]
-    return nodes, base, kern
-
-
-@lru_cache(maxsize=32)
-def _tail_density(coil: CoilPair, alpha_max: float):
-    """Integrand density at alpha_max, (reflected, direct); |phi| <= 1 bounds the first."""
-    kern = coil_kernel(coil, np.array([alpha_max]))
     # P oscillates and may have a node at alpha_max: take at least its envelope
     envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
-    weight = kern.prefactor * max(kern.p_radial[0] ** 2, envelope) / alpha_max**6
-    return weight * kern.axial[0], weight * kern.air[0]
+    density = kern.prefactor * max(sampled.p_radial[-1] ** 2, envelope) / alpha_max**6
+    return nodes, base, kern, (density * sampled.axial[-1], density * sampled.air[-1])
 
 
 def _integrate(coil, quad, alpha_max, evaluate, omegas=None):
@@ -251,23 +246,25 @@ def _integrate(coil, quad, alpha_max, evaluate, omegas=None):
     (rows, 2). An integral is accepted at a level when |K - G| <=
     rel_tolerance |K|, and its K value is returned; only the others are
     evaluated again with twice the panels. The fixed rule returns K at
-    ``n_panels``.
+    ``n_panels``. Returns the integrals and the tail densities of
+    ``_kernel_table``.
     """
     n = quad.n_panels
     rows = np.arange(1 if omegas is None else omegas.size)
-    kronrod, gauss = evaluate(rows, *_kernel_table(coil, alpha_max, n)).T
+    *table, tail = _kernel_table(coil, alpha_max, n)
+    kronrod, gauss = evaluate(rows, *table).T
     if quad.rule == "fixed":
-        return kronrod
+        return kronrod, tail
     result = np.empty_like(kronrod)
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
             n *= 2
-            kronrod, gauss = evaluate(rows, *_kernel_table(coil, alpha_max, n)).T
+            kronrod, gauss = evaluate(rows, *_kernel_table(coil, alpha_max, n)[:3]).T
         done = np.abs(kronrod - gauss) <= quad.rel_tolerance * np.abs(kronrod)
         result[rows[done]] = kronrod[done]
         rows = rows[~done]
         if rows.size == 0:
-            return result
+            return result, tail
     where = "" if omegas is None else f" at f = {omegas[rows[0]] / (2.0 * np.pi):.6g} Hz"
     raise QuadratureConvergenceError(
         f"no convergence{where} to rel_tolerance={quad.rel_tolerance} "
@@ -316,32 +313,35 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
             out[start : start + step].imag = sums[:, 1]
         return out
 
-    alpha_max = quad.resolve_alpha_max(coil)
-    values = _integrate(coil, quad, alpha_max, evaluate, w)
-    tail_density, _ = _tail_density(coil, alpha_max)
+    values, (tail_density, _) = _integrate(coil, quad, quad.resolve_alpha_max(coil), evaluate, w)
     _check_tail(quad, tail_density, 1.0 / (coil.tx_bottom + coil.rx_bottom), values)
     return complex(values[0]) if omegas.ndim == 0 else values
+
+
+@lru_cache(maxsize=32)
+def _air_integral(coil: CoilPair, quad: QuadratureSpec):
+    """(alpha_max, L_air, direct tail density) of ``delta_L_air``."""
+    r1 = coil.inner_radius
+    alpha_max = quad.alpha_max or 40.0 / max(min(coil.gap, r1), 0.1 * r1)
+
+    def evaluate(rows, nodes, base, kern):
+        return kern.prefactor * (kern.air @ base)[None, :]
+
+    values, (_, tail) = _integrate(coil, quad, alpha_max, evaluate)
+    return alpha_max, float(values[0]), tail
 
 
 def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
     """Free-space mutual inductance of the coil pair [H]; frequency independent.
 
-    The direct integrand decays as exp(-alpha gap), not with the lift-off, so
-    the default truncation point also reaches 20 / gap where that is further
-    out: at 10 mm lift-off and a 2 mm gap, 40 / min(liftoff, inner_radius)
-    alone leaves out 8e-11 of L_air. A gap under a tenth of min(liftoff,
-    inner_radius) counts as touching: the alpha^-5 tail then sets the error
-    and the TruncationWarning reports it.
+    Cached without the lift-off and the drive current, which the direct
+    integrand does not read, so it is bitwise the same at every lift-off. The
+    integrand decays as exp(-alpha gap), and the default alpha_max is 40 /
+    min(gap, inner_radius). A gap under a tenth of inner_radius counts as
+    touching: alpha_max stops at 400 / inner_radius, the alpha^-5 tail sets
+    the error, and a TruncationWarning reports it on every call.
     """
-
-    def evaluate(rows, nodes, base, kern):
-        return kern.prefactor * (kern.air @ base)[None, :]
-
-    alpha_max = quad.resolve_alpha_max(coil)
-    if quad.alpha_max is None and coil.gap * alpha_max >= 4.0:
-        alpha_max = max(alpha_max, 20.0 / coil.gap)
-    value = float(np.real(_integrate(coil, quad, alpha_max, evaluate)[0]))
-    _, tail_density = _tail_density(coil, alpha_max)
+    alpha_max, value, tail = _air_integral(replace(coil, liftoff=1.0, drive_current=1.0), quad)
     # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
-    _check_tail(quad, tail_density, 1.0 / max(coil.gap, 4.0 / alpha_max), value)
+    _check_tail(quad, tail, 1.0 / max(coil.gap, 4.0 / alpha_max), value)
     return value

@@ -44,7 +44,8 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
     """Parse a spectrum file.
 
     A malformed data row, or a format line naming another version than
-    FORMAT_VERSION, raises ValueError naming its line.
+    FORMAT_VERSION, raises ValueError naming its line; a file with no data
+    row raises ValueError naming the file.
     """
     meta: dict[str, str] = {}
     freqs, re, im = [], [], []
@@ -76,6 +77,8 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
             freqs.append(f)
             re.append(dl_re)
             im.append(dl_im)
+    if not freqs:
+        raise ValueError(f"{path}: no data rows")
     # assembled part by part: re + 1j * im would turn -0.0 parts into +0.0
     delta = np.empty(len(re), dtype=complex)
     delta.real, delta.imag = re, im

@@ -59,6 +59,8 @@ _UNIT_SUFFIXES = {
     "_per_m": 1.0,
 }
 
+# Keys whose values are words; every other key's value must be a number.
+_TEXT_KEYS = ("spacing", "rule")
 # Keys a [quadrature] section may set; unset ones keep QuadratureSpec's defaults.
 _QUADRATURE_TYPES = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
 
@@ -95,10 +97,13 @@ def _si_value(key: str, raw: str) -> float:
 def _section(cp: configparser.ConfigParser, name: str) -> dict[str, float | str]:
     out: dict[str, float | str] = {}
     for key, raw in cp.items(name):
+        if key in _TEXT_KEYS:
+            out[key] = raw
+            continue
         try:
             out[key] = _si_value(key, raw)
         except ValueError:
-            out[key] = raw
+            raise ValueError(f"[{name}] {key} = {raw!r} is not a number") from None
     return out
 
 
@@ -192,8 +197,7 @@ def load_scenario(path: str) -> Scenario:
 
     except ScenarioError:
         raise
-    # TypeError: a non-numeric value stays a string, which no check can compare.
-    except (KeyError, TypeError, ValueError, OverflowError, configparser.Error) as exc:
+    except (KeyError, ValueError, OverflowError, configparser.Error) as exc:
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
     return Scenario(

@@ -150,6 +150,12 @@ def test_compare_rejects_flag_mismatch():
         compare(a, b)
 
 
+def test_compare_rejects_empty_spectra():
+    empty = InductanceSpectrum([], [], normalized=True, model_tag="synthetic")
+    with pytest.raises(ValueError, match="no frequencies"):
+        compare(empty, empty)
+
+
 def test_compare_near_zero_guard_counts_exclusions():
     freqs = np.geomspace(1e3, 1e5, 10)
     a = synthetic_spectrum(1e3, A0, freqs)
@@ -235,6 +241,11 @@ def test_fit_rejects_bad_inputs():
     zero.delta_L = np.zeros_like(zero.delta_L)
     with pytest.raises(ValueError):
         fit_sigma_d(zero, A0)
+
+    # |data|^2 overflows: a nan cost would stop the search and read as converged
+    huge = InductanceSpectrum([1.0, 2.0, 3.0], [1e200] * 3, True, "synthetic")
+    with pytest.raises(ValueError, match="misfit overflows"):
+        fit_sigma_d(huge, 200.0)
 
     good = synthetic_spectrum(33488.0, A0, freqs)
     for bad in (np.nan, np.inf, 0.0, -A0):

@@ -89,7 +89,17 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
     bad = tmp_path / "bad.ini"
     bad.write_text(open(copper_brass).read() + "\n" + entry + "\n")
     assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
-    assert "invalid scenario" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err
+    if entry.endswith("x"):
+        assert "[quadrature] n_panels = 'x' is not a number" in err
+
+
+def test_spectrum_non_numeric_value_names_it(tmp_path, copper_brass, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_text(open(copper_brass).read().replace("conductivity_MSm = 59.8", "conductivity_MSm = x"))
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    assert "[plate.copper] conductivity_MSm = 'x' is not a number" in capsys.readouterr().err
 
 
 def test_spectrum_deterministic_bytes(tmp_path, copper_brass):
@@ -141,6 +151,21 @@ def test_invert_round_trip(tmp_path, copper_brass, capsys):
     assert abs(payload["sigma_d_S"] - 33488.0) / 33488.0 < 1e-6
     assert 0.0 <= payload["sigma_d_std_S"] < 1e-6 * 33488.0
     assert "sigma_d=" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("# normalized=true\nfreq_hz,dL_re,dL_im\n", "no data rows"),
+        ("# normalized=true\n1,1e200,0\n2,1e200,0\n3,1e200,0\n", "misfit overflows"),
+    ],
+    ids=["no-rows", "overflow"],
+)
+def test_invert_unusable_spectrum_exits_1(tmp_path, capsys, body, message):
+    spectrum = tmp_path / "s.csv"
+    spectrum.write_text(body)
+    assert main(["invert", str(spectrum), "--alpha0", "200"]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
 
 
 def test_invert_absolute_spectrum_exits_1(tmp_path, copper_brass, capsys):

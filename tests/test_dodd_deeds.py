@@ -491,13 +491,80 @@ def test_delta_L_against_mpmath():
 
 
 def test_delta_L_air_against_mpmath():
-    # L_air does not depend on the lift-off, but its default grid does: the
-    # lift-off sets alpha_max, and the gap can set it instead (10 mm).
-    exact, error = mp_delta_L_air(COIL)
-    assert error < 1e-10, "mpmath quadrature did not converge"
-    for liftoff in (0.1e-3, 1e-3, 10e-3):
-        value = delta_L_air(dataclasses.replace(COIL, liftoff=liftoff), QUAD)
-        assert abs(value - exact) <= 1e-12 * exact, (liftoff, value, exact)
+    # The gap sets L_air's default grid, 40 / min(gap, inner_radius).
+    for gap in (0.5e-3, 2e-3, 5e-3):
+        coil = dataclasses.replace(COIL, gap=gap)
+        exact, error = mp_delta_L_air(coil)
+        assert error < 1e-10, f"mpmath quadrature did not converge at gap {gap}"
+        value = delta_L_air(coil, QUAD)
+        assert abs(value - exact) <= 1e-12 * exact, (gap, value, exact)
+
+
+def test_delta_L_air_same_bits_at_every_liftoff():
+    # Neither the lift-off nor the drive current enters L_air, its grid or its
+    # cache key.
+    value = delta_L_air(COIL, QUAD)
+    for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
+        coil = dataclasses.replace(COIL, liftoff=liftoff, drive_current=0.5)
+        assert delta_L_air(coil, QUAD) == value, liftoff
+
+
+def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
+    # With L_air cached, a new lift-off's L_air and short sweep sample the
+    # kernel once: one 16-panel table whose last node is alpha_max, from
+    # which the truncation check takes its tail density.
+    delta_L_air(COIL, QUAD)
+    coil = dataclasses.replace(COIL, liftoff=1.2345e-3)
+    dodd_deeds._kernel_table.cache_clear()
+    calls = []
+
+    def counting(coil, alpha):
+        calls.append(np.size(alpha))
+        return coil_kernel(coil, alpha)
+
+    monkeypatch.setattr(dodd_deeds, "coil_kernel", counting)
+    delta_L_air(coil, QUAD)
+    sweep("dodd_deeds", coil, PLATES[0], SweepSpec(1e3, 1e5, 4), quad=QUAD)
+    assert calls == [16 * 21 + 1]
+
+
+# delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
+# plates, frozen from the solver as it was before the truncation check's
+# tail node joined the kernel table (numpy 2.4, scipy 1.17, x86-64).
+FROZEN_DELTA_L = (
+    (
+        (-7.03120334762259e-11-2.6066902056236237e-09j), (-1.323471997006728e-08-3.8670364695712104e-08j),
+        (-1.6416859635900693e-07-5.143563489130852e-08j), (-1.872442933372312e-07-6.638248929748453e-09j),
+        (-1.928223161130029e-07-1.7112523289472504e-09j),
+    ),
+    (
+        (-6.443848236945207e-11-2.3091109458576784e-09j), (-1.1793371412165805e-08-3.398699918079809e-08j),
+        (-1.441212928992827e-07-4.877250939039612e-08j), (-1.8079881266421797e-07-1.2575949686443739e-08j),
+        (-1.9128229769924195e-07-3.2007172682651637e-09j),
+    ),
+    (
+        (-3.6787123577308025e-14-6.048963319845177e-11j), (-1.145659128091473e-11-1.0751843085760892e-09j),
+        (-2.88028967620216e-09-1.8194287244720464e-08j), (-1.210228700349795e-07-8.245889107563591e-08j),
+        (-1.9364731481234204e-07-9.080797438480505e-09j),
+    ),
+    (
+        (-3.6705157501848396e-14-6.029259077522123e-11j), (-1.1430688374899176e-11-1.0716806870625666e-09j),
+        (-2.872636210699368e-09-1.813345380504296e-08j), (-1.2058113686910112e-07-8.218133219338689e-08j),
+        (-1.9303057858170518e-07-9.079741245463361e-09j),
+    ),
+    (
+        (1.7668902938228701e-07-5.109970428701734e-10j), (1.7535333857320083e-07-8.78670920224587e-09j),
+        (1.2945125173630864e-07-4.422936905421368e-08j), (1.1303333481733679e-08-7.330247250574356e-08j),
+        (-1.1792421910892141e-07-5.080399510394748e-08j),
+    ),
+)
+
+
+def test_delta_L_frozen_bits():
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 5)
+    for plate, frozen in zip(PLATES, FROZEN_DELTA_L):
+        value = delta_L(COIL, plate, omegas, QUAD)
+        assert value.tobytes() == np.array(frozen).tobytes(), plate
 
 
 def test_default_rule_accuracy_audit(monkeypatch):
@@ -517,9 +584,9 @@ def test_default_rule_accuracy_audit(monkeypatch):
             value = delta_L(coil, plate, omegas, QUAD)
             exact = delta_L(coil, plate, omegas, reference)
             assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
-    # The direct integrand of L_air decays only as exp(-alpha gap), so the
-    # graded grid resolves it less well: it stops at 32 or 64 panels, within
-    # about 2e-14 (worst over lift-offs of 0.1 - 10 mm).
+    # L_air no longer depends on the lift-off (bitwise, as the test above
+    # shows), so this loop checks one value: at the default 2 mm gap it stops
+    # at 64 panels, within 4e-16.
     for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
         coil = dataclasses.replace(COIL, liftoff=liftoff)
         air = delta_L_air(coil, QUAD)

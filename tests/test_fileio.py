@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -51,3 +52,11 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
         assert written.tobytes() == read.tobytes()
     assert back.normalized is spectrum.normalized
     assert back.model_tag == spectrum.model_tag
+
+
+def test_spectrum_csv_without_rows_is_rejected(tmp_path):
+    for body in ("# normalized=true\nfreq_hz,dL_re,dL_im\n", ""):
+        path = tmp_path / "empty.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"{path}: no data rows"):
+            read_spectrum_csv(str(path))
