@@ -14,7 +14,6 @@ from .model import (
 )
 from .te_layered import InterfaceCoeffs, fresnel, generalized_reflection, wavenumber
 from .thin_plate import (
-    EquivalentPlate,
     equivalent_plate,
     equivalent_thickness,
     normalized_response_exact,
@@ -40,7 +39,6 @@ __all__ = [
     "QuadratureConvergenceError",
     "TruncationWarning",
     "InterfaceCoeffs",
-    "EquivalentPlate",
     "EquivalenceReport",
     "SigmaDFit",
     "default_sensor",

@@ -26,10 +26,6 @@ _STEP_TOLERANCE = 1e-9
 _RESIDUAL_TOLERANCE = 1e-12
 
 
-class SweepError(RuntimeError):
-    """A solver failure annotated with the frequency it occurred at."""
-
-
 @dataclass
 class EquivalenceReport:
     """Paired-spectrum relative-error statistics over a frequency band."""
@@ -66,7 +62,8 @@ def sweep(
     ``model`` is one of "thin_plate" (normalized, sigma*D-only form),
     "thin_plate_exact" (normalized finite-thickness bracket) or
     "dodd_deeds" (absolute henries, the whole grid in one batched
-    ``dodd_deeds.delta_L`` call).
+    ``dodd_deeds.delta_L`` call, whose QuadratureConvergenceError names the
+    first frequency that did not converge).
     """
     if alpha0 is not None and not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -90,13 +87,9 @@ def sweep(
 
     if model == "dodd_deeds":
         q = quad if quad is not None else dodd_deeds.QuadratureSpec()
-        try:
-            values = dodd_deeds.delta_L(coil, plate, omegas, q)
-        except dodd_deeds.QuadratureConvergenceError as exc:
-            raise SweepError(f"solver failed: {exc}") from exc
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=values,
+            delta_L=dodd_deeds.delta_L(coil, plate, omegas, q),
             normalized=False,
             model_tag="dodd_deeds",
             metadata={
@@ -117,7 +110,7 @@ def compare(
 
     ``a`` is the reference ("original structure"); swapping the arguments
     changes only the normalization. Both spectra must share the frequency
-    grid and the normalized flag.
+    grid and the normalized flag; ``band`` must be finite with lo <= hi.
     """
     if not np.array_equal(a.frequencies, b.frequencies):
         raise ValueError("spectra are on different frequency grids")
@@ -125,6 +118,8 @@ def compare(
         raise ValueError("cannot compare normalized against absolute spectra")
     if a.frequencies.size == 0:
         raise ValueError("cannot compare spectra with no frequencies")
+    if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
+        raise ValueError(f"band must be finite with lo <= hi, got {band}")
 
     mag = np.abs(a.delta_L)
     usable = mag >= NEAR_ZERO_FRACTION * mag.max()

@@ -12,7 +12,7 @@ import sys
 
 from . import __version__, analysis, fileio, thin_plate
 from .dodd_deeds import QuadratureConvergenceError
-from .scenario import ScenarioError, load_scenario, parse_quantity
+from .scenario import load_scenario, parse_quantity
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -28,29 +28,16 @@ def _coil_summary(coil) -> str:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        scen = load_scenario(args.scenario)
-        plate = scen.plate(args.plate)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-
-    alpha0 = scen.alpha0_override if args.alpha0 is None else args.alpha0
-    try:
-        spectrum = analysis.sweep(
-            model=args.model,
-            coil=scen.coil,
-            plate=plate,
-            spec=scen.sweep,
-            quad=scen.quadrature,
-            alpha0=alpha0,
-        )
-    except (ValueError, analysis.SweepError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc.__cause__, QuadratureConvergenceError):
-            return EXIT_NO_CONVERGENCE
-        return EXIT_INVALID
-
+    scen = load_scenario(args.scenario)
+    plate = scen.plate(args.plate)
+    spectrum = analysis.sweep(
+        model=args.model,
+        coil=scen.coil,
+        plate=plate,
+        spec=scen.sweep,
+        quad=scen.quadrature,
+        alpha0=scen.alpha0_override if args.alpha0 is None else args.alpha0,
+    )
     meta = {
         "scenario_sha256": scen.sha256,
         "plate": args.plate,
@@ -66,24 +53,17 @@ def cmd_spectrum(args) -> int:
 
 def cmd_equivalent(args) -> int:
     if (args.thickness is None) == (args.conductivity is None):
-        print("error: give exactly one of --thickness or --conductivity", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        scen = load_scenario(args.scenario)
-        plate = scen.plate(args.plate)
-        if args.thickness is not None:
-            result = thin_plate.equivalent_plate(plate, parse_quantity(args.thickness))
-        else:
-            result = thin_plate.equivalent_thickness(plate, parse_quantity(args.conductivity))
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        raise ValueError("give exactly one of --thickness or --conductivity")
+    plate = load_scenario(args.scenario).plate(args.plate)
+    if args.thickness is not None:
+        eq = thin_plate.equivalent_plate(plate, parse_quantity(args.thickness))
+    else:
+        eq = thin_plate.equivalent_thickness(plate, parse_quantity(args.conductivity))
 
-    eq = result.plate
     print(f"equivalent plate for {args.plate!r}:")
     print(f"  conductivity = {eq.conductivity:.6g} S/m ({eq.conductivity / 1e6:.6g} MS/m)")
     print(f"  thickness    = {eq.thickness:.6g} m ({eq.thickness * 1e6:.6g} um)")
-    print(f"  sigma*D      = {result.sigma_thickness_product:.6g} S (preserved)")
+    print(f"  sigma*D      = {eq.sigma_thickness_product:.6g} S (preserved)")
     print("scenario fragment:")
     print(f"[plate.{args.plate}_equivalent]")
     print(f"conductivity_Sm = {eq.conductivity:.17g}")
@@ -98,18 +78,14 @@ def _parse_band(text):
     try:
         return (float(lo), float(hi))
     except ValueError:
-        raise ScenarioError(f"bad band {text!r}, expected lo:hi in Hz") from None
+        raise ValueError(f"bad band {text!r}, expected lo:hi in Hz") from None
 
 
 def cmd_compare(args) -> int:
-    try:
-        band = _parse_band(args.band)
-        a = fileio.read_spectrum_csv(args.spectrum_a)
-        b = fileio.read_spectrum_csv(args.spectrum_b)
-        report = analysis.compare(a, b, band=band)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    band = _parse_band(args.band)
+    a = fileio.read_spectrum_csv(args.spectrum_a)
+    b = fileio.read_spectrum_csv(args.spectrum_b)
+    report = analysis.compare(a, b, band=band)
     if args.report:
         fileio.write_report_json(
             args.report,
@@ -128,19 +104,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_invert(args) -> int:
-    try:
-        spectrum = fileio.read_spectrum_csv(args.spectrum)
-        if not spectrum.normalized:
-            raise ValueError(
-                "spectrum is absolute (henries); inversion needs the normalized thin-plate form"
-            )
-        alpha0 = spectrum.metadata.get("alpha0") if args.alpha0 is None else args.alpha0
-        if alpha0 is None:
-            raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
-        fit = analysis.fit_sigma_d(spectrum, float(alpha0))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    spectrum = fileio.read_spectrum_csv(args.spectrum)
+    if not spectrum.normalized:
+        raise ValueError(
+            "spectrum is absolute (henries); inversion needs the normalized thin-plate form"
+        )
+    alpha0 = spectrum.metadata.get("alpha0") if args.alpha0 is None else args.alpha0
+    if alpha0 is None:
+        raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
+    fit = analysis.fit_sigma_d(spectrum, float(alpha0))
     if args.output:
         fileio.write_fit_json(
             args.output,
@@ -283,6 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place where an error becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -292,7 +265,10 @@ def main(argv=None) -> int:
         return EXIT_INVALID
     try:
         return args.func(args)
-    except OSError as exc:  # a file that cannot be read or written
+    except QuadratureConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

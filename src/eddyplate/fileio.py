@@ -91,11 +91,19 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
     )
 
 
+def _json_value(value):
+    """value with every float in it that is not finite (JSON has none) as None."""
+    if isinstance(value, list):
+        return [_json_value(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def _write_json(path: str, payload: dict, extra: dict | None):
     if extra:
         payload.update(extra)
+    payload = {key: _json_value(value) for key, value in payload.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -105,9 +113,7 @@ def write_report_json(path: str, report: EquivalenceReport, extra: dict | None =
         "max_rel_error_band_hz": list(report.max_rel_error_band),
         "band_filter_hz": list(report.band_filter) if report.band_filter else None,
         "n_excluded": report.n_excluded,
-        "per_frequency_rel_error": [
-            None if not np.isfinite(x) else x for x in report.per_frequency_rel_error
-        ],
+        "per_frequency_rel_error": list(report.per_frequency_rel_error),
     }
     _write_json(path, payload, extra)
 

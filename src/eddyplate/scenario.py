@@ -2,7 +2,10 @@
 
 A scenario is a flat INI-style text file whose keys carry their unit in the
 key name (conductivity_MSm, thickness_mm, ...). All conversion to SI happens
-here, at parse time; every other module speaks SI only.
+here, at parse time; every other module speaks SI only. Each section is read
+against a table of the keys it may set: an unknown key, a non-numeric value
+or a non-integral count (turns_tx, turns_rx, n_points, n_panels) makes
+load_scenario raise ScenarioError naming the section and key.
 
 Example::
 
@@ -44,7 +47,7 @@ from dataclasses import dataclass
 from .dodd_deeds import QuadratureSpec
 from .model import CoilPair, Plate, SweepSpec
 
-# SI multiplier per key-name unit suffix.
+# SI multiplier per key-name unit suffix; only float keys carry one.
 _UNIT_SUFFIXES = {
     "_m": 1.0,
     "_mm": 1e-3,
@@ -59,10 +62,21 @@ _UNIT_SUFFIXES = {
     "_per_m": 1.0,
 }
 
-# Keys whose values are words; every other key's value must be a number.
-_TEXT_KEYS = ("spacing", "rule")
-# Keys a [quadrature] section may set; unset ones keep QuadratureSpec's defaults.
-_QUADRATURE_TYPES = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
+# The keys each section may set, by bare name, and their types.
+_COIL_KEYS = {
+    "inner_radius": float,
+    "outer_radius": float,
+    "height": float,
+    "gap": float,
+    "liftoff": float,
+    "turns_tx": int,
+    "turns_rx": int,
+    "drive_current": float,
+}
+_PLATE_KEYS = {"conductivity": float, "thickness": float, "relative_permeability": float}
+_SWEEP_KEYS = {"f_min": float, "f_max": float, "n_points": int, "spacing": str}
+_QUADRATURE_KEYS = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
+_ALPHA0_KEYS = {"override": float}
 
 
 class ScenarioError(ValueError):
@@ -87,36 +101,35 @@ class Scenario:
             ) from None
 
 
-def _si_value(key: str, raw: str) -> float:
-    for suffix in sorted(_UNIT_SUFFIXES, key=len, reverse=True):
-        if key.endswith(suffix):
-            return float(raw) * _UNIT_SUFFIXES[suffix]
-    return float(raw)
+def _section(cp: configparser.ConfigParser, name: str, keys: dict) -> dict:
+    """A section's values by bare key name, in SI, checked against ``keys``.
 
-
-def _section(cp: configparser.ConfigParser, name: str) -> dict[str, float | str]:
-    out: dict[str, float | str] = {}
+    A float key may carry one unit suffix, which is stripped and applied; an
+    int key must hold a whole number. Unknown keys, a key set twice under two
+    units, and values of the wrong type raise ValueError.
+    """
+    out = {}
     for key, raw in cp.items(name):
-        if key in _TEXT_KEYS:
-            out[key] = raw
+        bare, scale = key, 1.0
+        for suffix, unit in _UNIT_SUFFIXES.items():
+            if key.endswith(suffix) and keys.get(key[: -len(suffix)]) is float:
+                bare, scale = key[: -len(suffix)], unit
+                break
+        kind = keys.get(bare)
+        if kind is None:
+            raise ValueError(f"[{name}] unknown key {key!r}")
+        if bare in out:
+            raise ValueError(f"[{name}] {key} sets {bare} a second time")
+        if kind is str:
+            out[bare] = raw
             continue
         try:
-            out[key] = _si_value(key, raw)
+            value = float(raw)
         except ValueError:
             raise ValueError(f"[{name}] {key} = {raw!r} is not a number") from None
-    return out
-
-
-def _strip_units(values: dict) -> dict:
-    """Map unit-suffixed keys to bare field names."""
-    out = {}
-    for key, value in values.items():
-        bare = key
-        for suffix in sorted(_UNIT_SUFFIXES, key=len, reverse=True):
-            if key.endswith(suffix):
-                bare = key[: -len(suffix)]
-                break
-        out[bare] = value
+        if kind is int and not value.is_integer():
+            raise ValueError(f"[{name}] {key} = {raw!r} is not a whole number")
+        out[bare] = int(value) if kind is int else value * scale
     return out
 
 
@@ -152,59 +165,26 @@ def load_scenario(path: str) -> Scenario:
     sha = hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
     try:
-        coil_values = _strip_units(_section(cp, "coil"))
         coil = CoilPair(
-            inner_radius=coil_values["inner_radius"],
-            outer_radius=coil_values["outer_radius"],
-            coil_height=coil_values["height"],
-            gap=coil_values["gap"],
-            liftoff=coil_values["liftoff"],
-            turns_tx=int(coil_values["turns_tx"]),
-            turns_rx=int(coil_values["turns_rx"]),
-            drive_current=coil_values["drive_current"],
+            **{
+                "coil_height" if key == "height" else key: value
+                for key, value in _section(cp, "coil", _COIL_KEYS).items()
+            }
         )
-
-        plates = {}
-        for name in cp.sections():
-            if not name.startswith("plate."):
-                continue
-            values = _strip_units(_section(cp, name))
-            plates[name[len("plate.") :]] = Plate(
-                conductivity=values["conductivity"],
-                thickness=values["thickness"],
-                relative_permeability=float(values.get("relative_permeability", 1.0)),
-            )
+        plates = {
+            name[len("plate.") :]: Plate(**_section(cp, name, _PLATE_KEYS))
+            for name in cp.sections()
+            if name.startswith("plate.")
+        }
         if not plates:
-            raise ScenarioError("scenario defines no [plate.<name>] section")
-
-        sweep_values = _strip_units(_section(cp, "sweep"))
-        sweep = SweepSpec(
-            f_min=sweep_values["f_min"],
-            f_max=sweep_values["f_max"],
-            n_points=int(sweep_values["n_points"]),
-            spacing=str(sweep_values.get("spacing", "logarithmic")),
-        )
-
-        qv = _strip_units(_section(cp, "quadrature")) if cp.has_section("quadrature") else {}
+            raise ValueError("scenario defines no [plate.<name>] section")
+        sweep = SweepSpec(**_section(cp, "sweep", _SWEEP_KEYS))
         quadrature = QuadratureSpec(
-            **{key: cast(qv[key]) for key, cast in _QUADRATURE_TYPES.items() if key in qv}
+            **(_section(cp, "quadrature", _QUADRATURE_KEYS) if cp.has_section("quadrature") else {})
         )
-
-        alpha0_override = None
-        if cp.has_section("alpha0"):
-            override = _strip_units(_section(cp, "alpha0")).get("override")
-            alpha0_override = None if override is None else float(override)
-
-    except ScenarioError:
-        raise
-    except (KeyError, ValueError, OverflowError, configparser.Error) as exc:
+        alpha0 = _section(cp, "alpha0", _ALPHA0_KEYS) if cp.has_section("alpha0") else {}
+    except (TypeError, ValueError, configparser.Error) as exc:
+        # TypeError: a required key is missing, so its dataclass has no value for it.
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
-    return Scenario(
-        coil=coil,
-        plates=plates,
-        sweep=sweep,
-        quadrature=quadrature,
-        alpha0_override=alpha0_override,
-        sha256=sha,
-    )
+    return Scenario(coil, plates, sweep, quadrature, alpha0.get("override"), sha)

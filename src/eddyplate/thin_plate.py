@@ -10,7 +10,6 @@ through the product sigma * D.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,15 +69,7 @@ def _thin_response(alpha0, omega, sigma_d):
     return -c / (1.0 + c)
 
 
-@dataclass(frozen=True)
-class EquivalentPlate:
-    """Result of an equivalence transform: the new plate and its sigma*D."""
-
-    plate: Plate
-    sigma_thickness_product: float  # [S]
-
-
-def equivalent_plate(original: Plate, target_thickness: float) -> EquivalentPlate:
+def equivalent_plate(original: Plate, target_thickness: float) -> Plate:
     """Plate of the given thickness with the same sigma*D product.
 
     conductivity = sigma1 * D1 / D2, so D1/D2 = sigma2/sigma1.
@@ -87,25 +78,21 @@ def equivalent_plate(original: Plate, target_thickness: float) -> EquivalentPlat
     if target_thickness <= 0.0:
         raise ValueError("target_thickness must be positive")
     if target_thickness == original.thickness:
-        plate = original
-    else:
-        plate = Plate(
-            conductivity=original.sigma_thickness_product / target_thickness,
-            thickness=target_thickness,
-        )
-    return EquivalentPlate(plate=plate, sigma_thickness_product=plate.sigma_thickness_product)
+        return original
+    return Plate(
+        conductivity=original.sigma_thickness_product / target_thickness,
+        thickness=target_thickness,
+    )
 
 
-def equivalent_thickness(original: Plate, target_conductivity: float) -> EquivalentPlate:
+def equivalent_thickness(original: Plate, target_conductivity: float) -> Plate:
     """Plate of the given conductivity with the same sigma*D product."""
     _require_nonmagnetic(original)
     if target_conductivity <= 0.0:
         raise ValueError("target_conductivity must be positive")
     if target_conductivity == original.conductivity:
-        plate = original
-    else:
-        plate = Plate(
-            conductivity=target_conductivity,
-            thickness=original.sigma_thickness_product / target_conductivity,
-        )
-    return EquivalentPlate(plate=plate, sigma_thickness_product=plate.sigma_thickness_product)
+        return original
+    return Plate(
+        conductivity=target_conductivity,
+        thickness=original.sigma_thickness_product / target_conductivity,
+    )

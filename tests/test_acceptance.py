@@ -271,8 +271,8 @@ def test_criterion_9_out_of_scope_declaration(announce):
     # are not reproducible here; their equivalence-transform arithmetic is.
     from eddyplate import equivalent_plate, equivalent_thickness
 
-    brass_eq = equivalent_plate(COPPER, 2.00e-3).plate
-    bent = equivalent_thickness(Plate(59.8e6, 20e-6), 17.3e6).plate
+    brass_eq = equivalent_plate(COPPER, 2.00e-3)
+    bent = equivalent_thickness(Plate(59.8e6, 20e-6), 17.3e6)
     ok = (
         abs(brass_eq.conductivity - 16.744e6) / 16.744e6 < 1e-12
         and abs(bent.thickness - 69.13e-6) / 69.13e-6 < 1e-3

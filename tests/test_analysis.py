@@ -14,7 +14,7 @@ from eddyplate import (
     fit_sigma_d,
     sweep,
 )
-from eddyplate.analysis import SweepError, _linear_start, _thin_slope
+from eddyplate.analysis import _linear_start, _thin_slope
 from eddyplate.thin_plate import _thin_response
 
 COIL = default_sensor()
@@ -95,7 +95,7 @@ def test_sweep_error_names_frequency(monkeypatch):
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     spec = SweepSpec(10.0, 20.0, 2)
-    with pytest.raises(SweepError, match="f = 10"):
+    with pytest.raises(dodd_deeds.QuadratureConvergenceError, match="f = 10"):
         sweep("dodd_deeds", COIL, Plate(59.8e6, 0.56e-3), spec, quad=quad)
 
 
@@ -154,6 +154,14 @@ def test_compare_rejects_empty_spectra():
     empty = InductanceSpectrum([], [], normalized=True, model_tag="synthetic")
     with pytest.raises(ValueError, match="no frequencies"):
         compare(empty, empty)
+
+
+@pytest.mark.parametrize("band", [(5e4, 2e4), (np.nan, 1e5), (1e3, np.inf), (-np.inf, 1e5)])
+def test_compare_rejects_bad_band(band):
+    s = synthetic_spectrum(1e3, A0, np.geomspace(1e3, 1e5, 10))
+    with pytest.raises(ValueError, match="band must be finite"):
+        compare(s, s, band=band)
+    assert np.isnan(compare(s, s, band=(2.0, 2.0)).max_rel_error)  # empty, but valid
 
 
 def test_compare_near_zero_guard_counts_exclusions():

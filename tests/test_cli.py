@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -95,6 +96,66 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
         assert "[quadrature] n_panels = 'x' is not a number" in err
 
 
+@pytest.mark.parametrize(
+    "section, typo",
+    [
+        ("coil", "inner_radus_mm = 6.0"),
+        ("plate.copper", "relative_permeabilty = 200"),
+        ("sweep", "n_point = 4"),
+        ("quadrature", "n_panel = 64"),
+        ("alpha0", "overide_per_m = 200"),
+    ],
+)
+def test_unknown_scenario_key_exits_1(tmp_path, copper_brass, capsys, section, typo):
+    # Each typo would otherwise leave its field at a default, or missing.
+    base = open(copper_brass).read()
+    if f"[{section}]\n" in base:
+        body = base.replace(f"[{section}]\n", f"[{section}]\n{typo}\n")
+    else:
+        body = base + f"\n[{section}]\n{typo}\n"
+    bad = tmp_path / "typo.ini"
+    bad.write_text(body)
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    key = typo.partition(" = ")[0]
+    assert f"[{section}] unknown key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("turns_tx = 25", "turns_tx = 25.9", "turns_tx = '25.9' is not a whole number"),
+        ("turns_rx = 25", "turns_rx = 2.5", "turns_rx = '2.5' is not a whole number"),
+        ("n_points = 50", "n_points = 4.7", "n_points = '4.7' is not a whole number"),
+        (
+            "n_points = 50",
+            "n_points = 50\n[quadrature]\nn_panels = 16.5",
+            "n_panels = '16.5' is not a whole number",
+        ),
+        (
+            "thickness_mm = 0.56",
+            "thickness_mm = 0.56\nthickness_um = 560",
+            "[plate.copper] thickness_um sets thickness a second time",
+        ),
+    ],
+    ids=["turns_tx", "turns_rx", "n_points", "n_panels", "thickness-twice"],
+)
+def test_malformed_scenario_entry_exits_1(tmp_path, copper_brass, capsys, old, new, message):
+    # Each used to load: a fraction truncated, a repeated quantity's last value won.
+    bad = tmp_path / "bad.ini"
+    bad.write_text(open(copper_brass).read().replace(old, new, 1))
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("turns", ["25", "25.0", "2.5e1"])
+def test_integer_keys_accept_whole_numbers(tmp_path, copper_brass, turns):
+    path = tmp_path / "whole.ini"
+    path.write_text(open(copper_brass).read().replace("turns_tx = 25", f"turns_tx = {turns}"))
+    scen = load_scenario(str(path))
+    assert scen.coil.turns_tx == 25 and isinstance(scen.coil.turns_tx, int)
+    assert scen == dataclasses.replace(load_scenario(copper_brass), sha256=scen.sha256)
+
+
 def test_spectrum_non_numeric_value_names_it(tmp_path, copper_brass, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_text(open(copper_brass).read().replace("conductivity_MSm = 59.8", "conductivity_MSm = x"))
@@ -131,6 +192,43 @@ def test_compare_copper_brass_band(tmp_path, copper_brass):
     payload = json.loads(report.read_text())
     assert payload["max_rel_error"] < 0.05
     assert payload["band_filter_hz"] == [1e5, 5e5]
+
+
+@pytest.mark.parametrize("band", ["5:2", "nan:inf"])
+def test_compare_rejects_bad_band(tmp_path, copper_brass, capsys, band):
+    out = tmp_path / "cu.csv"
+    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
+    report = tmp_path / "r.json"
+    argv = ["compare", str(out), str(out), "--band", band, "--report", str(report)]
+    assert main(argv) == EXIT_INVALID
+    assert "band must be finite with lo <= hi" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def _strict_json(path):
+    """The JSON in path, failing on the NaN and Infinity constants JSON lacks."""
+
+    def reject(name):
+        raise AssertionError(f"{path} holds {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_json_files_hold_no_non_finite_numbers(tmp_path, copper_brass):
+    # A band with no frequency in it has no max_rel_error: null, not NaN.
+    out = tmp_path / "cu.csv"
+    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
+    report = tmp_path / "r.json"
+    argv = ["compare", str(out), str(out), "--band", "1:2", "--report", str(report)]
+    assert main(argv) == EXIT_OK
+    assert _strict_json(report)["max_rel_error"] is None
+
+    # Data that pin sigma*D down not at all: its standard error is null, not Infinity.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("# normalized=true\n1,1e150,0\n2,1e150,0\n3,1e150,0\n")
+    fit = tmp_path / "fit.json"
+    assert main(["invert", str(huge), "--alpha0", "200", "-o", str(fit)]) == EXIT_OK
+    assert _strict_json(fit)["sigma_d_std_S"] is None
 
 
 def test_compare_disjoint_grids_exits_1(tmp_path, copper_brass, aluminium):

@@ -141,30 +141,30 @@ def test_magnetic_plate_rejected():
 
 def test_equivalent_plate_copper_to_brass():
     result = equivalent_plate(Plate(59.8e6, 0.56e-3), 2.00e-3)
-    assert result.plate.conductivity == pytest.approx(16.744e6, rel=1e-12)
+    assert result.conductivity == pytest.approx(16.744e6, rel=1e-12)
     assert result.sigma_thickness_product == pytest.approx(33488.0, rel=1e-12)
 
 
 def test_equivalent_plate_aluminium():
     result = equivalent_plate(Plate(36.9e6, 20e-6), 55e-6)
-    assert result.plate.conductivity == pytest.approx(13.418181818181818e6, rel=1e-12)
+    assert result.conductivity == pytest.approx(13.418181818181818e6, rel=1e-12)
 
 
 def test_equivalent_thickness_bent_copper():
     result = equivalent_thickness(Plate(59.8e6, 20e-6), 17.3e6)
-    assert result.plate.thickness == pytest.approx(69.13e-6, rel=1e-3)
+    assert result.thickness == pytest.approx(69.13e-6, rel=1e-3)
 
 
 def test_equivalence_identity_transforms():
     plate = Plate(59.8e6, 0.56e-3)
-    assert equivalent_plate(plate, plate.thickness).plate == plate
-    assert equivalent_thickness(plate, plate.conductivity).plate == plate
+    assert equivalent_plate(plate, plate.thickness) == plate
+    assert equivalent_thickness(plate, plate.conductivity) == plate
 
 
 def test_equivalence_round_trip():
     plate = Plate(36.9e6, 20e-6)
-    via = equivalent_plate(plate, 55e-6).plate
-    back = equivalent_thickness(via, plate.conductivity).plate
+    via = equivalent_plate(plate, 55e-6)
+    back = equivalent_thickness(via, plate.conductivity)
     assert back.conductivity == plate.conductivity
     assert back.thickness == pytest.approx(plate.thickness, rel=1e-14)
     assert back.sigma_thickness_product == pytest.approx(
