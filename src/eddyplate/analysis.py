@@ -172,6 +172,8 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     through sigma*D / alpha0, so at a known alpha0 sigma*D is its one
     unknown, and each step is the scalar -Re<J, r> / ||J||^2. A spectrum
     whose misfit overflows is rejected: its cost could not tell convergence.
+    A fit whose standard error is not finite, so that the data do not pin
+    sigma*D down, is reported as not converged.
     """
     if not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -229,12 +231,12 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     jac = _thin_slope(u, sigma_d)
     noise_var = cost / (2 * data.size - 1)
     with np.errstate(over="ignore"):  # inf: the data pin sigma*D down not at all
-        sigma_d_var = noise_var / np.vdot(jac, jac).real
+        sigma_d_std = float(np.sqrt(noise_var / np.vdot(jac, jac).real))
     return SigmaDFit(
         sigma_d=float(sigma_d),
-        sigma_d_std=float(np.sqrt(sigma_d_var)),
+        sigma_d_std=sigma_d_std,
         residual_norm=float(np.sqrt(cost / np.vdot(data, data).real)),
         iterations=iterations,
-        converged=converged,
+        converged=converged and bool(np.isfinite(sigma_d_std)),
         history=history,
     )

@@ -18,10 +18,13 @@ extra reflection call. A frequency is accepted at the first panel count
 where that estimate is within tolerance; only the others are evaluated
 again with twice the panels.
 
-The kernel (P, axial factors) is frequency independent and cached per
-(coil, quadrature grid), so a frequency sweep pays the Bessel evaluations
-only once; alpha_max is the table's last node, for the truncation check.
-L_air is cached without the lift-off, on its own grid set by the gap.
+The lift-off enters only through axial(a); neither the grid nor P depends
+on it. So the nodes, their weights times P^2 / a^6 and the tail density at
+alpha_max (the table's last node, for the truncation check) are cached per
+coil cross-section (radii, coil height, gap, turns) and quadrature grid: a
+frequency sweep, and every later lift-off of the same coils, reuses the
+Bessel evaluations, and a call samples only the window of its own integral.
+L_air is cached too, on its own grid set by the gap.
 """
 
 from __future__ import annotations
@@ -98,21 +101,24 @@ class TruncationWarning(UserWarning):
 class QuadratureSpec:
     """Semi-infinite integral discretization.
 
-    ``alpha_max = None`` derives the truncation point from the coil geometry
-    (40 / min(liftoff, inner_radius)), which puts the neglected tail far
-    below double precision for the axial decay rates involved; delta_L_air
-    derives its own from the gap instead.
+    ``alpha_max = None`` derives the truncation point from the coil cross-
+    section, 40 / min(coil_height + gap, inner_radius), which does not
+    depend on the lift-off. The reflected integrand decays as exp(-alpha
+    (tx_bottom + rx_bottom)), and tx_bottom + rx_bottom = 2 liftoff +
+    coil_height + gap, so the neglected tail stays below exp(-40) of its
+    envelope at every lift-off. The inner_radius bound keeps the truncation
+    check, which bounds |phi| by 1, silent on weakly conducting plates at
+    small lift-offs. delta_L_air derives its own alpha_max from the gap.
 
     The adaptive rule evaluates K21 and G10 on ``n_panels`` panels (21
     nodes each) and accepts an integral when |K21 - G10| <= rel_tolerance
     |K21|; the others are evaluated again on twice the panels. delta_L
     converges at the default 16 panels, 336 nodes per frequency: on the
     benchmark's plates, 10 Hz - 1 MHz and lift-offs of 0.5 - 3 mm the
-    estimate is <= 4.1e-9 and the value within 9e-15 of a fixed 512-panel
+    estimate is <= 3.9e-9 and the value within 9.5e-15 of a fixed 512-panel
     rule. Over f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm,
-    mu_r up to 1000 and lift-offs of 0.1 - 10 mm only sigma = 1 S/m x 1 um,
-    mu_r = 1000 at 0.1 mm lift-off needs 32 panels, and every value is
-    within 7e-14 of the 512-panel rule. delta_L_air, whose integrand decays
+    mu_r up to 1000 and lift-offs of 0.1 - 10 mm it stops at 16 panels too,
+    within 5.7e-14 of the 512-panel rule. delta_L_air, whose integrand decays
     only as exp(-alpha gap), is solved once per coil geometry: at the 2 mm
     gap it stops at 64 panels, 4e-16 off the 512-panel rule; over gaps of
     0.1 - 10 mm at 16 - 128 panels, within 1.6e-10 of it. The fixed rule
@@ -137,7 +143,7 @@ class QuadratureSpec:
     def resolve_alpha_max(self, coil: CoilPair) -> float:
         if self.alpha_max is not None:
             return self.alpha_max
-        return 40.0 / min(coil.liftoff, coil.inner_radius)
+        return 40.0 / min(coil.coil_height + coil.gap, coil.inner_radius)
 
 
 class CoilKernel(NamedTuple):
@@ -176,19 +182,26 @@ def radial_integral(coil: CoilPair, alpha):
     return values if np.ndim(alpha) else float(values[0])
 
 
+def _height_window(coil: CoilPair, a):
+    """(1 - exp(-alpha h))^2, the window that both coils' height makes."""
+    window = -np.expm1(-a * coil.coil_height)
+    return window * window
+
+
 def axial_factor(coil: CoilPair, alpha):
-    """Product of the two coils' image-wave exponential windows."""
+    """Product of the two coils' image-wave exponential windows.
+
+    (exp(-a tx_bottom) - exp(-a tx_top)) (exp(-a rx_bottom) - exp(-a rx_top)),
+    evaluated as exp(-a (tx_bottom + rx_bottom)) (1 - exp(-a h))^2.
+    """
     a = np.asarray(alpha, dtype=float)
-    tx = np.exp(-a * coil.tx_bottom) - np.exp(-a * coil.tx_top)
-    rx = np.exp(-a * coil.rx_bottom) - np.exp(-a * coil.rx_top)
-    return tx * rx
+    return np.exp(-a * (coil.tx_bottom + coil.rx_bottom)) * _height_window(coil, a)
 
 
 def air_factor(coil: CoilPair, alpha):
     """Direct propagation window between the two (non-overlapping) coils."""
     a = np.asarray(alpha, dtype=float)
-    window = 1.0 - np.exp(-a * coil.coil_height)
-    return np.exp(-a * coil.gap) * window * window
+    return np.exp(-a * coil.gap) * _height_window(coil, a)
 
 
 def kernel_prefactor(coil: CoilPair) -> float:
@@ -207,14 +220,21 @@ def coil_kernel(coil: CoilPair, alpha) -> CoilKernel:
     )
 
 
+def _cross_section(coil: CoilPair) -> CoilPair:
+    """The coil with its lift-off and drive current, which no cached data
+    reads, set to 1: one cache key for every lift-off of the same coils."""
+    return replace(coil, liftoff=1.0, drive_current=1.0)
+
+
 @lru_cache(maxsize=32)
 def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
-    """Gauss-Kronrod nodes on [0, alpha_max], their weights and kernel samples.
+    """Gauss-Kronrod nodes on [0, alpha_max], their weights and P samples.
 
-    Returns (nodes, base, kern, tail): ``base`` has one column of K21 and one
-    of G10 weights, each times P^2 / alpha^6. alpha_max is the last node of
-    the one coil_kernel call, and ``tail`` the integrand density there,
-    (reflected, direct), for the truncation check; |phi| <= 1 bounds the first.
+    Keyed on a ``_cross_section`` coil. Returns (nodes, base, tail): ``base``
+    has one column of K21 and one of G10 weights, each times P^2 / alpha^6,
+    and ``tail`` is prefactor P^2 / alpha^6 at alpha_max, P sampled in the
+    one radial_integral call, for the truncation check. An integral
+    multiplies both by its own window (and ``base`` by the prefactor).
     """
     x, w = _KRONROD_NODES, _KRONROD_WEIGHTS
     # Geometrically graded panels: the low-frequency reflection factor has a
@@ -227,39 +247,38 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
     mid = 0.5 * (edges[1:] + edges[:-1])
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None, None] * w).reshape(-1, 2)
-    sampled = coil_kernel(coil, np.append(nodes, alpha_max))
-    kern = CoilKernel(*(a[:-1] for a in sampled[:3]), sampled.prefactor)
+    p_radial = radial_integral(coil, np.append(nodes, alpha_max))
     # P^2 / alpha^6 * weight, shared by every integrand below
-    base = weights * (kern.p_radial**2 / nodes**6)[:, None]
+    base = weights * (p_radial[:-1] ** 2 / nodes**6)[:, None]
     # P oscillates and may have a node at alpha_max: take at least its envelope
     envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
-    density = kern.prefactor * max(sampled.p_radial[-1] ** 2, envelope) / alpha_max**6
-    return nodes, base, kern, (density * sampled.axial[-1], density * sampled.air[-1])
+    tail = kernel_prefactor(coil) * max(p_radial[-1] ** 2, envelope) / alpha_max**6
+    return nodes, base, tail
 
 
-def _integrate(coil, quad, alpha_max, evaluate, omegas=None):
+def _integrate(cross, quad, alpha_max, evaluate, omegas=None):
     """Adaptive or fixed Gauss-Kronrod evaluation of a batch of kernel integrals.
 
     One integral per angular frequency in ``omegas``, or one in all when it
-    is None. ``evaluate(rows, nodes, base, kern)`` returns the (K21, G10)
-    weighted integrand sums of integrals ``rows`` on one grid level, shape
-    (rows, 2). An integral is accepted at a level when |K - G| <=
-    rel_tolerance |K|, and its K value is returned; only the others are
-    evaluated again with twice the panels. The fixed rule returns K at
-    ``n_panels``. Returns the integrals and the tail densities of
-    ``_kernel_table``.
+    is None, on the kernel tables of the ``_cross_section`` coil ``cross``.
+    ``evaluate(rows, nodes, base)`` returns the (K21, G10) weighted integrand
+    sums of integrals ``rows`` on one grid level, shape (rows, 2). An
+    integral is accepted at a level when |K - G| <= rel_tolerance |K|, and
+    its K value is returned; only the others are evaluated again with twice
+    the panels. The fixed rule returns K at ``n_panels``. Returns the
+    integrals and the tail density of ``_kernel_table``.
     """
     n = quad.n_panels
     rows = np.arange(1 if omegas is None else omegas.size)
-    *table, tail = _kernel_table(coil, alpha_max, n)
-    kronrod, gauss = evaluate(rows, *table).T
+    nodes, base, tail = _kernel_table(cross, alpha_max, n)
+    kronrod, gauss = evaluate(rows, nodes, base).T
     if quad.rule == "fixed":
         return kronrod, tail
     result = np.empty_like(kronrod)
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
             n *= 2
-            kronrod, gauss = evaluate(rows, *_kernel_table(coil, alpha_max, n)[:3]).T
+            kronrod, gauss = evaluate(rows, *_kernel_table(cross, alpha_max, n)[:2]).T
         done = np.abs(kronrod - gauss) <= quad.rel_tolerance * np.abs(kronrod)
         result[rows[done]] = kronrod[done]
         rows = rows[~done]
@@ -296,9 +315,10 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     if omegas.ndim > 1 or not np.all(np.isfinite(omegas) & (omegas > 0.0)):
         raise ValueError("omega must be a positive finite scalar or 1-D array")
     w = np.atleast_1d(omegas)
+    prefactor = kernel_prefactor(coil)
 
-    def evaluate(rows, nodes, base, kern):
-        weight = kern.prefactor * kern.axial[:, None] * base
+    def evaluate(rows, nodes, base):
+        weight = prefactor * axial_factor(coil, nodes)[:, None] * base
         step = max(1, _BLOCK_ELEMENTS // nodes.size)
         # alpha0 takes the block's shape: its size counts the evaluations made
         grid = np.broadcast_to(nodes, (step, nodes.size))
@@ -313,8 +333,10 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
             out[start : start + step].imag = sums[:, 1]
         return out
 
-    values, (tail_density, _) = _integrate(coil, quad, quad.resolve_alpha_max(coil), evaluate, w)
-    _check_tail(quad, tail_density, 1.0 / (coil.tx_bottom + coil.rx_bottom), values)
+    alpha_max = quad.resolve_alpha_max(coil)
+    values, tail = _integrate(_cross_section(coil), quad, alpha_max, evaluate, w)
+    scale = 1.0 / (coil.tx_bottom + coil.rx_bottom)
+    _check_tail(quad, tail * axial_factor(coil, alpha_max), scale, values)
     return complex(values[0]) if omegas.ndim == 0 else values
 
 
@@ -323,12 +345,13 @@ def _air_integral(coil: CoilPair, quad: QuadratureSpec):
     """(alpha_max, L_air, direct tail density) of ``delta_L_air``."""
     r1 = coil.inner_radius
     alpha_max = quad.alpha_max or 40.0 / max(min(coil.gap, r1), 0.1 * r1)
+    prefactor = kernel_prefactor(coil)
 
-    def evaluate(rows, nodes, base, kern):
-        return kern.prefactor * (kern.air @ base)[None, :]
+    def evaluate(rows, nodes, base):
+        return prefactor * (air_factor(coil, nodes) @ base)[None, :]
 
-    values, (_, tail) = _integrate(coil, quad, alpha_max, evaluate)
-    return alpha_max, float(values[0]), tail
+    values, tail = _integrate(coil, quad, alpha_max, evaluate)
+    return alpha_max, float(values[0]), tail * air_factor(coil, alpha_max)
 
 
 def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
@@ -341,7 +364,7 @@ def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
     touching: alpha_max stops at 400 / inner_radius, the alpha^-5 tail sets
     the error, and a TruncationWarning reports it on every call.
     """
-    alpha_max, value, tail = _air_integral(replace(coil, liftoff=1.0, drive_current=1.0), quad)
+    alpha_max, value, tail = _air_integral(_cross_section(coil), quad)
     # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
     _check_tail(quad, tail, 1.0 / max(coil.gap, 4.0 / alpha_max), value)
     return value

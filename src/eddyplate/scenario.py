@@ -3,9 +3,10 @@
 A scenario is a flat INI-style text file whose keys carry their unit in the
 key name (conductivity_MSm, thickness_mm, ...). All conversion to SI happens
 here, at parse time; every other module speaks SI only. Each section is read
-against a table of the keys it may set: an unknown key, a non-numeric value
-or a non-integral count (turns_tx, turns_rx, n_points, n_panels) makes
-load_scenario raise ScenarioError naming the section and key.
+against a table of the keys it may set and a list of those it must set: an
+unknown or missing key, a non-numeric value or a non-integral count
+(turns_tx, turns_rx, n_points, n_panels) makes load_scenario raise
+ScenarioError naming the section and key.
 
 Example::
 
@@ -62,7 +63,8 @@ _UNIT_SUFFIXES = {
     "_per_m": 1.0,
 }
 
-# The keys each section may set, by bare name, and their types.
+# The keys each section may set, by bare name, and their types, and the keys
+# it must set: those its dataclass has no default for.
 _COIL_KEYS = {
     "inner_radius": float,
     "outer_radius": float,
@@ -73,8 +75,11 @@ _COIL_KEYS = {
     "turns_rx": int,
     "drive_current": float,
 }
+_COIL_REQUIRED = tuple(_COIL_KEYS)
 _PLATE_KEYS = {"conductivity": float, "thickness": float, "relative_permeability": float}
+_PLATE_REQUIRED = ("conductivity", "thickness")
 _SWEEP_KEYS = {"f_min": float, "f_max": float, "n_points": int, "spacing": str}
+_SWEEP_REQUIRED = ("f_min", "f_max", "n_points")
 _QUADRATURE_KEYS = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
 _ALPHA0_KEYS = {"override": float}
 
@@ -101,12 +106,13 @@ class Scenario:
             ) from None
 
 
-def _section(cp: configparser.ConfigParser, name: str, keys: dict) -> dict:
+def _section(cp: configparser.ConfigParser, name: str, keys: dict, required=()) -> dict:
     """A section's values by bare key name, in SI, checked against ``keys``.
 
     A float key may carry one unit suffix, which is stripped and applied; an
     int key must hold a whole number. Unknown keys, a key set twice under two
-    units, and values of the wrong type raise ValueError.
+    units, values of the wrong type and a missing ``required`` key raise
+    ValueError.
     """
     out = {}
     for key, raw in cp.items(name):
@@ -130,6 +136,10 @@ def _section(cp: configparser.ConfigParser, name: str, keys: dict) -> dict:
         if kind is int and not value.is_integer():
             raise ValueError(f"[{name}] {key} = {raw!r} is not a whole number")
         out[bare] = int(value) if kind is int else value * scale
+    for bare in required:
+        if bare not in out:
+            unit = "_<unit>" if keys[bare] is float else ""
+            raise ValueError(f"[{name}] missing key {bare}{unit}")
     return out
 
 
@@ -168,23 +178,22 @@ def load_scenario(path: str) -> Scenario:
         coil = CoilPair(
             **{
                 "coil_height" if key == "height" else key: value
-                for key, value in _section(cp, "coil", _COIL_KEYS).items()
+                for key, value in _section(cp, "coil", _COIL_KEYS, _COIL_REQUIRED).items()
             }
         )
         plates = {
-            name[len("plate.") :]: Plate(**_section(cp, name, _PLATE_KEYS))
+            name[len("plate.") :]: Plate(**_section(cp, name, _PLATE_KEYS, _PLATE_REQUIRED))
             for name in cp.sections()
             if name.startswith("plate.")
         }
         if not plates:
             raise ValueError("scenario defines no [plate.<name>] section")
-        sweep = SweepSpec(**_section(cp, "sweep", _SWEEP_KEYS))
+        sweep = SweepSpec(**_section(cp, "sweep", _SWEEP_KEYS, _SWEEP_REQUIRED))
         quadrature = QuadratureSpec(
             **(_section(cp, "quadrature", _QUADRATURE_KEYS) if cp.has_section("quadrature") else {})
         )
         alpha0 = _section(cp, "alpha0", _ALPHA0_KEYS) if cp.has_section("alpha0") else {}
-    except (TypeError, ValueError, configparser.Error) as exc:
-        # TypeError: a required key is missing, so its dataclass has no value for it.
+    except (ValueError, configparser.Error) as exc:
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
     return Scenario(coil, plates, sweep, quadrature, alpha0.get("override"), sha)

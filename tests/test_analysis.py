@@ -234,6 +234,15 @@ def test_fit_residual_increases_for_corrupted_data():
     assert fit_bad.residual_norm > 100 * max(fit_clean.residual_norm, 1e-12)
 
 
+def test_fit_unconstrained_is_not_converged():
+    # Data no sigma*D reaches: no step lowers the cost from the linear
+    # start's 1 S fallback, and the standard error is infinite.
+    huge = InductanceSpectrum([1.0, 2.0, 3.0], [1e150] * 3, True, "synthetic")
+    fit = fit_sigma_d(huge, 200.0)
+    assert fit.converged is False
+    assert fit.sigma_d == 1.0 and fit.sigma_d_std == np.inf
+
+
 def test_fit_rejects_bad_inputs():
     freqs = np.geomspace(1e3, 5e5, 10)
     absolute = synthetic_spectrum(33488.0, A0, freqs)

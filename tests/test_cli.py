@@ -2,6 +2,7 @@ import dataclasses
 import io
 import json
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -15,7 +16,7 @@ import numpy as np
 from eddyplate import MU_0, QuadratureSpec
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
-from eddyplate.scenario import load_scenario
+from eddyplate.scenario import ScenarioError, load_scenario
 
 
 @pytest.fixture()
@@ -147,6 +148,37 @@ def test_malformed_scenario_entry_exits_1(tmp_path, copper_brass, capsys, old, n
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "section, line, key",
+    [
+        ("coil", "inner_radius_mm = 6.0", "inner_radius_<unit>"),
+        ("coil", "outer_radius_mm = 6.315", "outer_radius_<unit>"),
+        ("coil", "height_mm = 8", "height_<unit>"),
+        ("coil", "gap_mm = 2", "gap_<unit>"),
+        ("coil", "liftoff_mm = 1", "liftoff_<unit>"),
+        ("coil", "turns_tx = 25", "turns_tx"),
+        ("coil", "turns_rx = 25", "turns_rx"),
+        ("coil", "drive_current_mA = 10", "drive_current_<unit>"),
+        ("plate.copper", "conductivity_MSm = 59.8", "conductivity_<unit>"),
+        ("plate.copper", "thickness_mm = 0.56", "thickness_<unit>"),
+        ("sweep", "f_min_Hz = 1e3", "f_min_<unit>"),
+        ("sweep", "f_max_Hz = 500e3", "f_max_<unit>"),
+        ("sweep", "n_points = 50", "n_points"),
+    ],
+    ids=lambda value: value.partition(" = ")[0] if " = " in value else None,
+)
+def test_missing_scenario_key_exits_1(tmp_path, copper_brass, capsys, section, line, key):
+    # The error names the file's key, not the dataclass field it fills.
+    body = open(copper_brass).read()
+    assert f"\n{line}\n" in body
+    bad = tmp_path / "missing.ini"
+    bad.write_text(body.replace(f"\n{line}\n", "\n", 1))
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    assert f"[{section}] missing key {key}" in capsys.readouterr().err
+    with pytest.raises(ScenarioError, match=re.escape(f"[{section}] missing key {key}")):
+        load_scenario(str(bad))
+
+
 @pytest.mark.parametrize("turns", ["25", "25.0", "2.5e1"])
 def test_integer_keys_accept_whole_numbers(tmp_path, copper_brass, turns):
     path = tmp_path / "whole.ini"
@@ -223,11 +255,12 @@ def test_json_files_hold_no_non_finite_numbers(tmp_path, copper_brass):
     assert main(argv) == EXIT_OK
     assert _strict_json(report)["max_rel_error"] is None
 
-    # Data that pin sigma*D down not at all: its standard error is null, not Infinity.
+    # Data that pin sigma*D down not at all: its standard error is null, not
+    # Infinity (and the fit has not converged).
     huge = tmp_path / "huge.csv"
     huge.write_text("# normalized=true\n1,1e150,0\n2,1e150,0\n3,1e150,0\n")
     fit = tmp_path / "fit.json"
-    assert main(["invert", str(huge), "--alpha0", "200", "-o", str(fit)]) == EXIT_OK
+    assert main(["invert", str(huge), "--alpha0", "200", "-o", str(fit)]) == EXIT_NO_CONVERGENCE
     assert _strict_json(fit)["sigma_d_std_S"] is None
 
 
@@ -247,8 +280,25 @@ def test_invert_round_trip(tmp_path, copper_brass, capsys):
     payload = json.loads(fit_json.read_text())
     assert payload["converged"] is True
     assert abs(payload["sigma_d_S"] - 33488.0) / 33488.0 < 1e-6
+    # The spectrum is noiseless, so the closed-form start is already the
+    # optimum: no step lowers the cost, and the (near) zero residual gives a
+    # finite standard error, so the fit converges in its first iteration.
+    assert payload["iterations"] == 1
     assert 0.0 <= payload["sigma_d_std_S"] < 1e-6 * 33488.0
     assert "sigma_d=" in capsys.readouterr().out
+
+
+def test_invert_unconstrained_fit_exits_2(tmp_path, capsys):
+    # At 1e150 the thin-plate model cannot reach the data for any sigma*D:
+    # the search stays at the linear start's fallback of 1 S with an infinite
+    # standard error, which is no convergence.
+    huge = tmp_path / "huge.csv"
+    huge.write_text("# normalized=true\n1,1e150,0\n2,1e150,0\n3,1e150,0\n")
+    fit = tmp_path / "fit.json"
+    assert main(["invert", str(huge), "--alpha0", "200", "-o", str(fit)]) == EXIT_NO_CONVERGENCE
+    assert "converged=False" in capsys.readouterr().out
+    payload = _strict_json(fit)
+    assert payload["converged"] is False and payload["sigma_d_std_S"] is None
 
 
 @pytest.mark.parametrize(

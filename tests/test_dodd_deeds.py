@@ -287,7 +287,11 @@ def test_quadrature_spec_validation():
         QuadratureSpec(rule="simpson")
     with pytest.raises(ValueError):
         QuadratureSpec(rel_tolerance=0.0)
-    assert QuadratureSpec().resolve_alpha_max(COIL) == pytest.approx(40.0 / 1e-3)
+    # 40 / min(coil_height + gap, inner_radius): 40 / 6 mm for the default
+    # sensor, 40 / 3 mm for a coil whose height and gap add up to less
+    assert QuadratureSpec().resolve_alpha_max(COIL) == pytest.approx(40.0 / 6e-3)
+    short = dataclasses.replace(COIL, coil_height=2e-3, gap=1e-3)
+    assert QuadratureSpec().resolve_alpha_max(short) == pytest.approx(40.0 / 3e-3)
     assert QuadratureSpec(alpha_max=123.0).resolve_alpha_max(COIL) == 123.0
 
 
@@ -330,11 +334,12 @@ def test_quadrature_spec_rejects_non_finite():
 
 
 def test_delta_L_array_matches_scalar_calls(monkeypatch):
-    # The 16-panel |K21 - G10| estimates of these frequencies span about
-    # 6e-11 - 9e-10 on every plate and the 32-panel ones are below 3e-15, so
-    # at this tolerance each plate stops some frequencies at the first level
-    # and the rest at the second: the array call refines a masked subset.
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=4.5e-10)
+    # The 16-panel |K21 - G10| estimates of these frequencies span 1.8e-10 -
+    # 1.5e-9 on the four non-magnetic plates and 1.43e-9 - 3.9e-9 on the
+    # steel one, and the 32-panel ones are below 3e-15, so at this tolerance
+    # each plate stops some frequencies at the first level and the rest at
+    # the second: the array call refines a masked subset.
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=1.48e-9)
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
     reflection = dodd_deeds.generalized_reflection
     for plate in PLATES:
@@ -372,11 +377,11 @@ def test_truncation_warning_for_array_call():
 
 def test_sweep_error_names_first_unconverged_frequency(monkeypatch):
     # With no doubling allowed, the 16-panel |K21 - G10| estimates decide:
-    # about 6e-11 - 8e-11 below 1 kHz and 2e-10 - 7e-10 above, so some
+    # 2.4e-10 - 8.5e-10 up to 1.9 kHz and 1.2e-9 - 1.6e-9 above, so some
     # frequencies fail and others do not. Scalar calls tell which, and the
     # sweep must name the first of them.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 0)
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-10)
+    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-9)
     spec = SweepSpec(10.0, 1e6, 12)
     plate = Plate(59.8e6, 0.56e-3)
     freqs = frequency_grid(spec)
@@ -508,52 +513,87 @@ def test_delta_L_air_same_bits_at_every_liftoff():
 
 
 def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
-    # With L_air cached, a new lift-off's L_air and short sweep sample the
-    # kernel once: one 16-panel table whose last node is alpha_max, from
-    # which the truncation check takes its tail density.
+    # With L_air cached, the first lift-off's L_air and short sweep sample P
+    # once: one 16-panel table whose last node is alpha_max, from which the
+    # truncation check takes its tail density. A later lift-off of the same
+    # coils reuses that table and does no Bessel work at all.
     delta_L_air(COIL, QUAD)
-    coil = dataclasses.replace(COIL, liftoff=1.2345e-3)
     dodd_deeds._kernel_table.cache_clear()
     calls = []
 
-    def counting(coil, alpha):
-        calls.append(np.size(alpha))
-        return coil_kernel(coil, alpha)
+    def counting(name, fn):
+        def wrapped(coil, alpha):
+            calls.append((name, np.size(alpha)))
+            return fn(coil, alpha)
 
-    monkeypatch.setattr(dodd_deeds, "coil_kernel", counting)
-    delta_L_air(coil, QUAD)
-    sweep("dodd_deeds", coil, PLATES[0], SweepSpec(1e3, 1e5, 4), quad=QUAD)
-    assert calls == [16 * 21 + 1]
+        return wrapped
+
+    monkeypatch.setattr(dodd_deeds, "coil_kernel", counting("coil_kernel", coil_kernel))
+    monkeypatch.setattr(dodd_deeds, "radial_integral", counting("radial_integral", radial_integral))
+    for k, liftoff in enumerate((1.2345e-3, 0.5e-3, 0.1e-3, 3e-3, 10e-3)):
+        calls.clear()
+        coil = dataclasses.replace(COIL, liftoff=liftoff)
+        delta_L_air(coil, QUAD)
+        sweep("dodd_deeds", coil, PLATES[k], SweepSpec(1e3, 1e5, 4), quad=QUAD)
+        assert calls == ([("radial_integral", 16 * 21 + 1)] if k == 0 else []), liftoff
+
+
+def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
+    # The delta_L grid and its P samples do not depend on the lift-off: built
+    # afresh at each of nine lift-offs, they are bitwise the same.
+    tables = []
+    reflection = dodd_deeds.generalized_reflection
+
+    def sampling(coil, alpha):
+        p = radial_integral(coil, alpha)
+        tables[-1]["p"] = p.tobytes()
+        return p
+
+    def recording(alpha0, omega, plate):
+        tables[-1]["nodes"] = alpha0[0].tobytes()
+        return reflection(alpha0, omega, plate)
+
+    monkeypatch.setattr(dodd_deeds, "radial_integral", sampling)
+    monkeypatch.setattr(dodd_deeds, "generalized_reflection", recording)
+    for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
+        dodd_deeds._kernel_table.cache_clear()
+        tables.append({})
+        delta_L(dataclasses.replace(COIL, liftoff=liftoff), PLATES[0], 2 * np.pi * 1e4, QUAD)
+        assert set(tables[-1]) == {"p", "nodes"}, liftoff
+        assert tables[-1] == tables[0], liftoff
+    dodd_deeds._kernel_table.cache_clear()
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates, frozen from the solver as it was before the truncation check's
-# tail node joined the kernel table (numpy 2.4, scipy 1.17, x86-64).
+# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after its
+# default alpha_max became 40 / min(coil_height + gap, inner_radius). They
+# agree to 1.7e-15 relative with the values frozen before, on a grid whose
+# alpha_max was 40 / min(liftoff, inner_radius), six times as far.
 FROZEN_DELTA_L = (
     (
-        (-7.03120334762259e-11-2.6066902056236237e-09j), (-1.323471997006728e-08-3.8670364695712104e-08j),
-        (-1.6416859635900693e-07-5.143563489130852e-08j), (-1.872442933372312e-07-6.638248929748453e-09j),
-        (-1.928223161130029e-07-1.7112523289472504e-09j),
+        (-7.031203347622594e-11-2.6066902056236257e-09j), (-1.3234719970067281e-08-3.867036469571216e-08j),
+        (-1.64168596359007e-07-5.143563489130856e-08j), (-1.8724429333723151e-07-6.6382489297484725e-09j),
+        (-1.928223161130031e-07-1.7112523289472525e-09j),
     ),
     (
-        (-6.443848236945207e-11-2.3091109458576784e-09j), (-1.1793371412165805e-08-3.398699918079809e-08j),
-        (-1.441212928992827e-07-4.877250939039612e-08j), (-1.8079881266421797e-07-1.2575949686443739e-08j),
-        (-1.9128229769924195e-07-3.2007172682651637e-09j),
+        (-6.443848236945218e-11-2.309110945857678e-09j), (-1.1793371412165811e-08-3.39869991807981e-08j),
+        (-1.441212928992829e-07-4.877250939039618e-08j), (-1.8079881266421823e-07-1.2575949686443759e-08j),
+        (-1.912822976992421e-07-3.200717268265162e-09j),
     ),
     (
-        (-3.6787123577308025e-14-6.048963319845177e-11j), (-1.145659128091473e-11-1.0751843085760892e-09j),
-        (-2.88028967620216e-09-1.8194287244720464e-08j), (-1.210228700349795e-07-8.245889107563591e-08j),
-        (-1.9364731481234204e-07-9.080797438480505e-09j),
+        (-3.678712357730794e-14-6.048963319845183e-11j), (-1.1456591280914688e-11-1.07518430857609e-09j),
+        (-2.8802896762021537e-09-1.8194287244720487e-08j), (-1.2102287003497962e-07-8.245889107563606e-08j),
+        (-1.9364731481234236e-07-9.080797438480533e-09j),
     ),
     (
-        (-3.6705157501848396e-14-6.029259077522123e-11j), (-1.1430688374899176e-11-1.0716806870625666e-09j),
-        (-2.872636210699368e-09-1.813345380504296e-08j), (-1.2058113686910112e-07-8.218133219338689e-08j),
-        (-1.9303057858170518e-07-9.079741245463361e-09j),
+        (-3.6705157501848585e-14-6.029259077522123e-11j), (-1.143068837489919e-11-1.0716806870625674e-09j),
+        (-2.872636210699368e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338699e-08j),
+        (-1.9303057858170544e-07-9.079741245463361e-09j),
     ),
     (
-        (1.7668902938228701e-07-5.109970428701734e-10j), (1.7535333857320083e-07-8.78670920224587e-09j),
-        (1.2945125173630864e-07-4.422936905421368e-08j), (1.1303333481733679e-08-7.330247250574356e-08j),
-        (-1.1792421910892141e-07-5.080399510394748e-08j),
+        (1.7668902938228723e-07-5.109970428701988e-10j), (1.75353338573201e-07-8.786709202245878e-09j),
+        (1.2945125173630877e-07-4.42293690542137e-08j), (1.1303333481733732e-08-7.330247250574362e-08j),
+        (-1.1792421910892149e-07-5.080399510394752e-08j),
     ),
 )
 
@@ -563,6 +603,26 @@ def test_delta_L_frozen_bits():
     for plate, frozen in zip(PLATES, FROZEN_DELTA_L):
         value = delta_L(COIL, plate, omegas, QUAD)
         assert value.tobytes() == np.array(frozen).tobytes(), plate
+
+
+def test_default_rule_raises_no_truncation_warning():
+    # The default alpha_max leaves out less than exp(-40) of the tail's
+    # envelope at every lift-off. The check bounds |phi| by 1, so a smaller
+    # alpha_max, 40 / (coil_height + gap), would warn for the weakly
+    # conducting plates at 0.1 mm lift-off; this one must stay silent.
+    plates = (
+        Plate(1.0, 1e-6),
+        Plate(1.0, 1e-6, 1000.0),
+        Plate(1e8, 0.1),
+        Plate(1e8, 0.1, 1000.0),
+    )
+    omegas = 2 * np.pi * np.geomspace(0.01, 1e8, 11)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
+            coil = dataclasses.replace(COIL, liftoff=liftoff)
+            for plate in plates:
+                delta_L(coil, plate, omegas, QUAD)
 
 
 def test_default_rule_accuracy_audit(monkeypatch):
