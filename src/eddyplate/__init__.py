@@ -23,7 +23,6 @@ from .dodd_deeds import (
     QuadratureConvergenceError,
     QuadratureSpec,
     TruncationWarning,
-    coil_kernel,
     delta_L,
     delta_L_air,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "normalized_response_thin",
     "equivalent_plate",
     "equivalent_thickness",
-    "coil_kernel",
     "delta_L",
     "delta_L_air",
     "sweep",

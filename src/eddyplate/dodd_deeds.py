@@ -11,16 +11,18 @@ phi(a, omega) is the generalized layer reflection evaluated at k1 = a.
 The free-space mutual inductance L_air uses the same kernel with phi
 replaced by the direct coil-to-coil propagation factor.
 
-The integral over a runs on geometrically graded panels, each with the
-21-point Gauss-Kronrod rule (K21). The 10-point Gauss rule (G10) embedded in
-it reuses ten of those nodes, so |K21 - G10| estimates the error with no
-extra reflection call. A frequency is accepted at the first panel count
-where that estimate is within tolerance; only the others are evaluated
-again with twice the panels.
+The integral over a runs as a trapezoid rule in u = ln(a), weights h a_j,
+over the nine decades below alpha_max. The integrand in u, a times the one
+above, vanishes as a^2 or faster for a -> 0 and decays exponentially for
+a -> inf, so the rule converges exponentially in the step h (Trefethen and
+Weideman, SIAM Review 56, 2014).
+It is nested: T_2h, the same sum on every other node, estimates the error
+with no extra reflection call, and a frequency that is not accepted is
+refined on the midpoints alone, T_h/2 = T_h / 2 + (h / 2) sum g(mid).
 
 The lift-off enters only through axial(a); neither the grid nor P depends
 on it. So the nodes, their weights times P^2 / a^6 and the tail density at
-alpha_max (the table's last node, for the truncation check) are cached per
+alpha_max (the table's top node, for the truncation check) are cached per
 coil cross-section (radii, coil height, gap, turns) and quadrature grid: a
 frequency sweep, and every later lift-off of the same coils, reuses the
 Bessel evaluations, and a call samples only the window of its own integral.
@@ -33,7 +35,6 @@ import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from numbers import Integral
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -41,48 +42,25 @@ from scipy import special
 from .model import MU_0, CoilPair, Plate
 from .te_layered import generalized_reflection
 
-# 21-point Gauss-Kronrod rule on [-1, 1] with its embedded 10-point Gauss
-# rule (QUADPACK qk21; Piessens et al., Springer 1983). The non-negative
-# Kronrod nodes, largest first; the odd-indexed ones are the Gauss nodes.
-_K21_HALF_NODES = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
+# 10-point Gauss-Legendre rule on [-1, 1] of radial_integral.
+_GAUSS_NODES = np.array([
+    -0.973906528517171720077964012084452, -0.865063366688984510732096688423493,
+    -0.679409568299024406234327365114874, -0.433395394129247190799265943165784,
+    -0.148874338981631210884826001129720, 0.148874338981631210884826001129720,
+    0.433395394129247190799265943165784, 0.679409568299024406234327365114874,
+    0.865063366688984510732096688423493, 0.973906528517171720077964012084452,
 ])
-_K21_HALF_WEIGHTS = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208067485044, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
+_GAUSS_WEIGHTS = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338, 0.295524224714752870173892994651338,
+    0.269266719309996355091226921569469, 0.219086362515982043995534934228163,
+    0.149451349150580593145776339657697, 0.066671344308688137593568809893332,
 ])
-_G10_HALF_WEIGHTS = np.array([
-    0.0, 0.066671344308688137593568809893332,
-    0.0, 0.149451349150580593145776339657697,
-    0.0, 0.219086362515982043995534934228163,
-    0.0, 0.269266719309996355091226921569469,
-    0.0, 0.295524224714752870173892994651338,
-    0.0,
-])
-
-
-def _mirror(half, sign):
-    """The 21 values in ascending-node order from the 11 at nodes >= 0."""
-    return np.concatenate([sign * half[:-1], half[::-1]])
-
-
-_KRONROD_NODES = _mirror(_K21_HALF_NODES, -1.0)
-# Columns: K21 weights, and G10 weights (zero on the Kronrod-only nodes).
-_KRONROD_WEIGHTS = np.stack(
-    [_mirror(_K21_HALF_WEIGHTS, 1.0), _mirror(_G10_HALF_WEIGHTS, 1.0)], axis=-1
-)
-_GAUSS_NODES = _KRONROD_NODES[1::2]
-_GAUSS_WEIGHTS = _KRONROD_WEIGHTS[1::2, 1]
-# Doublings the adaptive rule may make: from the default 16 panels, up to 4,096.
+# Decades of alpha below alpha_max that the trapezoid rule spans.
+_DECADES = 9
+# Step halvings the adaptive rule may make: from the default 18 steps per
+# decade, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
 # call overhead while the temporaries stay in cache and peak memory flat.
@@ -94,7 +72,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 class TruncationWarning(UserWarning):
-    """The estimated tail beyond alpha_max exceeds the requested tolerance."""
+    """A bound on the integral beyond alpha_max, or below the lowest node,
+    exceeds the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -110,23 +89,31 @@ class QuadratureSpec:
     check, which bounds |phi| by 1, silent on weakly conducting plates at
     small lift-offs. delta_L_air derives its own alpha_max from the gap.
 
-    The adaptive rule evaluates K21 and G10 on ``n_panels`` panels (21
-    nodes each) and accepts an integral when |K21 - G10| <= rel_tolerance
-    |K21|; the others are evaluated again on twice the panels. delta_L
-    converges at the default 16 panels, 336 nodes per frequency: on the
-    benchmark's plates, 10 Hz - 1 MHz and lift-offs of 0.5 - 3 mm the
-    estimate is <= 3.9e-9 and the value within 9.5e-15 of a fixed 512-panel
-    rule. Over f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm,
-    mu_r up to 1000 and lift-offs of 0.1 - 10 mm it stops at 16 panels too,
-    within 5.7e-14 of the 512-panel rule. delta_L_air, whose integrand decays
-    only as exp(-alpha gap), is solved once per coil geometry: at the 2 mm
-    gap it stops at 64 panels, 4e-16 off the 512-panel rule; over gaps of
-    0.1 - 10 mm at 16 - 128 panels, within 1.6e-10 of it. The fixed rule
-    returns K21 on ``n_panels`` panels.
+    ``n_panels`` is the number of trapezoid steps per decade of alpha: the
+    rule samples u = ln(alpha) with step h = ln(10) / n_panels over the nine
+    decades below alpha_max, 9 n_panels + 1 nodes. The adaptive rule accepts
+    an integral when |T_h - T_2h| <= rel_tolerance |T_h|, T_2h being the
+    same rule on every other node; the others are evaluated again with the
+    step halved, on the new midpoints only. The fixed rule returns T_h.
+    delta_L converges at the first check at the default 18 steps per decade,
+    163 nodes per frequency: on the benchmark's plates, 10 Hz - 1 MHz and
+    lift-offs of 0.5 - 3 mm the estimate is <= 2.4e-9 and the value within
+    1.4e-14 of the fixed rule at 512 steps per decade. Over f = 0.01 Hz -
+    100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm, mu_r up to 1000 and
+    lift-offs of 0.1 - 10 mm it stops there too (estimate <= 5.2e-9), within
+    1.3e-14 of that rule. delta_L_air, whose integrand decays only as
+    exp(-alpha gap), is solved once per coil geometry: over gaps of 0.1 -
+    10 mm it stops after 4 - 0 halvings, within 2.2e-12 of the 512-step rule.
+
+    The estimate overstates the error. The trapezoid rule converges
+    exponentially in 1 / h, so where the step and not round-off sets the
+    error of T_h (8 - 12 steps per decade on the benchmark's plates),
+    |T_h - T_2h| is 5e3x to 7e6x that error. rel_tolerance is not tuned
+    around this: it stays a bound on the estimate.
     """
 
     alpha_max: float | None = None   # [1/m]
-    n_panels: int = 16
+    n_panels: int = 18               # trapezoid steps per decade of alpha
     rule: str = "adaptive"           # "adaptive" | "fixed"
     rel_tolerance: float = 1e-8
 
@@ -146,23 +133,14 @@ class QuadratureSpec:
         return 40.0 / min(coil.coil_height + coil.gap, coil.inner_radius)
 
 
-class CoilKernel(NamedTuple):
-    """Frequency-independent kernel samples at a set of alpha nodes."""
-
-    p_radial: np.ndarray    # P(alpha), radial winding integral
-    axial: np.ndarray       # reflected-wave lift-off/height factor
-    air: np.ndarray         # direct coil-to-coil propagation factor
-    prefactor: float        # [H] producing constant
-
-
 def radial_integral(coil: CoilPair, alpha):
     """P(alpha) = int_{alpha r1}^{alpha r2} x J1(x) dx.
 
-    Composite 10-point Gauss-Legendre quadrature, the Gauss half of the
-    module's Kronrod rule. Each alpha gets its own max(1, ceil(alpha (r2 -
-    r1) / 3)) equal sub-panels, so no panel spans more than 3 radians of the
-    J1 oscillation and a node's work and value do not depend on the other
-    nodes of the call: every element is bitwise the scalar call's.
+    Composite 10-point Gauss-Legendre quadrature. Each alpha gets its own
+    max(1, ceil(alpha (r2 - r1) / 3)) equal sub-panels, so no panel spans
+    more than 3 radians of the J1 oscillation and a node's work and value do
+    not depend on the other nodes of the call: every element is bitwise the
+    scalar call's.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(a) & (a >= 0.0)):
@@ -210,99 +188,101 @@ def kernel_prefactor(coil: CoilPair) -> float:
     return np.pi * MU_0 * coil.turns_tx * coil.turns_rx / (dr * dr * h * h)
 
 
-def coil_kernel(coil: CoilPair, alpha) -> CoilKernel:
-    """Sample the full frequency-independent kernel at the given alphas."""
-    return CoilKernel(
-        p_radial=radial_integral(coil, alpha),
-        axial=axial_factor(coil, alpha),
-        air=air_factor(coil, alpha),
-        prefactor=kernel_prefactor(coil),
-    )
-
-
 def _cross_section(coil: CoilPair) -> CoilPair:
     """The coil with its lift-off and drive current, which no cached data
     reads, set to 1: one cache key for every lift-off of the same coils."""
     return replace(coil, liftoff=1.0, drive_current=1.0)
 
 
-@lru_cache(maxsize=32)
-def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int):
-    """Gauss-Kronrod nodes on [0, alpha_max], their weights and P samples.
+@lru_cache(maxsize=64)
+def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 0):
+    """Trapezoid nodes in u = ln(alpha), their weights times P^2 / alpha^6.
 
-    Keyed on a ``_cross_section`` coil. Returns (nodes, base, tail): ``base``
-    has one column of K21 and one of G10 weights, each times P^2 / alpha^6,
-    and ``tail`` is prefactor P^2 / alpha^6 at alpha_max, P sampled in the
-    one radial_integral call, for the truncation check. An integral
-    multiplies both by its own window (and ``base`` by the prefactor).
+    Keyed on a ``_cross_section`` coil. The rule of ``level`` has the step
+    h = ln(10) / (n_panels 2^level) and nodes alpha_max exp(-j h) down to
+    alpha_max 1e-9. Level 0 returns (nodes, base, tail) for all of them:
+    ``base`` has the columns h alpha_j (T_h), 2 h alpha_j on even j (T_2h),
+    both halved at alpha_max, and alpha_j / 2 on the lowest node (a bound on
+    the part of the integral below it, where alpha times the integrand falls
+    at least as alpha^2), each times P^2 / alpha^6. ``tail`` is prefactor P^2 / alpha^6
+    at alpha_max, for the truncation check. A later level returns (nodes,
+    base) for its new nodes, the midpoints of the level before, with the one
+    column h alpha_j P^2 / alpha^6. An integral multiplies ``base`` by its
+    own window and the prefactor.
     """
-    x, w = _KRONROD_NODES, _KRONROD_WEIGHTS
-    # Geometrically graded panels: the low-frequency reflection factor has a
-    # boundary layer at alpha ~ omega mu sigma D that a uniform grid cannot
-    # resolve, while the kernel tail needs reach up to alpha_max.
-    edges = np.concatenate(
-        [[0.0], np.geomspace(1e-8 * alpha_max, alpha_max, n_panels)]
-    )
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None, None] * w).reshape(-1, 2)
-    p_radial = radial_integral(coil, np.append(nodes, alpha_max))
-    # P^2 / alpha^6 * weight, shared by every integrand below
-    base = weights * (p_radial[:-1] ** 2 / nodes**6)[:, None]
+    h = np.log(10.0) / (n_panels << level)
+    n_steps = _DECADES * (n_panels << level)
+    j = np.arange(n_steps + 1) if level == 0 else np.arange(1, n_steps, 2)
+    nodes = alpha_max * np.exp(-h * j)
+    p_radial = radial_integral(coil, nodes)
+    # alpha P^2 / alpha^6: the integrand's measure in u, shared by every window
+    kernel = p_radial**2 / nodes**5
+    if level:
+        return nodes, (h * kernel)[:, None]
+    base = np.zeros((nodes.size, 3))
+    base[:, 0] = h * kernel
+    base[::2, 1] = 2.0 * h * kernel[::2]
+    base[0, :2] *= 0.5  # the end of the trapezoid rule where the integral is cut
+    base[-1, 2] = 0.5 * kernel[-1]
     # P oscillates and may have a node at alpha_max: take at least its envelope
     envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
-    tail = kernel_prefactor(coil) * max(p_radial[-1] ** 2, envelope) / alpha_max**6
+    tail = kernel_prefactor(coil) * max(p_radial[0] ** 2, envelope) / alpha_max**6
     return nodes, base, tail
 
 
 def _integrate(cross, quad, alpha_max, evaluate, omegas=None):
-    """Adaptive or fixed Gauss-Kronrod evaluation of a batch of kernel integrals.
+    """Adaptive or fixed trapezoid evaluation of a batch of kernel integrals.
 
     One integral per angular frequency in ``omegas``, or one in all when it
     is None, on the kernel tables of the ``_cross_section`` coil ``cross``.
-    ``evaluate(rows, nodes, base)`` returns the (K21, G10) weighted integrand
-    sums of integrals ``rows`` on one grid level, shape (rows, 2). An
-    integral is accepted at a level when |K - G| <= rel_tolerance |K|, and
-    its K value is returned; only the others are evaluated again with twice
-    the panels. The fixed rule returns K at ``n_panels``. Returns the
-    integrals and the tail density of ``_kernel_table``.
+    ``evaluate(rows, nodes, base)`` returns the weighted integrand sums of
+    integrals ``rows``, one column per column of ``base``. An integral is
+    accepted when |T_h - T_2h| <= rel_tolerance |T_h|, and T_h is returned;
+    only the others are evaluated on the midpoints that halve the step,
+    T_h/2 = T_h / 2 + the midpoint sum. The fixed rule returns T_h at
+    ``n_panels``. Returns the integrals, the tail density of
+    ``_kernel_table`` and the bound on each integral below the lowest node.
     """
-    n = quad.n_panels
     rows = np.arange(1 if omegas is None else omegas.size)
-    nodes, base, tail = _kernel_table(cross, alpha_max, n)
-    kronrod, gauss = evaluate(rows, nodes, base).T
+    nodes, base, tail = _kernel_table(cross, alpha_max, quad.n_panels)
+    value, coarse, below = evaluate(rows, nodes, base).T
     if quad.rule == "fixed":
-        return kronrod, tail
-    result = np.empty_like(kronrod)
+        return value, tail, below
+    result = np.empty_like(value)
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
-            n *= 2
-            kronrod, gauss = evaluate(rows, *_kernel_table(cross, alpha_max, n)[:2]).T
-        done = np.abs(kronrod - gauss) <= quad.rel_tolerance * np.abs(kronrod)
-        result[rows[done]] = kronrod[done]
-        rows = rows[~done]
+            coarse = value
+            table = _kernel_table(cross, alpha_max, quad.n_panels, level)
+            value = 0.5 * value + evaluate(rows, *table)[:, 0]
+        done = np.abs(value - coarse) <= quad.rel_tolerance * np.abs(value)
+        result[rows[done]] = value[done]
+        rows, value = rows[~done], value[~done]
         if rows.size == 0:
-            return result, tail
+            return result, tail, below
     where = "" if omegas is None else f" at f = {omegas[rows[0]] / (2.0 * np.pi):.6g} Hz"
     raise QuadratureConvergenceError(
-        f"no convergence{where} to rel_tolerance={quad.rel_tolerance} "
-        f"after {_MAX_REFINEMENTS} panel doublings (last n_panels={n})"
+        f"no convergence{where} to rel_tolerance={quad.rel_tolerance} after "
+        f"{_MAX_REFINEMENTS} step halvings ({quad.n_panels << _MAX_REFINEMENTS} steps per decade)"
     )
 
 
-def _check_tail(quad, tail_density, scale, values):
-    """Warn when the neglected tail beyond alpha_max is non-negligible."""
-    tail = abs(tail_density) * scale
+def _check_tail(quad, values, above, below):
+    """Warn when a neglected part of the integral is non-negligible.
+
+    ``above`` bounds the tail beyond alpha_max and ``below`` (one per
+    value) the part below the lowest node.
+    """
     mag = np.abs(values)
-    flagged = (tail > quad.rel_tolerance * mag) & (mag > 0.0)
-    if np.any(flagged):
-        warnings.warn(
-            f"tail estimate {tail:.3g} exceeds rel_tolerance of the "
-            f"integral {np.min(mag[flagged]):.3g}; increase alpha_max",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    for bound, remedy in ((above, "increase alpha_max"), (below, "decrease alpha_max")):
+        tail = np.abs(np.broadcast_to(bound, mag.shape))
+        flagged = (tail > quad.rel_tolerance * mag) & (mag > 0.0)
+        if np.any(flagged):
+            warnings.warn(
+                f"tail estimate {np.max(tail[flagged]):.3g} exceeds rel_tolerance "
+                f"of the integral {np.min(mag[flagged]):.3g}; {remedy}",
+                TruncationWarning,
+                stacklevel=3,
+            )
 
 
 def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
@@ -322,11 +302,11 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
         step = max(1, _BLOCK_ELEMENTS // nodes.size)
         # alpha0 takes the block's shape: its size counts the evaluations made
         grid = np.broadcast_to(nodes, (step, nodes.size))
-        out = np.empty((rows.size, 2), dtype=complex)
+        out = np.empty((rows.size, base.shape[1]), dtype=complex)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
             phi = generalized_reflection(grid[: block.size], w[block, None], plate)
-            # (Re, Im) x (K21, G10) sums as one real matrix product per
+            # (Re, Im) x weight columns as one real matrix product per
             # frequency, so a row's bits do not depend on its block's size
             sums = phi.view(float).reshape(block.size, -1, 2).transpose(0, 2, 1) @ weight
             out[start : start + step].real = sums[:, 0]
@@ -334,15 +314,15 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
         return out
 
     alpha_max = quad.resolve_alpha_max(coil)
-    values, tail = _integrate(_cross_section(coil), quad, alpha_max, evaluate, w)
-    scale = 1.0 / (coil.tx_bottom + coil.rx_bottom)
-    _check_tail(quad, tail * axial_factor(coil, alpha_max), scale, values)
+    values, tail, below = _integrate(_cross_section(coil), quad, alpha_max, evaluate, w)
+    above = tail * axial_factor(coil, alpha_max) / (coil.tx_bottom + coil.rx_bottom)
+    _check_tail(quad, values, above, below)
     return complex(values[0]) if omegas.ndim == 0 else values
 
 
 @lru_cache(maxsize=32)
 def _air_integral(coil: CoilPair, quad: QuadratureSpec):
-    """(alpha_max, L_air, direct tail density) of ``delta_L_air``."""
+    """(L_air, bound beyond alpha_max, bound below the lowest node)."""
     r1 = coil.inner_radius
     alpha_max = quad.alpha_max or 40.0 / max(min(coil.gap, r1), 0.1 * r1)
     prefactor = kernel_prefactor(coil)
@@ -350,8 +330,10 @@ def _air_integral(coil: CoilPair, quad: QuadratureSpec):
     def evaluate(rows, nodes, base):
         return prefactor * (air_factor(coil, nodes) @ base)[None, :]
 
-    values, tail = _integrate(coil, quad, alpha_max, evaluate)
-    return alpha_max, float(values[0]), tail * air_factor(coil, alpha_max)
+    values, tail, below = _integrate(coil, quad, alpha_max, evaluate)
+    # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
+    above = tail * air_factor(coil, alpha_max) / max(coil.gap, 4.0 / alpha_max)
+    return float(values[0]), above, float(below[0])
 
 
 def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
@@ -364,7 +346,6 @@ def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
     touching: alpha_max stops at 400 / inner_radius, the alpha^-5 tail sets
     the error, and a TruncationWarning reports it on every call.
     """
-    alpha_max, value, tail = _air_integral(_cross_section(coil), quad)
-    # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
-    _check_tail(quad, tail, 1.0 / max(coil.gap, 4.0 / alpha_max), value)
+    value, above, below = _air_integral(_cross_section(coil), quad)
+    _check_tail(quad, value, above, below)
     return value

@@ -7,6 +7,7 @@ conversion (mm, MS/m, ...) belongs to the scenario parser, never here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Integral
 
 import numpy as np
@@ -159,10 +160,18 @@ def derive_alpha0(coil: CoilPair) -> float:
     return 1.0 / min(coil.inner_radius, coil.coil_height)
 
 
+@lru_cache(maxsize=16)
 def frequency_grid(spec: SweepSpec) -> np.ndarray:
-    """Strictly increasing, endpoint-inclusive frequency grid [Hz]."""
+    """Strictly increasing, endpoint-inclusive frequency grid [Hz].
+
+    Cached per spec, so every sweep of one spec shares the array: it is
+    read-only.
+    """
     if spec.n_points == 1:
-        return np.array([spec.f_min])
-    if spec.spacing == "logarithmic":
-        return np.geomspace(spec.f_min, spec.f_max, spec.n_points)
-    return np.linspace(spec.f_min, spec.f_max, spec.n_points)
+        grid = np.array([spec.f_min])
+    elif spec.spacing == "logarithmic":
+        grid = np.geomspace(spec.f_min, spec.f_max, spec.n_points)
+    else:
+        grid = np.linspace(spec.f_min, spec.f_max, spec.n_points)
+    grid.flags.writeable = False
+    return grid

@@ -31,9 +31,9 @@ Example::
     spacing = logarithmic
 
     [quadrature]            ; optional, as is each key; unset keys keep
-    n_panels = 16           ; QuadratureSpec's defaults, shown here: 21-point
-    rule = adaptive         ; Kronrod panels, doubled only where |K21 - G10|
-    rel_tolerance = 1e-8    ; exceeds rel_tolerance
+    n_panels = 18           ; QuadratureSpec's defaults, shown here: trapezoid
+    rule = adaptive         ; steps per decade of alpha, halved only where
+    rel_tolerance = 1e-8    ; |T_h - T_2h| exceeds rel_tolerance
 
     [alpha0]                ; optional
     override_per_m = 166.67

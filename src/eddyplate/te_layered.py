@@ -60,7 +60,7 @@ def generalized_reflection(alpha0, omega, plate: Plate):
 
     Composition of the interface multiples in closed form,
 
-        R~ = r (1 - E) / (1 - r^2 E),   E = exp(-2 k2 D),
+        R~ = r (1 - E) / ((1 - r^2) + r^2 (1 - E)),   E = exp(-2 k2 D),
 
     with r the air->plate Fresnel reflection. Both half-space interfaces are
     free space, so the plate->air reflection is exactly -r and the closed
@@ -68,12 +68,15 @@ def generalized_reflection(alpha0, omega, plate: Plate):
 
     Numerics: r is evaluated from the difference of squared wavenumbers
     (which is j omega sigma mu, known exactly) rather than the difference of
-    square roots, and 1 - E uses an expm1-style form; both would otherwise
-    lose all significant digits in the weakly conducting / large-alpha
-    regime. Only decaying exponentials appear; when Re(2 k2 D) is large, 1 - E
-    rounds to 1 and the half-space limit r comes out. k1 = sqrt(alpha0^2) is
-    |alpha0| to the last bit (a correctly rounded square has the operand as
-    its root), whatever the sign of alpha0. For alpha0 != 0 the principal
+    square roots, 1 - E uses an expm1-style form, and 1 - r^2 =
+    4 mu1 mu2 k1 k2 / den^2 shares 1 / den^2 with r. Otherwise the first two
+    would lose all significant digits in the weakly conducting / large-alpha
+    regime, and 1 - r^2 E where r -> -1 and E -> 1 (small alpha on an
+    electrically thin plate). So |R~| <= 1 holds to round-off. Only decaying
+    exponentials appear; when Re(2 k2 D) is large, 1 - E rounds to 1 and the
+    half-space limit r comes out. k1 = sqrt(alpha0^2) is |alpha0| to the
+    last bit (a correctly rounded square has the operand as its root),
+    whatever the sign of alpha0. For alpha0 != 0 the principal
     root k2 = t + j s, t = sqrt((hypot(alpha0^2, c) + alpha0^2) / 2), s =
     (c / t) / 2, c = omega sigma mu2, is free of cancellation and is what the
     C library's csqrt, behind numpy's complex sqrt, computes.
@@ -89,7 +92,11 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     # array products only; 0-d calls keep den, num scalars ([()]) to round as the csqrt form.
     den = _complex(mu2 * k1 + MU_0 * t, MU_0 * s)[()]
     num = _complex((mu2 * mu2 - MU_0 * MU_0) * k1 * k1, 0.0 - c * MU_0 * MU_0)[()]
-    r = num / (den * den)
+    inv = 1.0 / (den * den)
+    r = num * inv
+    # 1 - r^2 = 4 mu1 mu2 k1 k2 / den^2 has no cancellation as r -> -1
+    q = 4.0 * MU_0 * mu2 * k1
+    one_minus_r2 = _complex(q * t, q * s)[()] * inv
     a = 2.0 * t * plate.thickness
     b = 2.0 * s * plate.thickness
     ea = np.exp(-a)
@@ -97,4 +104,4 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     # the cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
     ome_re = -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2
     one_minus_E = _complex(ome_re, ea * np.sin(b))
-    return r * one_minus_E / (1.0 - r * r * (1.0 - one_minus_E))
+    return r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)

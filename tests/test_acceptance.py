@@ -190,7 +190,7 @@ def test_criterion_6_quadrature_robustness(announce):
     announce(
         6,
         ok,
-        f"self-convergence (2x alpha_max, 4x panels) worst rel {worst:.3g} < 1e-6; "
+        f"self-convergence (2x alpha_max, 4x steps per decade) worst rel {worst:.3g} < 1e-6; "
         f"delta_L_air vs Neumann filament oracle {air_err:.4%} <= 2%",
     )
 

@@ -1,8 +1,11 @@
 import dataclasses
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from eddyplate import (
@@ -23,7 +26,6 @@ from eddyplate import (
 from eddyplate.dodd_deeds import (
     air_factor,
     axial_factor,
-    coil_kernel,
     kernel_prefactor,
     radial_integral,
 )
@@ -81,27 +83,11 @@ def filament_stack_mutual(coil, n=25, mirrored=False):
     return total * per_filament_tx * per_filament_rx
 
 
-def test_kronrod_rule_exactness():
-    # K21 integrates x^k on [-1, 1] exactly up to degree 31 and G10 up to 19;
-    # the first even degree beyond each shows the check can fail (odd powers
-    # integrate to 0 on any symmetric rule).
-    x = dodd_deeds._KRONROD_NODES
-    kronrod, gauss = dodd_deeds._KRONROD_WEIGHTS.T
-    eps = np.finfo(float).eps
-    for k in range(33):
-        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-        assert (abs(kronrod @ x**k - exact) <= 4 * eps) == (k <= 31 or k % 2 == 1), k
-        assert (abs(gauss @ x**k - exact) <= 4 * eps) == (k <= 19 or k % 2 == 1), k
-    assert abs(kronrod.sum() - 2.0) <= 2 * eps and abs(gauss.sum() - 2.0) <= 2 * eps
-
-
-def test_kronrod_rule_embeds_gauss_legendre():
+def test_radial_integral_rule_is_gauss_legendre():
     x, w = np.polynomial.legendre.leggauss(10)
     eps = np.finfo(float).eps
-    assert np.all(np.abs(dodd_deeds._KRONROD_NODES[1::2] - x) <= 4 * eps)
-    assert np.all(np.abs(dodd_deeds._KRONROD_WEIGHTS[1::2, 1] - w) <= 4 * eps)
-    assert np.all(dodd_deeds._KRONROD_WEIGHTS[::2, 1] == 0.0)
-    assert np.array_equal(dodd_deeds._KRONROD_NODES, -dodd_deeds._KRONROD_NODES[::-1])
+    assert np.all(np.abs(dodd_deeds._GAUSS_NODES - x) <= 4 * eps)
+    assert np.all(np.abs(dodd_deeds._GAUSS_WEIGHTS - w) <= 4 * eps)
 
 
 def test_radial_integral_small_alpha_expansion():
@@ -160,8 +146,6 @@ def test_radial_integral_rejects_bad_alpha():
     for bad in (-1.0, np.nan, np.inf, np.array([1.0, -1e-9]), np.array([1.0, np.nan])):
         with pytest.raises(ValueError, match="alpha must be non-negative and finite"):
             radial_integral(COIL, bad)
-        with pytest.raises(ValueError, match="alpha"):
-            coil_kernel(COIL, bad)
     assert radial_integral(COIL, 0.0) == 0.0
 
 
@@ -185,15 +169,6 @@ def test_kernel_prefactor_positive_and_scaling():
     assert base > 0.0
     doubled = COIL.__class__(**{**COIL.__dict__, "turns_tx": COIL.turns_tx * 2})
     assert kernel_prefactor(doubled) == pytest.approx(2.0 * base, rel=1e-15)
-
-
-def test_coil_kernel_bundles_components():
-    alphas = np.geomspace(1.0, 1e4, 10)
-    kern = coil_kernel(COIL, alphas)
-    assert np.array_equal(kern.p_radial, radial_integral(COIL, alphas))
-    assert np.array_equal(kern.axial, axial_factor(COIL, alphas))
-    assert np.array_equal(kern.air, air_factor(COIL, alphas))
-    assert kern.prefactor == kernel_prefactor(COIL)
 
 
 def test_delta_L_zero_conductivity_is_exactly_zero():
@@ -220,7 +195,7 @@ def test_delta_L_half_space_thickness_invariant():
 
 
 def test_delta_L_self_convergence():
-    # Doubling the panel count of a fixed rule reproduces the adaptive value.
+    # Halving the step of a fixed rule reproduces the adaptive value.
     plate = Plate(16.744e6, 2.0e-3)
     omega = 2 * np.pi * 50e3
     coarse = delta_L(COIL, plate, omega, QuadratureSpec(n_panels=128, rule="fixed"))
@@ -296,9 +271,9 @@ def test_quadrature_spec_validation():
 
 
 def test_quadrature_convergence_error(monkeypatch):
-    # One doubling allowed: the |K21 - G10| estimates are about 1e-4 at 8
-    # panels and 6e-11 at 16, far above the tolerance, so the outcome does
-    # not rest on round-off.
+    # One halving allowed: the |T_h - T_2h| estimates are 1.2e-6 at 8 steps
+    # per decade and 2.1e-10 at 16, far above the tolerance, so the outcome
+    # does not rest on round-off.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     with pytest.raises(QuadratureConvergenceError):
@@ -313,6 +288,18 @@ def test_truncation_warning_for_small_alpha_max():
     with warnings.catch_warnings():
         warnings.simplefilter("error", TruncationWarning)
         delta_L(COIL, Plate(59.8e6, 0.56e-3), 2 * np.pi * 100e3, QUAD)
+
+
+def test_truncation_warning_below_lowest_node(monkeypatch):
+    # Two decades below alpha_max leave out the peak of the integrand, near
+    # alpha = 1 / inner_radius: the bound on the part below warns.
+    monkeypatch.setattr(dodd_deeds, "_DECADES", 2)
+    dodd_deeds._kernel_table.cache_clear()
+    try:
+        with pytest.warns(TruncationWarning, match="decrease alpha_max"):
+            delta_L(COIL, PLATES[0], 2 * np.pi * 1e4, QuadratureSpec(rule="fixed"))
+    finally:
+        dodd_deeds._kernel_table.cache_clear()
 
 
 def test_omega_validation():
@@ -334,12 +321,12 @@ def test_quadrature_spec_rejects_non_finite():
 
 
 def test_delta_L_array_matches_scalar_calls(monkeypatch):
-    # The 16-panel |K21 - G10| estimates of these frequencies span 1.8e-10 -
-    # 1.5e-9 on the four non-magnetic plates and 1.43e-9 - 3.9e-9 on the
-    # steel one, and the 32-panel ones are below 3e-15, so at this tolerance
-    # each plate stops some frequencies at the first level and the rest at
-    # the second: the array call refines a masked subset.
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=1.48e-9)
+    # At 13 steps per decade the |T_h - T_2h| estimates of these frequencies
+    # run from at most 1.5e-8 to at least 1.37e-7 on each plate, and after
+    # one halving they are below 1e-13, so at this tolerance each plate stops
+    # some frequencies at the first check and the rest at the second: the
+    # array call refines a masked subset.
+    quad = QuadratureSpec(n_panels=13, rel_tolerance=4.5e-8)
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
     reflection = dodd_deeds.generalized_reflection
     for plate in PLATES:
@@ -376,12 +363,12 @@ def test_truncation_warning_for_array_call():
 
 
 def test_sweep_error_names_first_unconverged_frequency(monkeypatch):
-    # With no doubling allowed, the 16-panel |K21 - G10| estimates decide:
-    # 2.4e-10 - 8.5e-10 up to 1.9 kHz and 1.2e-9 - 1.6e-9 above, so some
+    # With no halving allowed, the first |T_h - T_2h| estimates decide:
+    # 7.5e-12 - 9.1e-11 up to 5.3 kHz and 3.1e-10 - 4.1e-10 above, so some
     # frequencies fail and others do not. Scalar calls tell which, and the
     # sweep must name the first of them.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 0)
-    quad = QuadratureSpec(n_panels=16, rel_tolerance=1e-9)
+    quad = QuadratureSpec(rel_tolerance=1.7e-10)
     spec = SweepSpec(10.0, 1e6, 12)
     plate = Plate(59.8e6, 0.56e-3)
     freqs = frequency_grid(spec)
@@ -431,7 +418,7 @@ def mp_kernel(mpmath, coil):
 def mp_delta_L(coil, cases):
     """Oracle: dL for each (plate, f) in ``cases`` by mpmath quadrature at 25 digits.
 
-    Independent of the solver's Gauss-Kronrod grid, scipy Bessel calls and
+    Independent of the solver's trapezoid grid, scipy Bessel calls and
     real-arithmetic reflection: P(alpha) uses the Struve closed form, and
     tanh-sinh quadrature runs over the intervals of ``mp_kernel``. Returns
     (value, quad's own relative error estimate) per case.
@@ -514,9 +501,9 @@ def test_delta_L_air_same_bits_at_every_liftoff():
 
 def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
     # With L_air cached, the first lift-off's L_air and short sweep sample P
-    # once: one 16-panel table whose last node is alpha_max, from which the
-    # truncation check takes its tail density. A later lift-off of the same
-    # coils reuses that table and does no Bessel work at all.
+    # once: one table of 9 x 18 + 1 nodes whose top node is alpha_max, from
+    # which the truncation check takes its tail density. A later lift-off of
+    # the same coils reuses that table and does no Bessel work at all.
     delta_L_air(COIL, QUAD)
     dodd_deeds._kernel_table.cache_clear()
     calls = []
@@ -528,14 +515,13 @@ def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(dodd_deeds, "coil_kernel", counting("coil_kernel", coil_kernel))
     monkeypatch.setattr(dodd_deeds, "radial_integral", counting("radial_integral", radial_integral))
     for k, liftoff in enumerate((1.2345e-3, 0.5e-3, 0.1e-3, 3e-3, 10e-3)):
         calls.clear()
         coil = dataclasses.replace(COIL, liftoff=liftoff)
         delta_L_air(coil, QUAD)
         sweep("dodd_deeds", coil, PLATES[k], SweepSpec(1e3, 1e5, 4), quad=QUAD)
-        assert calls == ([("radial_integral", 16 * 21 + 1)] if k == 0 else []), liftoff
+        assert calls == ([("radial_integral", 9 * 18 + 1)] if k == 0 else []), liftoff
 
 
 def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
@@ -565,35 +551,35 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after its
-# default alpha_max became 40 / min(coil_height + gap, inner_radius). They
-# agree to 1.7e-15 relative with the values frozen before, on a grid whose
-# alpha_max was 40 / min(liftoff, inner_radius), six times as far.
+# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after it
+# moved to the nested trapezoid rule in ln(alpha) and to the cancellation-
+# free reflection denominator. They agree to 2.7e-15 relative with the
+# values frozen before, from the Gauss-Kronrod rule and 1 - r^2 E.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622594e-11-2.6066902056236257e-09j), (-1.3234719970067281e-08-3.867036469571216e-08j),
-        (-1.64168596359007e-07-5.143563489130856e-08j), (-1.8724429333723151e-07-6.6382489297484725e-09j),
-        (-1.928223161130031e-07-1.7112523289472525e-09j),
+        (-7.03120334762259e-11-2.606690205623624e-09j), (-1.3234719970067276e-08-3.8670364695712124e-08j),
+        (-1.6416859635900698e-07-5.143563489130858e-08j), (-1.8724429333723138e-07-6.6382489297484774e-09j),
+        (-1.9282231611300318e-07-1.7112523289472544e-09j),
     ),
     (
-        (-6.443848236945218e-11-2.309110945857678e-09j), (-1.1793371412165811e-08-3.39869991807981e-08j),
-        (-1.441212928992829e-07-4.877250939039618e-08j), (-1.8079881266421823e-07-1.2575949686443759e-08j),
-        (-1.912822976992421e-07-3.200717268265162e-09j),
+        (-6.443848236945217e-11-2.3091109458576768e-09j), (-1.1793371412165805e-08-3.398699918079811e-08j),
+        (-1.441212928992827e-07-4.8772509390396164e-08j), (-1.8079881266421807e-07-1.2575949686443756e-08j),
+        (-1.9128229769924213e-07-3.20071726826516e-09j),
     ),
     (
-        (-3.678712357730794e-14-6.048963319845183e-11j), (-1.1456591280914688e-11-1.07518430857609e-09j),
-        (-2.8802896762021537e-09-1.8194287244720487e-08j), (-1.2102287003497962e-07-8.245889107563606e-08j),
-        (-1.9364731481234236e-07-9.080797438480533e-09j),
+        (-3.6787123577307994e-14-6.048963319845185e-11j), (-1.1456591280914491e-11-1.0751843085760906e-09j),
+        (-2.8802896762021566e-09-1.8194287244720457e-08j), (-1.2102287003497927e-07-8.245889107563586e-08j),
+        (-1.936473148123422e-07-9.080797438480555e-09j),
     ),
     (
-        (-3.6705157501848585e-14-6.029259077522123e-11j), (-1.143068837489919e-11-1.0716806870625674e-09j),
-        (-2.872636210699368e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338699e-08j),
-        (-1.9303057858170544e-07-9.079741245463361e-09j),
+        (-3.670515750184895e-14-6.029259077522121e-11j), (-1.1430688374899138e-11-1.071680687062567e-09j),
+        (-2.8726362106993684e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338693e-08j),
+        (-1.930305785817052e-07-9.079741245463366e-09j),
     ),
     (
-        (1.7668902938228723e-07-5.109970428701988e-10j), (1.75353338573201e-07-8.786709202245878e-09j),
-        (1.2945125173630877e-07-4.42293690542137e-08j), (1.1303333481733732e-08-7.330247250574362e-08j),
-        (-1.1792421910892149e-07-5.080399510394752e-08j),
+        (1.7668902938228725e-07-5.109970428702552e-10j), (1.7535333857320107e-07-8.786709202245886e-09j),
+        (1.294512517363089e-07-4.422936905421375e-08j), (1.1303333481733772e-08-7.330247250574365e-08j),
+        (-1.1792421910892149e-07-5.0803995103947504e-08j),
     ),
 )
 
@@ -626,8 +612,8 @@ def test_default_rule_raises_no_truncation_warning():
 
 
 def test_default_rule_accuracy_audit(monkeypatch):
-    # The default adaptive rule against a fixed rule 16x finer than the level
-    # it returns, on extreme plates, frequencies and lift-offs.
+    # The default adaptive rule against a fixed rule with a 28x finer step
+    # than the level it returns, on extreme plates, frequencies and lift-offs.
     reference = QuadratureSpec(rule="fixed", n_panels=512)
     plates = (
         Plate(1.0, 1e-6),
@@ -642,16 +628,15 @@ def test_default_rule_accuracy_audit(monkeypatch):
             value = delta_L(coil, plate, omegas, QUAD)
             exact = delta_L(coil, plate, omegas, reference)
             assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
-    # L_air no longer depends on the lift-off (bitwise, as the test above
-    # shows), so this loop checks one value: at the default 2 mm gap it stops
-    # at 64 panels, within 4e-16.
-    for liftoff in np.geomspace(0.1e-3, 10e-3, 9):
-        coil = dataclasses.replace(COIL, liftoff=liftoff)
+    # L_air does not depend on the lift-off (bitwise, as the test above
+    # shows) but on the gap, which sets its grid and its decay.
+    for gap in np.geomspace(0.1e-3, 10e-3, 9):
+        coil = dataclasses.replace(COIL, gap=gap)
         air = delta_L_air(coil, QUAD)
-        assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, liftoff
+        assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, gap
 
-    # The benchmark's inputs converge at the first check: one 16-panel
-    # evaluation of every frequency, 16 x 21 = 336 nodes each.
+    # The benchmark's inputs converge at the first check: one evaluation of
+    # every frequency at 18 steps per decade, 9 x 18 + 1 = 163 nodes each.
     nodes_per_level = {}
     reflection = dodd_deeds.generalized_reflection
 
@@ -668,4 +653,42 @@ def test_default_rule_accuracy_audit(monkeypatch):
             nodes_per_level.clear()
             sweep("dodd_deeds", coil, plate, spec, quad=QUAD)
             n = spec.n_points
-            assert nodes_per_level == {336: 336 * n}, (coil.liftoff, plate)
+            assert nodes_per_level == {163: 163 * n}, (coil.liftoff, plate)
+
+
+def _log_uniform(lo, hi):
+    """Floats from lo to hi, drawn uniformly in the exponent."""
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    inner_radius=_log_uniform(0.3e-3, 30e-3),
+    width=_log_uniform(0.05e-3, 2e-3),
+    coil_height=_log_uniform(0.1e-3, 30e-3),
+    gap=st.one_of(st.just(0.0), _log_uniform(0.03e-3, 30e-3)),
+    liftoff=_log_uniform(0.1e-3, 10e-3),
+    plate=st.sampled_from((PLATES[0], PLATES[2], PLATES[4])),
+    frequencies=st.lists(_log_uniform(10.0, 1e6), min_size=1, max_size=3, unique=True),
+)
+def test_default_rule_on_drawn_coils(inner_radius, width, coil_height, gap, liftoff, plate, frequencies):
+    # The adaptive rule against a fixed rule with a 4x finer step than the
+    # finest level it evaluated, with no truncation warning. Wide coils over
+    # small lift-offs need several halvings: P^2 oscillates with a period of
+    # about pi / inner_radius in alpha.
+    coil = CoilPair(inner_radius, inner_radius + width, coil_height, gap, liftoff, 25, 25, 1e-2)
+    omegas = 2 * np.pi * np.sort(frequencies)
+    levels = []
+    table = dodd_deeds._kernel_table
+
+    def recording(*args):
+        levels.append(args[3] if len(args) > 3 else 0)
+        return table(*args)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TruncationWarning)
+        with mock.patch.object(dodd_deeds, "_kernel_table", recording):
+            value = delta_L(coil, plate, omegas, QUAD)
+    reference = QuadratureSpec(rule="fixed", n_panels=4 * QUAD.n_panels << max(levels))
+    exact = delta_L(coil, plate, omegas, reference)
+    assert np.all(np.abs(value - exact) <= 1e-10 * np.abs(exact)), max(levels)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from eddyplate import CoilPair, Plate, SweepSpec, default_sensor, derive_alpha0, frequency_grid
+from eddyplate import CoilPair, Plate, SweepSpec, default_sensor, derive_alpha0, frequency_grid, sweep
+from eddyplate.fileio import write_spectrum_csv
 
 
 def test_default_sensor_geometry():
@@ -83,6 +86,21 @@ def test_frequency_grid_endpoints_inclusive():
         grid = frequency_grid(SweepSpec(3.0, 7777.0, 13, spacing=spacing))
         assert grid[0] == pytest.approx(3.0)
         assert grid[-1] == pytest.approx(7777.0)
+
+
+def test_frequency_grid_cached_read_only(tmp_path):
+    # Every sweep of one spec shares the cached grid, so none may write into
+    # it; the CSV it produces has the bytes of a freshly computed grid.
+    spec = SweepSpec(10.0, 1e6, 7)
+    assert frequency_grid(spec) is frequency_grid(SweepSpec(10.0, 1e6, 7))
+    spectrum = sweep("thin_plate", default_sensor(), Plate(59.8e6, 0.56e-3), spec)
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.frequencies[0] = 1.0
+    fresh = np.geomspace(spec.f_min, spec.f_max, spec.n_points)
+    assert np.array_equal(frequency_grid(spec), fresh)
+    write_spectrum_csv(tmp_path / "cached.csv", spectrum)
+    write_spectrum_csv(tmp_path / "fresh.csv", dataclasses.replace(spectrum, frequencies=fresh))
+    assert (tmp_path / "cached.csv").read_bytes() == (tmp_path / "fresh.csv").read_bytes()
 
 
 def test_sweep_spec_rejects_single_point_range():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eddyplate import (
     MU_0,
@@ -66,7 +68,9 @@ def complex_sqrt_reflection(alpha0, omega, plate):
     k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
     den = mu2 * k1 + MU_0 * k2
     num = (mu2 * mu2 - MU_0 * MU_0) * k1 * k1 - 1j * omega * plate.conductivity * mu2 * MU_0 * MU_0
-    r = num / (den * den)
+    inv = 1.0 / (den * den)
+    r = num * inv
+    one_minus_r2 = 4.0 * MU_0 * mu2 * k1 * k2 * inv
     x = 2.0 * k2 * plate.thickness
     decayed = np.real(x) > HALF_SPACE_EXPONENT
     x_safe = np.where(decayed, 1.0, x)
@@ -75,8 +79,7 @@ def complex_sqrt_reflection(alpha0, omega, plate):
     one_minus_E = np.where(
         decayed, 1.0, -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2 + 1j * ea * np.sin(b)
     )
-    E = 1.0 - one_minus_E
-    return r * one_minus_E / (1.0 - r * r * E)
+    return r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)
 
 
 def assert_bitwise_equal(a, b):
@@ -282,7 +285,9 @@ def mp_reflection(alpha0, omega, plate):
 
 
 def test_generalized_reflection_against_mpmath():
-    alphas = np.geomspace(1e-4, 1e5, 25)
+    # alpha from below the default sensor's lowest quadrature node, alpha_max
+    # 1e-9 = 6.7e-6 1/m, to beyond its alpha_max of 6,667 1/m
+    alphas = np.geomspace(1e-6, 1e5, 34)
     omegas = 2 * np.pi * np.geomspace(1.0, 1e7, 15)
     plates = (
         Plate(59.8e6, 0.56e-3),         # copper
@@ -290,6 +295,7 @@ def test_generalized_reflection_against_mpmath():
         Plate(5.0e6, 1.0e-3, 200.0),    # magnetic steel
         Plate(1.0, 1e-6),               # weakly conducting film
         Plate(1e3, 1e-2),               # poor conductor, thick
+        Plate(1e4, 5e-6, 1.04),         # r -> -1 and E -> 1 at small alpha
     )
     worst = 0.0
     for plate in plates:
@@ -297,4 +303,27 @@ def test_generalized_reflection_against_mpmath():
         for (i, j), value in np.ndenumerate(values):
             exact = mp_reflection(alphas[i], omegas[j], plate)
             worst = max(worst, abs(value - exact) / abs(exact))
-    assert worst < 1e-10
+    assert worst < 1e-13
+
+
+def _log_uniform(lo, hi):
+    """Floats from lo to hi, drawn uniformly in the exponent."""
+    return st.floats(np.log10(lo), np.log10(hi)).map(lambda e: 10.0**e)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    alpha=st.one_of(st.just(0.0), _log_uniform(1e-9, 1e9)),
+    omega=_log_uniform(1e-3, 1e10),
+    conductivity=st.one_of(st.just(0.0), _log_uniform(1e-3, 1e9)),
+    mu_r=st.one_of(st.just(1.0), _log_uniform(1.0, 1e4)),
+    thickness=_log_uniform(1e-9, 10.0),
+)
+def test_reflection_magnitude_at_most_one(alpha, omega, conductivity, mu_r, thickness):
+    # A passive plate reflects no more than it receives. The truncation check
+    # of the full solver bounds the tail with |phi| <= 1. (alpha = sigma = 0
+    # leaves k1 = k2 = 0, a degenerate interface, and is not drawn.)
+    if alpha == 0.0 and conductivity == 0.0:
+        alpha = 1e-9
+    phi = generalized_reflection(alpha, omega, Plate(conductivity, thickness, mu_r))
+    assert abs(phi) <= 1.0 + 4 * np.finfo(float).eps
