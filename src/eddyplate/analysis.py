@@ -21,6 +21,13 @@ from .model import (
 # peak are excluded from relative-error statistics (and counted).
 NEAR_ZERO_FRACTION = 1e-3
 
+# The normalized single-alpha0 models by name, and every model sweep evaluates.
+_NORMALIZED_MODELS = {
+    "thin_plate": thin_plate.normalized_response_thin,
+    "thin_plate_exact": thin_plate.normalized_response_exact,
+}
+MODELS = (*_NORMALIZED_MODELS, "dodd_deeds")
+
 _MAX_FIT_ITERATIONS = 100
 _STEP_TOLERANCE = 1e-9
 _RESIDUAL_TOLERANCE = 1e-12
@@ -59,7 +66,7 @@ def sweep(
 ) -> InductanceSpectrum:
     """Evaluate one forward model on a frequency grid.
 
-    ``model`` is one of "thin_plate" (normalized, sigma*D-only form),
+    ``model`` is one of MODELS: "thin_plate" (normalized, sigma*D-only form),
     "thin_plate_exact" (normalized finite-thickness bracket) or
     "dodd_deeds" (absolute henries, the whole grid in one batched
     ``dodd_deeds.delta_L`` call, whose QuadratureConvergenceError names the
@@ -70,35 +77,29 @@ def sweep(
     freqs = frequency_grid(spec)
     omegas = 2.0 * np.pi * freqs
 
-    if model in ("thin_plate", "thin_plate_exact"):
+    if model in _NORMALIZED_MODELS:
         a0 = derive_alpha0(coil) if alpha0 is None else alpha0
-        fn = (
-            thin_plate.normalized_response_thin
-            if model == "thin_plate"
-            else thin_plate.normalized_response_exact
-        )
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=fn(a0, omegas, plate),
+            delta_L=_NORMALIZED_MODELS[model](a0, omegas, plate),
             normalized=True,
             model_tag=model,
             metadata={"alpha0": a0},
         )
 
-    if model == "dodd_deeds":
-        q = quad if quad is not None else dodd_deeds.QuadratureSpec()
-        return InductanceSpectrum(
-            frequencies=freqs,
-            delta_L=dodd_deeds.delta_L(coil, plate, omegas, q),
-            normalized=False,
-            model_tag="dodd_deeds",
-            metadata={
-                "quadrature": f"alpha_max={q.resolve_alpha_max(coil):.6g} "
-                f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
-            },
-        )
-
-    raise ValueError(f"unknown model {model!r}")
+    if model != "dodd_deeds":
+        raise ValueError(f"unknown model {model!r}")
+    q = quad if quad is not None else dodd_deeds.QuadratureSpec()
+    return InductanceSpectrum(
+        frequencies=freqs,
+        delta_L=dodd_deeds.delta_L(coil, plate, omegas, q),
+        normalized=False,
+        model_tag=model,
+        metadata={
+            "quadrature": f"alpha_max={q.resolve_alpha_max(coil):.6g} "
+            f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
+        },
+    )
 
 
 def compare(

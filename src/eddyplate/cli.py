@@ -56,9 +56,9 @@ def cmd_equivalent(args) -> int:
         raise ValueError("give exactly one of --thickness or --conductivity")
     plate = load_scenario(args.scenario).plate(args.plate)
     if args.thickness is not None:
-        eq = thin_plate.equivalent_plate(plate, parse_quantity(args.thickness))
+        eq = thin_plate.equivalent_plate(plate, parse_quantity(args.thickness, "m"))
     else:
-        eq = thin_plate.equivalent_thickness(plate, parse_quantity(args.conductivity))
+        eq = thin_plate.equivalent_thickness(plate, parse_quantity(args.conductivity, "S/m"))
 
     print(f"equivalent plate for {args.plate!r}:")
     print(f"  conductivity = {eq.conductivity:.6g} S/m ({eq.conductivity / 1e6:.6g} MS/m)")
@@ -130,10 +130,8 @@ def cmd_invert(args) -> int:
     return EXIT_OK if fit.converged else EXIT_NO_CONVERGENCE
 
 
-_COPPER_BRASS_SCENARIO = """\
-; Copper plate with its thicker, less conductive brass equivalent.
-; sigma*D = 59.8 MS/m * 0.56 mm = 16.744 MS/m * 2.00 mm = 33488 S.
-
+# The default sensor, shared by both bundled scenarios.
+_SENSOR_COIL = """\
 [coil]
 inner_radius_mm = 6.0
 outer_radius_mm = 6.315
@@ -143,7 +141,13 @@ liftoff_mm = 1
 turns_tx = 25
 turns_rx = 25
 drive_current_mA = 10
+"""
 
+_COPPER_BRASS_SCENARIO = f"""\
+; Copper plate with its thicker, less conductive brass equivalent.
+; sigma*D = 59.8 MS/m * 0.56 mm = 16.744 MS/m * 2.00 mm = 33488 S.
+
+{_SENSOR_COIL}
 [plate.copper]
 conductivity_MSm = 59.8
 thickness_mm = 0.56
@@ -159,20 +163,11 @@ n_points = 50
 spacing = logarithmic
 """
 
-_ALUMINIUM_SCENARIO = """\
+_ALUMINIUM_SCENARIO = f"""\
 ; Thin aluminium foil with its sigma*D equivalent.
 ; sigma*D = 36.9 MS/m * 20 um = 738 S; equivalent at 55 um is 13.418 MS/m.
 
-[coil]
-inner_radius_mm = 6.0
-outer_radius_mm = 6.315
-height_mm = 8
-gap_mm = 2
-liftoff_mm = 1
-turns_tx = 25
-turns_rx = 25
-drive_current_mA = 10
-
+{_SENSOR_COIL}
 [plate.aluminium]
 conductivity_MSm = 36.9
 thickness_um = 20
@@ -218,11 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="run a forward sweep and write a spectrum CSV")
     p.add_argument("scenario")
     p.add_argument("plate")
-    p.add_argument(
-        "--model",
-        choices=["thin_plate", "thin_plate_exact", "dodd_deeds"],
-        default="dodd_deeds",
-    )
+    p.add_argument("--model", choices=analysis.MODELS, default="dodd_deeds")
     p.add_argument("--output", "-o", required=True)
     p.add_argument("--alpha0", type=float, default=None, help="override alpha0 [1/m]")
     p.set_defaults(func=cmd_spectrum)
@@ -230,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalent", help="apply the sigma*D equivalence transform")
     p.add_argument("scenario")
     p.add_argument("plate")
-    p.add_argument("--thickness", help="target thickness, e.g. 2.0mm")
-    p.add_argument("--conductivity", help="target conductivity, e.g. 17.3MS/m")
+    p.add_argument("--thickness", help="target thickness in m, mm or um, e.g. 2.0mm")
+    p.add_argument("--conductivity", help="target conductivity in S/m or MS/m, e.g. 17.3MS/m")
     p.set_defaults(func=cmd_equivalent)
 
     p = sub.add_parser("compare", help="relative-error report between two spectra")

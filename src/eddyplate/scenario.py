@@ -1,12 +1,14 @@
 """Scenario configuration files.
 
 A scenario is a flat INI-style text file whose keys carry their unit in the
-key name (conductivity_MSm, thickness_mm, ...). All conversion to SI happens
-here, at parse time; every other module speaks SI only. Each section is read
-against a table of the keys it may set and a list of those it must set: an
-unknown or missing key, a non-numeric value or a non-integral count
-(turns_tx, turns_rx, n_points, n_panels) makes load_scenario raise
-ScenarioError naming the section and key.
+key name (conductivity_MSm, thickness_mm, ...): a unit of the key's own
+quantity, from the one table _UNITS that also reads CLI quantities; a bare
+key is SI. All conversion to SI happens here, at parse time; every other
+module speaks SI only. Each section is read against a table of the keys it
+may set and a list of those it must set: an unknown key (one with a unit of
+another quantity, too) or a missing one, a non-numeric value or a
+non-integral count (turns_tx, turns_rx, n_points, n_panels) makes
+load_scenario raise ScenarioError naming the section and key.
 
 Example::
 
@@ -48,40 +50,43 @@ from dataclasses import dataclass
 from .dodd_deeds import QuadratureSpec
 from .model import CoilPair, Plate, SweepSpec
 
-# SI multiplier per key-name unit suffix; only float keys carry one.
-_UNIT_SUFFIXES = {
-    "_m": 1.0,
-    "_mm": 1e-3,
-    "_um": 1e-6,
-    "_MSm": 1e6,
-    "_Sm": 1.0,
-    "_A": 1.0,
-    "_mA": 1e-3,
-    "_Hz": 1.0,
-    "_kHz": 1e3,
-    "_MHz": 1e6,
-    "_per_m": 1.0,
+# SI multiplier of each unit, by the SI unit of the quantity it measures.
+_UNITS = {
+    "m": {"m": 1.0, "mm": 1e-3, "um": 1e-6},
+    "S/m": {"S/m": 1.0, "MS/m": 1e6},
+    "A": {"A": 1.0, "mA": 1e-3},
+    "Hz": {"Hz": 1.0, "kHz": 1e3, "MHz": 1e6},
+    "1/m": {"per_m": 1.0},
 }
 
-# The keys each section may set, by bare name, and their types, and the keys
-# it must set: those its dataclass has no default for.
-_COIL_KEYS = {
-    "inner_radius": float,
-    "outer_radius": float,
-    "height": float,
-    "gap": float,
-    "liftoff": float,
-    "turns_tx": int,
-    "turns_rx": int,
-    "drive_current": float,
-}
-_COIL_REQUIRED = tuple(_COIL_KEYS)
-_PLATE_KEYS = {"conductivity": float, "thickness": float, "relative_permeability": float}
+
+def _keys(**kinds) -> dict:
+    """Name table {key: (bare name, kind, SI multiplier)} for a section's kinds.
+
+    A kind is float, int, str or a quantity's SI unit; a quantity's key is the
+    bare name (SI) or bare_<unit> for each of its units, with "/" dropped (_MSm).
+    """
+    table = {}
+    for bare, kind in kinds.items():
+        table[bare] = (bare, kind, 1.0)
+        for unit, scale in _UNITS.get(kind, {}).items():
+            table[f"{bare}_{unit.replace('/', '')}"] = (bare, kind, scale)
+    return table
+
+
+# The keys each section may set, and the bare names it must set: those its
+# dataclass has no default for.
+_COIL_KEYS = _keys(
+    inner_radius="m", outer_radius="m", height="m", gap="m", liftoff="m",
+    turns_tx=int, turns_rx=int, drive_current="A",
+)
+_COIL_REQUIRED = tuple(dict.fromkeys(bare for bare, _, _ in _COIL_KEYS.values()))
+_PLATE_KEYS = _keys(conductivity="S/m", thickness="m", relative_permeability=float)
 _PLATE_REQUIRED = ("conductivity", "thickness")
-_SWEEP_KEYS = {"f_min": float, "f_max": float, "n_points": int, "spacing": str}
+_SWEEP_KEYS = _keys(f_min="Hz", f_max="Hz", n_points=int, spacing=str)
 _SWEEP_REQUIRED = ("f_min", "f_max", "n_points")
-_QUADRATURE_KEYS = {"alpha_max": float, "n_panels": int, "rule": str, "rel_tolerance": float}
-_ALPHA0_KEYS = {"override": float}
+_QUADRATURE_KEYS = _keys(alpha_max="1/m", n_panels=int, rule=str, rel_tolerance=float)
+_ALPHA0_KEYS = _keys(override="1/m")
 
 
 class ScenarioError(ValueError):
@@ -107,23 +112,18 @@ class Scenario:
 
 
 def _section(cp: configparser.ConfigParser, name: str, keys: dict, required=()) -> dict:
-    """A section's values by bare key name, in SI, checked against ``keys``.
+    """A section's values by bare key name, in SI, read through the name table ``keys``.
 
-    A float key may carry one unit suffix, which is stripped and applied; an
-    int key must hold a whole number. Unknown keys, a key set twice under two
-    units, values of the wrong type and a missing ``required`` key raise
-    ValueError.
+    An int key must hold a whole number. Unknown keys (a unit of another
+    quantity among them), a key set twice under two units, values of the
+    wrong type and a missing ``required`` key raise ValueError.
     """
     out = {}
     for key, raw in cp.items(name):
-        bare, scale = key, 1.0
-        for suffix, unit in _UNIT_SUFFIXES.items():
-            if key.endswith(suffix) and keys.get(key[: -len(suffix)]) is float:
-                bare, scale = key[: -len(suffix)], unit
-                break
-        kind = keys.get(bare)
-        if kind is None:
-            raise ValueError(f"[{name}] unknown key {key!r}")
+        try:
+            bare, kind, scale = keys[key]
+        except KeyError:
+            raise ValueError(f"[{name}] unknown key {key!r}") from None
         if bare in out:
             raise ValueError(f"[{name}] {key} sets {bare} a second time")
         if kind is str:
@@ -138,28 +138,25 @@ def _section(cp: configparser.ConfigParser, name: str, keys: dict, required=()) 
         out[bare] = int(value) if kind is int else value * scale
     for bare in required:
         if bare not in out:
-            unit = "_<unit>" if keys[bare] is float else ""
+            unit = "_<unit>" if keys[bare][1] in _UNITS else ""
             raise ValueError(f"[{name}] missing key {bare}{unit}")
     return out
 
 
-def parse_quantity(text: str) -> float:
-    """Parse a CLI quantity like '2.0mm', '17.3MS/m', '69um' to SI."""
-    units = {
-        "m": 1.0,
-        "mm": 1e-3,
-        "um": 1e-6,
-        "MS/m": 1e6,
-        "S/m": 1.0,
-        "Hz": 1.0,
-        "kHz": 1e3,
-        "MHz": 1e6,
-    }
-    text = text.strip()
-    for unit in sorted(units, key=len, reverse=True):
-        if text.endswith(unit):
-            return float(text[: -len(unit)]) * units[unit]
-    return float(text)
+def parse_quantity(text: str, unit: str) -> float:
+    """SI value of a CLI quantity of SI unit ``unit``: bare, or in one of its units ('2.0mm')."""
+    units = _UNITS[unit]
+    number, scale = text.strip(), 1.0
+    for name in sorted(units, key=len, reverse=True):
+        if number.endswith(name):
+            number, scale = number[: -len(name)], units[name]
+            break
+    try:
+        return float(number) * scale
+    except ValueError:
+        raise ValueError(
+            f"bad quantity {text!r}: expected a number, bare (SI) or in {', '.join(units)}"
+        ) from None
 
 
 def load_scenario(path: str) -> Scenario:

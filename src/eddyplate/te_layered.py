@@ -81,6 +81,10 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     (c / t) / 2, c = omega sigma mu2, is free of cancellation and is what the
     C library's csqrt, behind numpy's complex sqrt, computes.
     """
+    # numpy fuses multiply-adds in complex array products only, so a scalar
+    # call is evaluated as a 1-element array to round as an array call does.
+    scalar = np.ndim(alpha0) == 0 and np.ndim(omega) == 0
+    alpha0, omega = np.atleast_1d(alpha0, omega)
     mu2 = MU_0 * plate.relative_permeability
     k1 = np.abs(alpha0)
     a2 = alpha0 * alpha0
@@ -88,15 +92,14 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     t = np.sqrt(0.5 * (np.hypot(a2, c) + a2))
     s = 0.5 * (c / t)
     # mu2 k1 - mu1 k2 = (mu2^2 k1^2 - mu1^2 k2^2) / (mu2 k1 + mu1 k2), with mu1 = MU_0
-    # and k2^2 - k1^2 = j omega sigma2 mu2 exactly. numpy fuses multiply-adds in complex
-    # array products only; 0-d calls keep den, num scalars ([()]) to round as the csqrt form.
-    den = _complex(mu2 * k1 + MU_0 * t, MU_0 * s)[()]
-    num = _complex((mu2 * mu2 - MU_0 * MU_0) * k1 * k1, 0.0 - c * MU_0 * MU_0)[()]
+    # and k2^2 - k1^2 = j omega sigma2 mu2 exactly.
+    den = _complex(mu2 * k1 + MU_0 * t, MU_0 * s)
+    num = _complex((mu2 * mu2 - MU_0 * MU_0) * k1 * k1, 0.0 - c * MU_0 * MU_0)
     inv = 1.0 / (den * den)
     r = num * inv
     # 1 - r^2 = 4 mu1 mu2 k1 k2 / den^2 has no cancellation as r -> -1
     q = 4.0 * MU_0 * mu2 * k1
-    one_minus_r2 = _complex(q * t, q * s)[()] * inv
+    one_minus_r2 = _complex(q * t, q * s) * inv
     a = 2.0 * t * plate.thickness
     b = 2.0 * s * plate.thickness
     ea = np.exp(-a)
@@ -104,4 +107,5 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     # the cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
     ome_re = -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2
     one_minus_E = _complex(ome_re, ea * np.sin(b))
-    return r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)
+    value = r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)
+    return value[0] if scalar else value

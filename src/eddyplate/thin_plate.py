@@ -75,8 +75,8 @@ def equivalent_plate(original: Plate, target_thickness: float) -> Plate:
     conductivity = sigma1 * D1 / D2, so D1/D2 = sigma2/sigma1.
     """
     _require_nonmagnetic(original)
-    if target_thickness <= 0.0:
-        raise ValueError("target_thickness must be positive")
+    if not 0.0 < target_thickness < np.inf:
+        raise ValueError(f"target thickness must be positive and finite, got {target_thickness}")
     if target_thickness == original.thickness:
         return original
     return Plate(
@@ -88,8 +88,10 @@ def equivalent_plate(original: Plate, target_thickness: float) -> Plate:
 def equivalent_thickness(original: Plate, target_conductivity: float) -> Plate:
     """Plate of the given conductivity with the same sigma*D product."""
     _require_nonmagnetic(original)
-    if target_conductivity <= 0.0:
-        raise ValueError("target_conductivity must be positive")
+    if not 0.0 < target_conductivity < np.inf:
+        raise ValueError(
+            f"target conductivity must be positive and finite, got {target_conductivity}"
+        )
     if target_conductivity == original.conductivity:
         return original
     return Plate(

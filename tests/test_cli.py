@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -105,6 +106,12 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
         ("sweep", "n_point = 4"),
         ("quadrature", "n_panel = 64"),
         ("alpha0", "overide_per_m = 200"),
+        # a unit of another quantity than the key's
+        ("alpha0", "override_mm = 200"),
+        ("plate.copper", "relative_permeability_mm = 200"),
+        ("sweep", "f_min_mm = 1e3"),
+        ("coil", "gap_MSm = 2"),
+        ("quadrature", "rel_tolerance_Hz = 1e-8"),
     ],
 )
 def test_unknown_scenario_key_exits_1(tmp_path, copper_brass, capsys, section, typo):
@@ -377,6 +384,17 @@ def test_equivalent_conductivity_target(tmp_path, capsys):
     assert "69.1" in capsys.readouterr().out  # 69.13 um equivalent thickness
 
 
+@pytest.mark.parametrize(
+    "option, value, units",
+    [("--thickness", "17MS/m", "m, mm, um"), ("--conductivity", "2mm", "S/m, MS/m")],
+)
+def test_equivalent_quantity_of_another_unit_exits_1(copper_brass, capsys, option, value, units):
+    assert main(["equivalent", copper_brass, "copper", option, value]) == EXIT_INVALID
+    assert f"bad quantity {value!r}: expected a number, bare (SI) or in {units}" in (
+        capsys.readouterr().err
+    )
+
+
 def test_equivalent_needs_exactly_one_target(copper_brass):
     assert main(["equivalent", copper_brass, "copper"]) == EXIT_INVALID
     assert (
@@ -535,7 +553,10 @@ def test_exit_code_contract(argv, scenario, spectrum):
                 except SystemExit as exc:
                     usage_error = exc.code != 0
                 try:
-                    code = main(argv)
+                    # A drawn thick plate warns by design; the warning is no exit code.
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        code = main(argv)
                 except SystemExit as exc:
                     code = exc.code
         finally:

@@ -252,15 +252,19 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
 
 
 def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
+    # A scalar call rounds as the same element of an array call, and as the
+    # complex-sqrt form on a 1-element array.
     omega = 2 * np.pi * 1e5
+    alphas = np.geomspace(1e-3, 1e5, 50)
+    scalars = (166.67, -166.67, np.float64(3e4), np.array(1e-3), *map(float, alphas))
     for plate in BITWISE_PLATES + (Plate(1.0, 1e-6),):
-        for a0 in (166.67, -166.67, np.float64(3e4), np.array(1e-3)):
+        row = generalized_reflection(np.array(scalars), omega, plate)
+        for a0, element in zip(scalars, row):
             value = generalized_reflection(a0, omega, plate)
-            reference = complex_sqrt_reflection(a0, omega, plate)
-            assert type(value) is type(reference) is np.complex128
-            assert_bitwise_equal(value, reference)
+            assert type(value) is np.complex128
+            assert_bitwise_equal(value, element)
+            assert_bitwise_equal(value, complex_sqrt_reflection(np.array([a0]), omega, plate))
         # k1 = sqrt(alpha0^2): the sign of alpha0 never matters
-        alphas = np.geomspace(1e-3, 1e5, 50)
         assert_bitwise_equal(
             generalized_reflection(-alphas, omega, plate),
             complex_sqrt_reflection(-alphas, omega, plate),

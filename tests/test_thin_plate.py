@@ -178,3 +178,8 @@ def test_equivalence_rejects_bad_targets():
         equivalent_plate(plate, 0.0)
     with pytest.raises(ValueError):
         equivalent_thickness(plate, -1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="target thickness must be positive and finite"):
+            equivalent_plate(plate, bad)
+        with pytest.raises(ValueError, match="target conductivity must be positive and finite"):
+            equivalent_thickness(plate, bad)
