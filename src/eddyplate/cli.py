@@ -36,7 +36,7 @@ def cmd_spectrum(args) -> int:
         plate=plate,
         spec=scen.sweep,
         quad=scen.quadrature,
-        alpha0=scen.alpha0_override if args.alpha0 is None else args.alpha0,
+        alpha0=scen.alpha0_override,
     )
     meta = {
         "scenario_sha256": scen.sha256,
@@ -215,7 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("plate")
     p.add_argument("--model", choices=analysis.MODELS, default="dodd_deeds")
     p.add_argument("--output", "-o", required=True)
-    p.add_argument("--alpha0", type=float, default=None, help="override alpha0 [1/m]")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("equivalent", help="apply the sigma*D equivalence transform")
@@ -259,8 +258,8 @@ def main(argv=None) -> int:
     except QuadratureConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except (ValueError, OSError) as exc:  # bad input, or a file that cannot be read or written
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:  # bad input, a bad file, or too large
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -3,13 +3,13 @@
 Absolute complex delta-L(omega) as a semi-infinite integral over spatial
 frequency with a Bessel-function coil kernel:
 
-    dL = pref * int_0^inf P(a)^2 / a^6 * axial(a) * phi(a, omega) da
+    dL = pref * int_0^inf P(a)^2 / a^6 * exp(-a d) (1 - exp(-a h))^2 * phi(a, omega) da
 
 where P(a) = int_{a r1}^{a r2} x J1(x) dx is the radial winding integral,
-axial(a) carries the lift-off/height exponentials of both coils, and
-phi(a, omega) is the generalized layer reflection evaluated at k1 = a.
-The free-space mutual inductance L_air uses the same kernel with phi
-replaced by the direct coil-to-coil propagation factor.
+h the coil height, d = tx_bottom + rx_bottom the path between the coils
+through the plate's image, and phi(a, omega) the generalized layer
+reflection at k1 = a. The free-space mutual inductance L_air is the same
+integral along the direct path, d = gap, with phi = 1.
 
 The integral over a runs as a trapezoid rule in u = ln(a), weights h a_j,
 over the nine decades below alpha_max. The integrand in u, a times the one
@@ -20,7 +20,7 @@ It is nested: T_2h, the same sum on every other node, estimates the error
 with no extra reflection call, and a frequency that is not accepted is
 refined on the midpoints alone, T_h/2 = T_h / 2 + (h / 2) sum g(mid).
 
-The lift-off enters only through axial(a); neither the grid nor P depends
+The lift-off enters only through d; neither the grid nor P depends
 on it. So the nodes, their weights times P^2 / a^6 and the tail density at
 alpha_max (the table's top node, for the truncation check) are cached per
 coil cross-section (radii, coil height, gap, turns) and quadrature grid: a
@@ -160,26 +160,15 @@ def radial_integral(coil: CoilPair, alpha):
     return values if np.ndim(alpha) else float(values[0])
 
 
-def _height_window(coil: CoilPair, a):
-    """(1 - exp(-alpha h))^2, the window that both coils' height makes."""
-    window = -np.expm1(-a * coil.coil_height)
-    return window * window
+def axial_factor(coil: CoilPair, alpha, distance):
+    """exp(-a distance) (1 - exp(-a h))^2, both coils' windows along a path.
 
-
-def axial_factor(coil: CoilPair, alpha):
-    """Product of the two coils' image-wave exponential windows.
-
-    (exp(-a tx_bottom) - exp(-a tx_top)) (exp(-a rx_bottom) - exp(-a rx_top)),
-    evaluated as exp(-a (tx_bottom + rx_bottom)) (1 - exp(-a h))^2.
+    Through the plate's image, distance = tx_bottom + rx_bottom, it is
+    (exp(-a tx_bottom) - exp(-a tx_top)) (exp(-a rx_bottom) - exp(-a rx_top)).
     """
     a = np.asarray(alpha, dtype=float)
-    return np.exp(-a * (coil.tx_bottom + coil.rx_bottom)) * _height_window(coil, a)
-
-
-def air_factor(coil: CoilPair, alpha):
-    """Direct propagation window between the two (non-overlapping) coils."""
-    a = np.asarray(alpha, dtype=float)
-    return np.exp(-a * coil.gap) * _height_window(coil, a)
+    height = -np.expm1(-a * coil.coil_height)
+    return np.exp(-a * distance) * (height * height)
 
 
 def kernel_prefactor(coil: CoilPair) -> float:
@@ -204,11 +193,12 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
     ``base`` has the columns h alpha_j (T_h), 2 h alpha_j on even j (T_2h),
     both halved at alpha_max, and alpha_j / 2 on the lowest node (a bound on
     the part of the integral below it, where alpha times the integrand falls
-    at least as alpha^2), each times P^2 / alpha^6. ``tail`` is prefactor P^2 / alpha^6
-    at alpha_max, for the truncation check. A later level returns (nodes,
-    base) for its new nodes, the midpoints of the level before, with the one
-    column h alpha_j P^2 / alpha^6. An integral multiplies ``base`` by its
-    own window and the prefactor.
+    at least as alpha^2), each times P^2 / alpha^6. ``tail`` bounds P^2 /
+    alpha^6 at alpha_max, for the truncation check. A later level returns
+    (nodes, base) for its new nodes, the midpoints of the level before, with
+    the one column h alpha_j P^2 / alpha^6. An integral multiplies ``base``
+    by the prefactor and its own window, axial_factor along its path d:
+    tx_bottom + rx_bottom for delta_L, the gap for L_air.
     """
     h = np.log(10.0) / (n_panels << level)
     n_steps = _DECADES * (n_panels << level)
@@ -226,28 +216,39 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
     base[-1, 2] = 0.5 * kernel[-1]
     # P oscillates and may have a node at alpha_max: take at least its envelope
     envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
-    tail = kernel_prefactor(coil) * max(p_radial[0] ** 2, envelope) / alpha_max**6
+    tail = max(p_radial[0] ** 2, envelope) / alpha_max**6
     return nodes, base, tail
 
 
-def _integrate(cross, quad, alpha_max, evaluate, omegas=None):
-    """Adaptive or fixed trapezoid evaluation of a batch of kernel integrals.
+def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
+    """Adaptive or fixed trapezoid rule for a batch of kernel integrals.
 
-    One integral per angular frequency in ``omegas``, or one in all when it
-    is None, on the kernel tables of the ``_cross_section`` coil ``cross``.
-    ``evaluate(rows, nodes, base)`` returns the weighted integrand sums of
-    integrals ``rows``, one column per column of ``base``. An integral is
-    accepted when |T_h - T_2h| <= rel_tolerance |T_h|, and T_h is returned;
-    only the others are evaluated on the midpoints that halve the step,
-    T_h/2 = T_h / 2 + the midpoint sum. The fixed rule returns T_h at
-    ``n_panels``. Returns the integrals, the tail density of
-    ``_kernel_table`` and the bound on each integral below the lowest node.
+    pref int P^2 / a^6 axial_factor(a, d) phi da along the path d =
+    ``distance`` (tx_bottom + rx_bottom for delta_L, the gap for L_air), one
+    per angular frequency in ``omegas``, or one when it is None.
+    ``row_sums(rows, nodes, weight)`` sums phi times each column of
+    ``weight`` for integrals ``rows``. An integral is accepted when |T_h -
+    T_2h| <= rel_tolerance |T_h|, and T_h returned; only the others are
+    evaluated on the midpoints that halve the step, T_h/2 = T_h / 2 + the
+    midpoint sum. The fixed rule returns T_h at ``n_panels``. Returns the
+    integrals, a bound beyond alpha_max, where the envelope decays as
+    exp(-a d) and as a^-5 (P^2 = O(a)), of min(1 / d, alpha_max / 4) times
+    its value there, and one per integral below the lowest node.
     """
+    cross = _cross_section(coil)
+    prefactor = kernel_prefactor(coil)
     rows = np.arange(1 if omegas is None else omegas.size)
+
+    def evaluate(rows, nodes, base):
+        weight = prefactor * axial_factor(coil, nodes, distance)[:, None] * base
+        return row_sums(rows, nodes, weight)
+
     nodes, base, tail = _kernel_table(cross, alpha_max, quad.n_panels)
+    envelope = prefactor * tail * axial_factor(coil, alpha_max, distance)
+    above = envelope / max(distance, 4.0 / alpha_max)
     value, coarse, below = evaluate(rows, nodes, base).T
     if quad.rule == "fixed":
-        return value, tail, below
+        return value, above, below
     result = np.empty_like(value)
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
@@ -258,7 +259,7 @@ def _integrate(cross, quad, alpha_max, evaluate, omegas=None):
         result[rows[done]] = value[done]
         rows, value = rows[~done], value[~done]
         if rows.size == 0:
-            return result, tail, below
+            return result, above, below
     where = "" if omegas is None else f" at f = {omegas[rows[0]] / (2.0 * np.pi):.6g} Hz"
     raise QuadratureConvergenceError(
         f"no convergence{where} to rel_tolerance={quad.rel_tolerance} after "
@@ -295,14 +296,12 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     if omegas.ndim > 1 or not np.all(np.isfinite(omegas) & (omegas > 0.0)):
         raise ValueError("omega must be a positive finite scalar or 1-D array")
     w = np.atleast_1d(omegas)
-    prefactor = kernel_prefactor(coil)
 
-    def evaluate(rows, nodes, base):
-        weight = prefactor * axial_factor(coil, nodes)[:, None] * base
+    def row_sums(rows, nodes, weight):
         step = max(1, _BLOCK_ELEMENTS // nodes.size)
         # alpha0 takes the block's shape: its size counts the evaluations made
         grid = np.broadcast_to(nodes, (step, nodes.size))
-        out = np.empty((rows.size, base.shape[1]), dtype=complex)
+        out = np.empty((rows.size, weight.shape[1]), dtype=complex)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
             phi = generalized_reflection(grid[: block.size], w[block, None], plate)
@@ -313,9 +312,8 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
             out[start : start + step].imag = sums[:, 1]
         return out
 
-    alpha_max = quad.resolve_alpha_max(coil)
-    values, tail, below = _integrate(_cross_section(coil), quad, alpha_max, evaluate, w)
-    above = tail * axial_factor(coil, alpha_max) / (coil.tx_bottom + coil.rx_bottom)
+    d = coil.tx_bottom + coil.rx_bottom
+    values, above, below = _integrate(coil, quad, quad.resolve_alpha_max(coil), d, row_sums, w)
     _check_tail(quad, values, above, below)
     return complex(values[0]) if omegas.ndim == 0 else values
 
@@ -325,14 +323,11 @@ def _air_integral(coil: CoilPair, quad: QuadratureSpec):
     """(L_air, bound beyond alpha_max, bound below the lowest node)."""
     r1 = coil.inner_radius
     alpha_max = quad.alpha_max or 40.0 / max(min(coil.gap, r1), 0.1 * r1)
-    prefactor = kernel_prefactor(coil)
 
-    def evaluate(rows, nodes, base):
-        return prefactor * (air_factor(coil, nodes) @ base)[None, :]
+    def row_sums(rows, nodes, weight):  # phi = 1
+        return np.ones((1, nodes.size)) @ weight
 
-    values, tail, below = _integrate(coil, quad, alpha_max, evaluate)
-    # exp(-alpha gap) decay, and alpha^-5 even at gap = 0 as P^2 = O(alpha)
-    above = tail * air_factor(coil, alpha_max) / max(coil.gap, 4.0 / alpha_max)
+    values, above, below = _integrate(coil, quad, alpha_max, coil.gap, row_sums)
     return float(values[0]), above, float(below[0])
 
 

@@ -5,10 +5,11 @@ key name (conductivity_MSm, thickness_mm, ...): a unit of the key's own
 quantity, from the one table _UNITS that also reads CLI quantities; a bare
 key is SI. All conversion to SI happens here, at parse time; every other
 module speaks SI only. Each section is read against a table of the keys it
-may set and a list of those it must set: an unknown key (one with a unit of
-another quantity, too) or a missing one, a non-numeric value or a
-non-integral count (turns_tx, turns_rx, n_points, n_panels) makes
-load_scenario raise ScenarioError naming the section and key.
+may set and a list of those it must set: a section not in the example below
+(a plate with a blank name, too), an unknown key (one with a unit of another
+quantity, too) or a missing one, a non-numeric value or a non-integral count
+(turns_tx, turns_rx, n_points, n_panels) makes load_scenario raise
+ScenarioError naming the section, and the key.
 
 Example::
 
@@ -172,6 +173,10 @@ def load_scenario(path: str) -> Scenario:
     sha = hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
     try:
+        for name in cp.sections():
+            plate = name.startswith("plate.") and name[len("plate.") :].strip()
+            if not plate and name not in ("coil", "sweep", "quadrature", "alpha0"):
+                raise ValueError(f"unknown section [{name}]")
         coil = CoilPair(
             **{
                 "coil_height" if key == "height" else key: value

@@ -99,6 +99,29 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
 
 
 @pytest.mark.parametrize(
+    "section, body",
+    [
+        ("quadratur", "rel_tolerance = 1e-30"),
+        ("Sweep", "n_points = 4"),
+        ("plates.copper", "conductivity_MSm = 1"),
+        ("plate.", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
+        ("plate. ", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
+    ],
+    ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank"],
+)
+def test_unknown_scenario_section_exits_1(tmp_path, copper_brass, capsys, section, body):
+    # Each would otherwise be ignored, or load a plate named "" or " ".
+    bad = tmp_path / "section.ini"
+    bad.write_text(open(copper_brass).read() + f"\n[{section}]\n{body}\n")
+    out = tmp_path / "x.csv"
+    for plate in ("copper", ""):
+        args = ["spectrum", str(bad), plate, "--model", "thin_plate", "-o", str(out)]
+        assert main(args) == EXIT_INVALID
+        assert f"unknown section [{section}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "section, typo",
     [
         ("coil", "inner_radus_mm = 6.0"),
@@ -348,8 +371,9 @@ def test_invert_malformed_row_exits_1(tmp_path, copper_brass, capsys, bad_row):
 def test_bad_alpha0_exits_1(tmp_path, copper_brass, capsys, alpha0):
     out = tmp_path / "cu.csv"
     args = ["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)]
+    # spectrum takes alpha0 from the scenario's [alpha0] section only
     assert main(args + ["--alpha0", alpha0]) == EXIT_INVALID
-    assert "alpha0" in capsys.readouterr().err
+    assert "unrecognized arguments: --alpha0" in capsys.readouterr().err
     assert not out.exists()
 
     override = tmp_path / "override.ini"
@@ -361,6 +385,21 @@ def test_bad_alpha0_exits_1(tmp_path, copper_brass, capsys, alpha0):
     assert main(args) == EXIT_OK
     assert main(["invert", str(out), "--alpha0", alpha0]) == EXIT_INVALID
     assert "alpha0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+def test_memory_error_exits_1(tmp_path, copper_brass, capsys, monkeypatch, message):
+    # A sweep too large to hold ([sweep] n_points = 1e12), raised rather than
+    # allocated: a real allocation may exhaust a host that overcommits memory.
+    def too_large(spec):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("eddyplate.analysis.frequency_grid", too_large)
+    out = tmp_path / "cu.csv"
+    args = ["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)]
+    assert main(args) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {message or 'MemoryError'}\n"
+    assert not out.exists()
 
 
 def test_equivalent_thickness_target(copper_brass, capsys):

@@ -24,7 +24,6 @@ from eddyplate import (
     sweep,
 )
 from eddyplate.dodd_deeds import (
-    air_factor,
     axial_factor,
     kernel_prefactor,
     radial_integral,
@@ -150,18 +149,18 @@ def test_radial_integral_rejects_bad_alpha():
 
 
 def test_axial_factor_zero_at_origin_and_decaying():
-    assert axial_factor(COIL, 0.0) == 0.0
+    assert axial_factor(COIL, 0.0, COIL.tx_bottom + COIL.rx_bottom) == 0.0
     a = np.geomspace(1.0, 1e5, 50)
-    vals = axial_factor(COIL, a)
+    vals = axial_factor(COIL, a, COIL.tx_bottom + COIL.rx_bottom)
     assert np.all(vals >= 0.0)
     assert vals[-1] < 1e-30  # decays like exp(-a*(l1_tx + l1_rx))
 
 
 def test_air_factor_limits():
     # alpha -> 0: factor -> 0 (the two windows vanish); large alpha: gap decay
-    assert air_factor(COIL, 0.0) == 0.0
+    assert axial_factor(COIL, 0.0, COIL.gap) == 0.0
     big = 1e4
-    assert air_factor(COIL, big) == pytest.approx(np.exp(-big * COIL.gap), rel=1e-6)
+    assert axial_factor(COIL, big, COIL.gap) == pytest.approx(np.exp(-big * COIL.gap), rel=1e-6)
 
 
 def test_kernel_prefactor_positive_and_scaling():
