@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+import warnings
 
 from . import __version__, analysis, fileio, thin_plate
 from .dodd_deeds import QuadratureConvergenceError
@@ -253,6 +254,8 @@ def main(argv=None) -> int:
         if exc.code == 0:  # --help or --version
             raise
         return EXIT_INVALID
+    # A warning prints as one plain line, as an error does, without its source.
+    saved_format, warnings.formatwarning = warnings.formatwarning, lambda m, *_: f"warning: {m}\n"
     try:
         return args.func(args)
     except QuadratureConvergenceError as exc:
@@ -261,6 +264,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError, MemoryError) as exc:  # bad input, a bad file, or too large
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        warnings.formatwarning = saved_format
 
 
 if __name__ == "__main__":

@@ -162,7 +162,8 @@ def parse_quantity(text: str, unit: str) -> float:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # No header can name a section "\n", so [DEFAULT] is a section like any other.
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="\n")
     cp.optionxform = str  # unit suffixes in key names are case sensitive
     try:
         with open(path, "r", encoding="utf-8") as fh:

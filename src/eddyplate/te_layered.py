@@ -66,46 +66,40 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     free space, so the plate->air reflection is exactly -r and the closed
     form collapses to the single-parameter expression above.
 
-    Numerics: r is evaluated from the difference of squared wavenumbers
-    (which is j omega sigma mu, known exactly) rather than the difference of
-    square roots, 1 - E uses an expm1-style form, and 1 - r^2 =
-    4 mu1 mu2 k1 k2 / den^2 shares 1 / den^2 with r. Otherwise the first two
-    would lose all significant digits in the weakly conducting / large-alpha
-    regime, and 1 - r^2 E where r -> -1 and E -> 1 (small alpha on an
-    electrically thin plate). So |R~| <= 1 holds to round-off. Only decaying
-    exponentials appear; when Re(2 k2 D) is large, 1 - E rounds to 1 and the
+    Numerics: mu0 is divided out. r = num / den^2 with den = mu_r k1 + k2
+    and num = (mu_r^2 - 1) alpha0^2 - j c, c = omega sigma mu2, from the
+    difference of squared wavenumbers (k2^2 - k1^2 = j c exactly), not of
+    roots; (1 - r^2) den^2 = q = 4 mu_r k1 k2. R~ is then one fraction,
+    num (1 - E) / (q + num r (1 - E)), with no reciprocal. With 2 k2 D =
+    a + j b, 1 - E = (e^-a tau sin b - expm1(-a)) + j e^-a sin b takes one
+    tangent, tau = tan(b / 2), as sin b = 2 tau / (1 + tau^2). Otherwise r
+    (weakly conducting plate, large alpha), 1 - E (small a and b) and
+    1 - r^2 E (r -> -1 and E -> 1: small alpha, electrically thin plate)
+    would lose all significant digits; so |R~| <= 1 holds to round-off.
+    Only decaying exponentials appear: at large a, 1 - E rounds to 1 and the
     half-space limit r comes out. k1 = sqrt(alpha0^2) is |alpha0| to the
     last bit (a correctly rounded square has the operand as its root),
-    whatever the sign of alpha0. For alpha0 != 0 the principal
-    root k2 = t + j s, t = sqrt((hypot(alpha0^2, c) + alpha0^2) / 2), s =
-    (c / t) / 2, c = omega sigma mu2, is free of cancellation and is what the
-    C library's csqrt, behind numpy's complex sqrt, computes.
+    whatever the sign of alpha0. For alpha0 != 0 the principal root k2 =
+    t + j s, t = sqrt((hypot(alpha0^2, c) + alpha0^2) / 2), s = (c / t) / 2,
+    is free of cancellation and is what the C library's csqrt, behind
+    numpy's complex sqrt, computes.
     """
     # numpy fuses multiply-adds in complex array products only, so a scalar
     # call is evaluated as a 1-element array to round as an array call does.
     scalar = np.ndim(alpha0) == 0 and np.ndim(omega) == 0
     alpha0, omega = np.atleast_1d(alpha0, omega)
-    mu2 = MU_0 * plate.relative_permeability
+    mu_r = plate.relative_permeability
     k1 = np.abs(alpha0)
     a2 = alpha0 * alpha0
-    c = omega * plate.conductivity * mu2
+    c = omega * plate.conductivity * (MU_0 * mu_r)
     t = np.sqrt(0.5 * (np.hypot(a2, c) + a2))
     s = 0.5 * (c / t)
-    # mu2 k1 - mu1 k2 = (mu2^2 k1^2 - mu1^2 k2^2) / (mu2 k1 + mu1 k2), with mu1 = MU_0
-    # and k2^2 - k1^2 = j omega sigma2 mu2 exactly.
-    den = _complex(mu2 * k1 + MU_0 * t, MU_0 * s)
-    num = _complex((mu2 * mu2 - MU_0 * MU_0) * k1 * k1, 0.0 - c * MU_0 * MU_0)
-    inv = 1.0 / (den * den)
-    r = num * inv
-    # 1 - r^2 = 4 mu1 mu2 k1 k2 / den^2 has no cancellation as r -> -1
-    q = 4.0 * MU_0 * mu2 * k1
-    one_minus_r2 = _complex(q * t, q * s) * inv
-    a = 2.0 * t * plate.thickness
-    b = 2.0 * s * plate.thickness
-    ea = np.exp(-a)
-    # 1 - E = 1 - e^{-a} cos b + j e^{-a} sin b, with the real part split into
-    # the cancellation-free pieces -expm1(-a) and e^{-a} * 2 sin^2(b/2).
-    ome_re = -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2
-    one_minus_E = _complex(ome_re, ea * np.sin(b))
-    value = r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)
+    k2 = _complex(t, s)
+    den = mu_r * k1 + k2
+    num = _complex((mu_r - 1.0) * (mu_r + 1.0) * a2, 0.0 - c)
+    x = (-2.0 * plate.thickness) * t
+    tau = np.tan(plate.thickness * s)
+    ea_sin_b = np.exp(x) * (2.0 * tau / (1.0 + tau * tau))
+    one_minus_E = _complex(ea_sin_b * tau - np.expm1(x), ea_sin_b)
+    value = num * one_minus_E / (4.0 * mu_r * k1 * k2 + num * (num / (den * den) * one_minus_E))
     return value[0] if scalar else value

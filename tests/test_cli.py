@@ -3,6 +3,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,10 +16,12 @@ from hypothesis import strategies as st
 
 import numpy as np
 
+import eddyplate
 from eddyplate import MU_0, QuadratureSpec
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
 from eddyplate.scenario import ScenarioError, load_scenario
+from eddyplate.thin_plate import ThinRegimeWarning
 
 
 @pytest.fixture()
@@ -98,6 +102,31 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
         assert "[quadrature] n_panels = 'x' is not a number" in err
 
 
+def test_warning_prints_as_one_plain_line(tmp_path, copper_brass):
+    # Brass is outside the thin regime (D * alpha0 = 0.33): the spectrum is
+    # still written, and its warning reads as one line with no source in it.
+    argv = ["spectrum", copper_brass, "brass", "--model", "thin_plate", "-o"]
+    env = dict(os.environ, PYTHONPATH=str(Path(eddyplate.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "eddyplate.cli", *argv, str(tmp_path / "cli.csv")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("warning: D * alpha0 = 0.333 > 0.1")
+    assert ".py:" not in done.stderr
+    # A warning is not swallowed: where warnings are errors, it still raises.
+    with pytest.raises(ThinRegimeWarning):
+        main([*argv, str(tmp_path / "error.csv")])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ThinRegimeWarning)
+        assert main([*argv, str(tmp_path / "ref.csv")]) == EXIT_OK
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 @pytest.mark.parametrize(
     "section, body",
     [
@@ -106,8 +135,10 @@ def test_spectrum_bad_quadrature_exits_1(tmp_path, copper_brass, capsys, entry):
         ("plates.copper", "conductivity_MSm = 1"),
         ("plate.", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
         ("plate. ", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
+        # configparser would copy its keys into every other section
+        ("DEFAULT", "foo = 1"),
     ],
-    ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank"],
+    ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank", "DEFAULT"],
 )
 def test_unknown_scenario_section_exits_1(tmp_path, copper_brass, capsys, section, body):
     # Each would otherwise be ignored, or load a plate named "" or " ".

@@ -550,35 +550,35 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after it
-# moved to the nested trapezoid rule in ln(alpha) and to the cancellation-
-# free reflection denominator. They agree to 2.7e-15 relative with the
-# values frozen before, from the Gauss-Kronrod rule and 1 - r^2 E.
+# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after its
+# reflection moved to one fraction with mu0 divided out and 1 - E from one
+# tangent. They agree to 2.2e-16 relative with the values frozen before,
+# from the reciprocal 1 / den^2 and two sines.
 FROZEN_DELTA_L = (
     (
-        (-7.03120334762259e-11-2.606690205623624e-09j), (-1.3234719970067276e-08-3.8670364695712124e-08j),
-        (-1.6416859635900698e-07-5.143563489130858e-08j), (-1.8724429333723138e-07-6.6382489297484774e-09j),
-        (-1.9282231611300318e-07-1.7112523289472544e-09j),
+        (-7.031203347622591e-11-2.606690205623624e-09j), (-1.3234719970067273e-08-3.8670364695712124e-08j),
+        (-1.6416859635900696e-07-5.1435634891308584e-08j), (-1.8724429333723138e-07-6.638248929748476e-09j),
+        (-1.9282231611300318e-07-1.7112523289472515e-09j),
     ),
     (
-        (-6.443848236945217e-11-2.3091109458576768e-09j), (-1.1793371412165805e-08-3.398699918079811e-08j),
+        (-6.443848236945212e-11-2.3091109458576768e-09j), (-1.1793371412165803e-08-3.398699918079811e-08j),
         (-1.441212928992827e-07-4.8772509390396164e-08j), (-1.8079881266421807e-07-1.2575949686443756e-08j),
-        (-1.9128229769924213e-07-3.20071726826516e-09j),
+        (-1.9128229769924213e-07-3.2007172682651625e-09j),
     ),
     (
-        (-3.6787123577307994e-14-6.048963319845185e-11j), (-1.1456591280914491e-11-1.0751843085760906e-09j),
-        (-2.8802896762021566e-09-1.8194287244720457e-08j), (-1.2102287003497927e-07-8.245889107563586e-08j),
-        (-1.936473148123422e-07-9.080797438480555e-09j),
+        (-3.6787123577308574e-14-6.048963319845185e-11j), (-1.1456591280914523e-11-1.0751843085760906e-09j),
+        (-2.880289676202156e-09-1.8194287244720457e-08j), (-1.2102287003497927e-07-8.245889107563587e-08j),
+        (-1.9364731481234222e-07-9.080797438480557e-09j),
     ),
     (
-        (-3.670515750184895e-14-6.029259077522121e-11j), (-1.1430688374899138e-11-1.071680687062567e-09j),
+        (-3.6705157501849115e-14-6.029259077522121e-11j), (-1.143068837489919e-11-1.0716806870625672e-09j),
         (-2.8726362106993684e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338693e-08j),
-        (-1.930305785817052e-07-9.079741245463366e-09j),
+        (-1.930305785817052e-07-9.079741245463378e-09j),
     ),
     (
-        (1.7668902938228725e-07-5.109970428702552e-10j), (1.7535333857320107e-07-8.786709202245886e-09j),
-        (1.294512517363089e-07-4.422936905421375e-08j), (1.1303333481733772e-08-7.330247250574365e-08j),
-        (-1.1792421910892149e-07-5.0803995103947504e-08j),
+        (1.7668902938228723e-07-5.109970428702525e-10j), (1.7535333857320107e-07-8.786709202245878e-09j),
+        (1.294512517363089e-07-4.4229369054213735e-08j), (1.1303333481733772e-08-7.330247250574365e-08j),
+        (-1.1792421910892147e-07-5.08039951039475e-08j),
     ),
 )
 

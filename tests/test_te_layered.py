@@ -13,6 +13,7 @@ from eddyplate import (
     wavenumber,
 )
 from eddyplate.dodd_deeds import _kernel_table
+from eddyplate.te_layered import _complex
 
 # Above this Re(2 k2 D) the reference form below sets E = 0 (the half-space
 # limit); generalized_reflection has no such branch and must match it anyway.
@@ -63,23 +64,20 @@ def complex_sqrt_reflection(alpha0, omega, plate):
     ``generalized_reflection`` builds k1 = |alpha0| and k2 in real
     arithmetic and must round exactly like this form.
     """
-    mu2 = MU_0 * plate.relative_permeability
+    mu_r = plate.relative_permeability
+    mu2 = MU_0 * mu_r
     k1 = wavenumber(alpha0, omega, 0.0, MU_0)
     k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
-    den = mu2 * k1 + MU_0 * k2
-    num = (mu2 * mu2 - MU_0 * MU_0) * k1 * k1 - 1j * omega * plate.conductivity * mu2 * MU_0 * MU_0
-    inv = 1.0 / (den * den)
-    r = num * inv
-    one_minus_r2 = 4.0 * MU_0 * mu2 * k1 * k2 * inv
-    x = 2.0 * k2 * plate.thickness
-    decayed = np.real(x) > HALF_SPACE_EXPONENT
-    x_safe = np.where(decayed, 1.0, x)
-    a, b = np.real(x_safe), np.imag(x_safe)
-    ea = np.exp(-a)
+    den = mu_r * k1 + k2
+    num = (mu_r - 1.0) * (mu_r + 1.0) * (k1 * k1) - 1j * omega * plate.conductivity * mu2
+    x = (-2.0 * plate.thickness) * k2.real
+    tau = np.tan(plate.thickness * k2.imag)
+    ea_sin_b = np.exp(x) * (2.0 * tau / (1.0 + tau * tau))
     one_minus_E = np.where(
-        decayed, 1.0, -np.expm1(-a) + ea * 2.0 * np.sin(0.5 * b) ** 2 + 1j * ea * np.sin(b)
+        x < -HALF_SPACE_EXPONENT, 1.0, _complex(ea_sin_b * tau - np.expm1(x), ea_sin_b)
     )
-    return r * one_minus_E / (one_minus_r2 + r * r * one_minus_E)
+    q = 4.0 * mu_r * k1 * k2
+    return num * one_minus_E / (q + num * (num / (den * den) * one_minus_E))
 
 
 def assert_bitwise_equal(a, b):
@@ -307,6 +305,31 @@ def test_generalized_reflection_against_mpmath():
         for (i, j), value in np.ndenumerate(values):
             exact = mp_reflection(alphas[i], omegas[j], plate)
             worst = max(worst, abs(value - exact) / abs(exact))
+    assert worst < 1e-13
+
+
+def test_generalized_reflection_against_mpmath_near_tangent_poles_and_zeros():
+    # 1 - E takes tan(D Im k2), which is infinite at (k + 1/2) pi and zero at
+    # k pi. Drive D Im k2 to within 1e-9 relative of each: with s = Im k2,
+    # k2^2 = alpha0^2 + j c gives c = 2 s sqrt(alpha0^2 + s^2).
+    plates = (
+        Plate(59.8e6, 0.56e-3),         # copper
+        Plate(1e4, 5e-6, 1.04),         # film
+        Plate(5.0e6, 1.0e-3, 200.0),    # magnetic steel
+    )
+    angles = [k * np.pi for k in range(1, 6)] + [(k + 0.5) * np.pi for k in range(6)]
+    shifts = np.array([-9e-10, -1e-12, 0.0, 1e-12, 9e-10])
+    worst = 0.0
+    for plate in plates:
+        for alpha in (1e-3, 10.0, 300.0):
+            s = np.outer(angles, 1.0 + shifts).ravel() / plate.thickness
+            c = 2.0 * s * np.sqrt(alpha * alpha + s * s)
+            omegas = c / (plate.conductivity * MU_0 * plate.relative_permeability)
+            values = generalized_reflection(alpha, omegas, plate)
+            for omega, value in zip(omegas, values):
+                assert_bitwise_equal(generalized_reflection(alpha, omega, plate), value)
+                exact = mp_reflection(alpha, omega, plate)
+                worst = max(worst, abs(value - exact) / abs(exact))
     assert worst < 1e-13
 
 
