@@ -11,22 +11,26 @@ through the plate's image, and phi(a, omega) the generalized layer
 reflection at k1 = a. The free-space mutual inductance L_air is the same
 integral along the direct path, d = gap, with phi = 1.
 
-The integral over a runs as a trapezoid rule in u = ln(a), weights h a_j,
-over the nine decades below alpha_max. The integrand in u, a times the one
-above, vanishes as a^2 or faster for a -> 0 and decays exponentially for
-a -> inf, so the rule converges exponentially in the step h (Trefethen and
-Weideman, SIAM Review 56, 2014).
+The integral over a runs as a trapezoid rule in v, where u = ln(alpha_max /
+a) = psi(v) is a smooth stretch, weights h psi'(v_j) a_j, over the nine
+decades below alpha_max. The step in u is h at alpha_max and widens to 3 h
+below about 0.03 / outer_radius, where the integrand is smooth, near
+a^3 phi(a), so that the grid spends its nodes where P^2 oscillates. The
+integrand in u, a times the one above, vanishes as a^2 or faster for a -> 0
+and decays exponentially for a -> inf, and psi is analytic in a strip about
+the real axis, so the rule converges exponentially in the step h (Trefethen
+and Weideman, SIAM Review 56, 2014).
 It is nested: T_2h, the same sum on every other node, estimates the error
 with no extra reflection call, and a frequency that is not accepted is
 refined on the midpoints alone, T_h/2 = T_h / 2 + (h / 2) sum g(mid).
 
-The lift-off enters only through d; neither the grid nor P depends
-on it. So the nodes, their weights times P^2 / a^6 and the tail density at
-alpha_max (the table's top node, for the truncation check) are cached per
-coil cross-section (radii, coil height, gap, turns) and quadrature grid: a
-frequency sweep, and every later lift-off of the same coils, reuses the
-Bessel evaluations, and a call samples only the window of its own integral.
-L_air is cached too, on its own grid set by the gap.
+The lift-off enters only through d; neither the grid, its stretch nor P
+depends on it. So the nodes, their weights times P^2 / a^6 and the tail
+density at alpha_max (the table's top node, for the truncation check) are
+cached per coil cross-section (radii, coil height, gap, turns) and
+quadrature grid: a frequency sweep, and every later lift-off of the same
+coils, reuses the Bessel evaluations, and a call samples only the window of
+its own integral. L_air is cached too, on its own grid set by the gap.
 """
 
 from __future__ import annotations
@@ -59,8 +63,13 @@ _GAUSS_WEIGHTS = np.array([
 ])
 # Decades of alpha below alpha_max that the trapezoid rule spans.
 _DECADES = 9
+# The grid's stretch (beta and kappa of _kernel_table): below about
+# _KAPPA / outer_radius the steps in ln(alpha) widen to 1 + _BETA times the
+# step at alpha_max.
+_BETA = 2.0
+_KAPPA = 0.03
 # Step halvings the adaptive rule may make: from the default 18 steps per
-# decade, up to 4,608.
+# decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
 # call overhead while the temporaries stay in cache and peak memory flat.
@@ -68,7 +77,8 @@ _BLOCK_ELEMENTS = 4096
 
 
 class QuadratureConvergenceError(RuntimeError):
-    """Successive grid refinements failed to agree within tolerance."""
+    """Successive step halvings of the trapezoid rule failed to agree within
+    tolerance."""
 
 
 class TruncationWarning(UserWarning):
@@ -89,31 +99,36 @@ class QuadratureSpec:
     check, which bounds |phi| by 1, silent on weakly conducting plates at
     small lift-offs. delta_L_air derives its own alpha_max from the gap.
 
-    ``n_panels`` is the number of trapezoid steps per decade of alpha: the
-    rule samples u = ln(alpha) with step h = ln(10) / n_panels over the nine
-    decades below alpha_max, 9 n_panels + 1 nodes. The adaptive rule accepts
-    an integral when |T_h - T_2h| <= rel_tolerance |T_h|, T_2h being the
-    same rule on every other node; the others are evaluated again with the
-    step halved, on the new midpoints only. The fixed rule returns T_h.
-    delta_L converges at the first check at the default 18 steps per decade,
-    163 nodes per frequency: on the benchmark's plates, 10 Hz - 1 MHz and
-    lift-offs of 0.5 - 3 mm the estimate is <= 2.4e-9 and the value within
-    1.4e-14 of the fixed rule at 512 steps per decade. Over f = 0.01 Hz -
-    100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm, mu_r up to 1000 and
-    lift-offs of 0.1 - 10 mm it stops there too (estimate <= 5.2e-9), within
-    1.3e-14 of that rule. delta_L_air, whose integrand decays only as
-    exp(-alpha gap), is solved once per coil geometry: over gaps of 0.1 -
-    10 mm it stops after 4 - 0 halvings, within 2.2e-12 of the 512-step rule.
+    ``n_panels`` is the number of trapezoid steps per decade of alpha at
+    alpha_max. The rule is uniform in v, where ln(alpha_max / alpha) = psi(v)
+    widens the step in ln(alpha) smoothly from h = ln(10) / n_panels at
+    alpha_max to 3 h below about 0.03 / outer_radius, and it spans the nine
+    decades below alpha_max: 93 nodes per frequency for the default sensor
+    at the default 18 steps per decade, where a uniform step in ln(alpha)
+    takes 163. The adaptive rule accepts an integral when |T_h - T_2h| <=
+    rel_tolerance |T_h|, T_2h being the same rule on every other node; the
+    others are evaluated again with the step halved, on the new midpoints
+    only. The fixed rule returns T_h. delta_L converges at the first check
+    at the default 18: on the benchmark's plates, 10 Hz - 1 MHz and
+    lift-offs of 0.5 - 3 mm the estimate is <= 2.6e-9 and the value within
+    1.3e-14 of a uniform step in ln(alpha) at 512 steps per decade. Over
+    f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm, mu_r up to
+    1000 and lift-offs of 0.1 - 10 mm all but one of 1,035 frequencies stop
+    there too (estimate <= 1.2e-8; 1.9 Hz on 10 cm of 1e8 S/m at 10 mm
+    takes one halving), within 2.7e-14 of that rule. delta_L_air, whose
+    integrand decays only as exp(-alpha gap), is solved once per coil
+    geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
+    2.2e-12 of the 512-step rule.
 
     The estimate overstates the error. The trapezoid rule converges
     exponentially in 1 / h, so where the step and not round-off sets the
     error of T_h (8 - 12 steps per decade on the benchmark's plates),
-    |T_h - T_2h| is 5e3x to 7e6x that error. rel_tolerance is not tuned
+    |T_h - T_2h| is 2.7e3x to 1e7x that error. rel_tolerance is not tuned
     around this: it stays a bound on the estimate.
     """
 
     alpha_max: float | None = None   # [1/m]
-    n_panels: int = 18               # trapezoid steps per decade of alpha
+    n_panels: int = 18               # trapezoid steps per decade of alpha at alpha_max
     rule: str = "adaptive"           # "adaptive" | "fixed"
     rel_tolerance: float = 1e-8
 
@@ -185,33 +200,45 @@ def _cross_section(coil: CoilPair) -> CoilPair:
 
 @lru_cache(maxsize=64)
 def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 0):
-    """Trapezoid nodes in u = ln(alpha), their weights times P^2 / alpha^6.
+    """Trapezoid nodes in v, their weights times P^2 / alpha^6.
 
-    Keyed on a ``_cross_section`` coil. The rule of ``level`` has the step
-    h = ln(10) / (n_panels 2^level) and nodes alpha_max exp(-j h) down to
-    alpha_max 1e-9. Level 0 returns (nodes, base, tail) for all of them:
-    ``base`` has the columns h alpha_j (T_h), 2 h alpha_j on even j (T_2h),
-    both halved at alpha_max, and alpha_j / 2 on the lowest node (a bound on
-    the part of the integral below it, where alpha times the integrand falls
-    at least as alpha^2), each times P^2 / alpha^6. ``tail`` bounds P^2 /
-    alpha^6 at alpha_max, for the truncation check. A later level returns
-    (nodes, base) for its new nodes, the midpoints of the level before, with
-    the one column h alpha_j P^2 / alpha^6. An integral multiplies ``base``
-    by the prefactor and its own window, axial_factor along its path d:
-    tx_bottom + rx_bottom for delta_L, the gap for L_air.
+    Keyed on a ``_cross_section`` coil. ln(alpha_max / alpha) = psi(v) = v +
+    beta (softplus(v - v0) - softplus(-v0)), v0 = ln(alpha_max outer_radius
+    / kappa): psi(0) = 0, and psi' = 1 + beta expit(v - v0) runs from about
+    1 at alpha_max to 1 + beta well below kappa / outer_radius. psi is
+    analytic for |Im v| < pi, so the rule in v keeps the trapezoid rule's
+    exponential rate. The rule of ``level`` has the step h = ln(10) /
+    (n_panels 2^level) in v and nodes alpha_max exp(-psi(j h)) down to
+    alpha_max 1e-9 or below. Level 0 returns (nodes, base, tail) for all of
+    them: ``base`` has the columns h psi'(v_j) alpha_j (T_h), 2 h psi'(v_j)
+    alpha_j on even j (T_2h), both halved at alpha_max, and alpha_j / 2 on
+    the lowest node (a bound on the part of the integral below it, where
+    alpha times the integrand falls at least as alpha^2 in u = ln(alpha)),
+    each times P^2 / alpha^6. ``tail`` bounds P^2 / alpha^6 at alpha_max,
+    for the truncation check. A later level returns (nodes, base) for its
+    new nodes, the midpoints in v of the level before, with the one column h
+    psi'(v_j) alpha_j P^2 / alpha^6. An integral multiplies ``base`` by the
+    prefactor and its own window, axial_factor along its path d: tx_bottom +
+    rx_bottom for delta_L, the gap for L_air.
     """
+    v0 = np.log(alpha_max * coil.outer_radius / _KAPPA)
+    # psi(v) >= (1 + beta) v - beta (v0 + softplus(-v0)), so psi(N h) reaches
+    # the nine decades at this N
+    stretched = _DECADES * np.log(10.0) + _BETA * (v0 + np.logaddexp(0.0, -v0))
+    n_steps = int(np.ceil(stretched * n_panels / ((1.0 + _BETA) * np.log(10.0)))) << level
     h = np.log(10.0) / (n_panels << level)
-    n_steps = _DECADES * (n_panels << level)
-    j = np.arange(n_steps + 1) if level == 0 else np.arange(1, n_steps, 2)
-    nodes = alpha_max * np.exp(-h * j)
+    v = h * (np.arange(n_steps + 1) if level == 0 else np.arange(1, n_steps, 2))
+    psi = v + _BETA * (np.logaddexp(0.0, v - v0) - np.logaddexp(0.0, -v0))
+    nodes = alpha_max * np.exp(-psi)
     p_radial = radial_integral(coil, nodes)
     # alpha P^2 / alpha^6: the integrand's measure in u, shared by every window
     kernel = p_radial**2 / nodes**5
+    weight = h * (1.0 + _BETA * special.expit(v - v0)) * kernel  # h psi'(v) kernel
     if level:
-        return nodes, (h * kernel)[:, None]
+        return nodes, weight[:, None]
     base = np.zeros((nodes.size, 3))
-    base[:, 0] = h * kernel
-    base[::2, 1] = 2.0 * h * kernel[::2]
+    base[:, 0] = weight
+    base[::2, 1] = 2.0 * weight[::2]
     base[0, :2] *= 0.5  # the end of the trapezoid rule where the integral is cut
     base[-1, 2] = 0.5 * kernel[-1]
     # P oscillates and may have a node at alpha_max: take at least its envelope
@@ -263,7 +290,8 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     where = "" if omegas is None else f" at f = {omegas[rows[0]] / (2.0 * np.pi):.6g} Hz"
     raise QuadratureConvergenceError(
         f"no convergence{where} to rel_tolerance={quad.rel_tolerance} after "
-        f"{_MAX_REFINEMENTS} step halvings ({quad.n_panels << _MAX_REFINEMENTS} steps per decade)"
+        f"{_MAX_REFINEMENTS} step halvings ({quad.n_panels << _MAX_REFINEMENTS} steps per decade "
+        "at alpha_max)"
     )
 
 
@@ -274,13 +302,15 @@ def _check_tail(quad, values, above, below):
     value) the part below the lowest node.
     """
     mag = np.abs(values)
+    # a zero integral (no conducting plate) has no tail to warn about
+    limit = np.where(mag > 0.0, quad.rel_tolerance * mag, np.inf)
     for bound, remedy in ((above, "increase alpha_max"), (below, "decrease alpha_max")):
-        tail = np.abs(np.broadcast_to(bound, mag.shape))
-        flagged = (tail > quad.rel_tolerance * mag) & (mag > 0.0)
-        if np.any(flagged):
+        tail = np.abs(bound)
+        flagged = tail > limit
+        if flagged.any():
             warnings.warn(
-                f"tail estimate {np.max(tail[flagged]):.3g} exceeds rel_tolerance "
-                f"of the integral {np.min(mag[flagged]):.3g}; {remedy}",
+                f"tail estimate {np.max(np.where(flagged, tail, 0.0)):.3g} exceeds rel_tolerance "
+                f"of the integral {np.min(np.where(flagged, mag, np.inf)):.3g}; {remedy}",
                 TruncationWarning,
                 stacklevel=3,
             )

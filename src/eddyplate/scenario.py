@@ -35,8 +35,8 @@ Example::
 
     [quadrature]            ; optional, as is each key; unset keys keep
     n_panels = 18           ; QuadratureSpec's defaults, shown here: trapezoid
-    rule = adaptive         ; steps per decade of alpha, halved only where
-    rel_tolerance = 1e-8    ; |T_h - T_2h| exceeds rel_tolerance
+    rule = adaptive         ; steps per decade of alpha at alpha_max, halved
+    rel_tolerance = 1e-8    ; only where |T_h - T_2h| exceeds rel_tolerance
 
     [alpha0]                ; optional
     override_per_m = 166.67

@@ -90,8 +90,8 @@ def test_sweep_unknown_model():
 
 
 def test_sweep_error_names_frequency(monkeypatch):
-    # One halving, 8 -> 16 steps per decade (|T_h - T_2h| about 1e-6, then
-    # 2e-10): no frequency converges.
+    # One halving, 8 -> 16 steps per decade (|T_h - T_2h| about 1.6e-6, then
+    # 6e-11): no frequency converges.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
     spec = SweepSpec(10.0, 20.0, 2)

@@ -28,6 +28,7 @@ from eddyplate.dodd_deeds import (
     kernel_prefactor,
     radial_integral,
 )
+from eddyplate.te_layered import generalized_reflection
 
 COIL = default_sensor()
 QUAD = QuadratureSpec()
@@ -80,6 +81,33 @@ def filament_stack_mutual(coil, n=25, mirrored=False):
         for zb in z_rx:
             total += filament_mutual(r, r, zb - za)
     return total * per_filament_tx * per_filament_rx
+
+
+def uniform_trapezoid(coil, alpha_max, distance, phi):
+    """Oracle: pref int P^2 / a^6 axial_factor(a, distance) phi(a) da by a
+    trapezoid rule with 256 uniform steps per decade of ln(a) over ten
+    decades below alpha_max, built from the public kernel pieces alone: none
+    of the solver's grid, its stretch or its weights. ``phi(nodes)`` returns
+    one row of reflection values per integral.
+    """
+    h = np.log(10.0) / 256
+    nodes = alpha_max * np.exp(-h * np.arange(2561))
+    weight = h * nodes * radial_integral(coil, nodes) ** 2 / nodes**6
+    weight[0] *= 0.5
+    weight *= kernel_prefactor(coil) * axial_factor(coil, nodes, distance)
+    return phi(nodes) @ weight
+
+
+def first_level_nodes(coil, quad=QUAD):
+    """Nodes per frequency of the rule's first level, from the closed-form
+    bound on its step count: with u = ln(alpha_max / alpha) = psi(v) and
+    psi(v) >= (1 + beta) v - beta (v0 + softplus(-v0)), N steps of
+    ln(10) / n_panels in v reach the nine decades below alpha_max.
+    """
+    beta = dodd_deeds._BETA
+    v0 = np.log(quad.resolve_alpha_max(coil) * coil.outer_radius / dodd_deeds._KAPPA)
+    stretched = 9 * np.log(10.0) + beta * (v0 + np.logaddexp(0.0, -v0))
+    return int(np.ceil(stretched * quad.n_panels / ((1.0 + beta) * np.log(10.0)))) + 1
 
 
 def test_radial_integral_rule_is_gauss_legendre():
@@ -270,8 +298,8 @@ def test_quadrature_spec_validation():
 
 
 def test_quadrature_convergence_error(monkeypatch):
-    # One halving allowed: the |T_h - T_2h| estimates are 1.2e-6 at 8 steps
-    # per decade and 2.1e-10 at 16, far above the tolerance, so the outcome
+    # One halving allowed: the |T_h - T_2h| estimates are 1.6e-6 at 8 steps
+    # per decade and 6.3e-11 at 16, far above the tolerance, so the outcome
     # does not rest on round-off.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 1)
     quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
@@ -321,10 +349,10 @@ def test_quadrature_spec_rejects_non_finite():
 
 def test_delta_L_array_matches_scalar_calls(monkeypatch):
     # At 13 steps per decade the |T_h - T_2h| estimates of these frequencies
-    # run from at most 1.5e-8 to at least 1.37e-7 on each plate, and after
-    # one halving they are below 1e-13, so at this tolerance each plate stops
-    # some frequencies at the first check and the rest at the second: the
-    # array call refines a masked subset.
+    # run from at most 1.3e-8 to at least 1.5e-7 on each plate, and after
+    # one halving they are below 1.1e-13, so at this tolerance each plate
+    # stops some frequencies at the first check and the rest at the second:
+    # the array call refines a masked subset.
     quad = QuadratureSpec(n_panels=13, rel_tolerance=4.5e-8)
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 24)
     reflection = dodd_deeds.generalized_reflection
@@ -363,7 +391,7 @@ def test_truncation_warning_for_array_call():
 
 def test_sweep_error_names_first_unconverged_frequency(monkeypatch):
     # With no halving allowed, the first |T_h - T_2h| estimates decide:
-    # 7.5e-12 - 9.1e-11 up to 5.3 kHz and 3.1e-10 - 4.1e-10 above, so some
+    # 5.1e-12 - 9.9e-11 up to 5.3 kHz and 3.7e-10 - 4.9e-10 above, so some
     # frequencies fail and others do not. Scalar calls tell which, and the
     # sweep must name the first of them.
     monkeypatch.setattr(dodd_deeds, "_MAX_REFINEMENTS", 0)
@@ -489,6 +517,30 @@ def test_delta_L_air_against_mpmath():
         assert abs(value - exact) <= 1e-12 * exact, (gap, value, exact)
 
 
+def test_default_rule_against_uniform_trapezoid():
+    # The default rule against a uniform step in ln(alpha), which shares with
+    # it only the kernel pieces, not its stretched grid or its weights (the
+    # accuracy audit's reference, the same rule at 512 steps per decade,
+    # shares both): delta_L on the benchmark's plates at three lift-offs, and
+    # L_air, whose default alpha_max is 40 / gap here, at three gaps. At 64
+    # steps per decade the oracle is itself 3e-9 off L_air at a 0.5 mm gap;
+    # at 256 it agrees with the default rule to 2.5e-14 or better.
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 7)
+    for liftoff in (0.1e-3, 1e-3, 10e-3):
+        coil = dataclasses.replace(COIL, liftoff=liftoff)
+        alpha_max, path = QUAD.resolve_alpha_max(coil), coil.tx_bottom + coil.rx_bottom
+        for plate in PLATES:
+            value = delta_L(coil, plate, omegas, QUAD)
+            exact = uniform_trapezoid(
+                coil, alpha_max, path, lambda nodes: generalized_reflection(nodes, omegas[:, None], plate)
+            )
+            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
+    for gap in (0.5e-3, 2e-3, 5e-3):
+        coil = dataclasses.replace(COIL, gap=gap)
+        exact = uniform_trapezoid(coil, 40.0 / gap, gap, lambda nodes: np.ones((1, nodes.size)))[0]
+        assert abs(delta_L_air(coil, QUAD) - exact) <= 1e-12 * exact, gap
+
+
 def test_delta_L_air_same_bits_at_every_liftoff():
     # Neither the lift-off nor the drive current enters L_air, its grid or its
     # cache key.
@@ -500,9 +552,10 @@ def test_delta_L_air_same_bits_at_every_liftoff():
 
 def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
     # With L_air cached, the first lift-off's L_air and short sweep sample P
-    # once: one table of 9 x 18 + 1 nodes whose top node is alpha_max, from
-    # which the truncation check takes its tail density. A later lift-off of
-    # the same coils reuses that table and does no Bessel work at all.
+    # once: one table of the first level's nodes, whose top node is
+    # alpha_max, from which the truncation check takes its tail density. A
+    # later lift-off of the same coils reuses that table and does no Bessel
+    # work at all.
     delta_L_air(COIL, QUAD)
     dodd_deeds._kernel_table.cache_clear()
     calls = []
@@ -520,7 +573,7 @@ def test_liftoff_scan_builds_one_kernel_table(monkeypatch):
         coil = dataclasses.replace(COIL, liftoff=liftoff)
         delta_L_air(coil, QUAD)
         sweep("dodd_deeds", coil, PLATES[k], SweepSpec(1e3, 1e5, 4), quad=QUAD)
-        assert calls == ([("radial_integral", 9 * 18 + 1)] if k == 0 else []), liftoff
+        assert calls == ([("radial_integral", first_level_nodes(COIL))] if k == 0 else []), liftoff
 
 
 def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
@@ -551,34 +604,33 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
 # plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after its
-# reflection moved to one fraction with mu0 divided out and 1 - E from one
-# tangent. They agree to 2.2e-16 relative with the values frozen before,
-# from the reciprocal 1 / den^2 and two sines.
+# trapezoid rule moved to the stretched grid in ln(alpha). They agree to
+# 1.8e-15 relative with the values frozen before, from a uniform step.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622591e-11-2.606690205623624e-09j), (-1.3234719970067273e-08-3.8670364695712124e-08j),
-        (-1.6416859635900696e-07-5.1435634891308584e-08j), (-1.8724429333723138e-07-6.638248929748476e-09j),
-        (-1.9282231611300318e-07-1.7112523289472515e-09j),
+        (-7.031203347622593e-11-2.6066902056236237e-09j), (-1.3234719970067289e-08-3.867036469571212e-08j),
+        (-1.6416859635900688e-07-5.143563489130852e-08j), (-1.8724429333723122e-07-6.638248929748473e-09j),
+        (-1.9282231611300297e-07-1.7112523289472496e-09j),
     ),
     (
-        (-6.443848236945212e-11-2.3091109458576768e-09j), (-1.1793371412165803e-08-3.398699918079811e-08j),
-        (-1.441212928992827e-07-4.8772509390396164e-08j), (-1.8079881266421807e-07-1.2575949686443756e-08j),
-        (-1.9128229769924213e-07-3.2007172682651625e-09j),
+        (-6.443848236945221e-11-2.3091109458576784e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
+        (-1.4412129289928278e-07-4.877250939039611e-08j), (-1.8079881266421797e-07-1.2575949686443749e-08j),
+        (-1.9128229769924192e-07-3.200717268265164e-09j),
     ),
     (
-        (-3.6787123577308574e-14-6.048963319845185e-11j), (-1.1456591280914523e-11-1.0751843085760906e-09j),
-        (-2.880289676202156e-09-1.8194287244720457e-08j), (-1.2102287003497927e-07-8.245889107563587e-08j),
-        (-1.9364731481234222e-07-9.080797438480557e-09j),
+        (-3.678712357730889e-14-6.04896331984518e-11j), (-1.145659128091447e-11-1.0751843085760898e-09j),
+        (-2.880289676202159e-09-1.819428724472047e-08j), (-1.2102287003497922e-07-8.245889107563583e-08j),
+        (-1.9364731481234207e-07-9.080797438480547e-09j),
     ),
     (
-        (-3.6705157501849115e-14-6.029259077522121e-11j), (-1.143068837489919e-11-1.0716806870625672e-09j),
-        (-2.8726362106993684e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338693e-08j),
-        (-1.930305785817052e-07-9.079741245463378e-09j),
+        (-3.670515750184897e-14-6.029259077522123e-11j), (-1.1430688374899167e-11-1.0716806870625666e-09j),
+        (-2.8726362106993688e-09-1.813345380504296e-08j), (-1.205811368691012e-07-8.218133219338694e-08j),
+        (-1.9303057858170528e-07-9.079741245463363e-09j),
     ),
     (
-        (1.7668902938228723e-07-5.109970428702525e-10j), (1.7535333857320107e-07-8.786709202245878e-09j),
-        (1.294512517363089e-07-4.4229369054213735e-08j), (1.1303333481733772e-08-7.330247250574365e-08j),
-        (-1.1792421910892147e-07-5.08039951039475e-08j),
+        (1.7668902938228717e-07-5.109970428702581e-10j), (1.75353338573201e-07-8.786709202245892e-09j),
+        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.1303333481733694e-08-7.330247250574361e-08j),
+        (-1.1792421910892143e-07-5.080399510394747e-08j),
     ),
 )
 
@@ -635,7 +687,8 @@ def test_default_rule_accuracy_audit(monkeypatch):
         assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, gap
 
     # The benchmark's inputs converge at the first check: one evaluation of
-    # every frequency at 18 steps per decade, 9 x 18 + 1 = 163 nodes each.
+    # every frequency on the first level's nodes (93 for the default sensor,
+    # where a uniform step in ln(alpha) takes 9 x 18 + 1 = 163).
     nodes_per_level = {}
     reflection = dodd_deeds.generalized_reflection
 
@@ -651,8 +704,8 @@ def test_default_rule_accuracy_audit(monkeypatch):
         for plate in PLATES:
             nodes_per_level.clear()
             sweep("dodd_deeds", coil, plate, spec, quad=QUAD)
-            n = spec.n_points
-            assert nodes_per_level == {163: 163 * n}, (coil.liftoff, plate)
+            n, first = spec.n_points, first_level_nodes(coil)
+            assert nodes_per_level == {first: first * n}, (coil.liftoff, plate)
 
 
 def _log_uniform(lo, hi):
