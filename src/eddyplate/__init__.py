@@ -12,7 +12,7 @@ from .model import (
     derive_alpha0,
     frequency_grid,
 )
-from .te_layered import InterfaceCoeffs, fresnel, generalized_reflection, wavenumber
+from .te_layered import generalized_reflection
 from .thin_plate import (
     equivalent_plate,
     equivalent_thickness,
@@ -37,14 +37,11 @@ __all__ = [
     "QuadratureSpec",
     "QuadratureConvergenceError",
     "TruncationWarning",
-    "InterfaceCoeffs",
     "EquivalenceReport",
     "SigmaDFit",
     "default_sensor",
     "derive_alpha0",
     "frequency_grid",
-    "wavenumber",
-    "fresnel",
     "generalized_reflection",
     "normalized_response_exact",
     "normalized_response_thin",

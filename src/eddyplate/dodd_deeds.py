@@ -74,6 +74,13 @@ _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
 # call overhead while the temporaries stay in cache and peak memory flat.
 _BLOCK_ELEMENTS = 4096
+# Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
+# kernel table or one radial_integral call may hold: each takes about 300
+# bytes at the peak of a table build, so a build stays below about 330 MB.
+_BUDGET = 1 << 20
+# Below this alpha_max [1/m], alpha_max^6 of the truncation check underflows;
+# above it no node^5 does, the lowest node being at least 4e-10 alpha_max.
+_ALPHA_MAX_FLOOR = np.finfo(float).tiny ** (1.0 / 6.0)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -120,6 +127,10 @@ class QuadratureSpec:
     geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
     2.2e-12 of the 512-step rule.
 
+    A level of the rule with more than 2^20 nodes, or sub-panels of
+    radial_integral, is refused before it is built: a ValueError naming
+    alpha_max or n_panels at level 0, a QuadratureConvergenceError later.
+
     The estimate overstates the error. The trapezoid rule converges
     exponentially in 1 / h, so where the step and not round-off sets the
     error of T_h (8 - 12 steps per decade on the benchmark's plates),
@@ -133,8 +144,8 @@ class QuadratureSpec:
     rel_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha_max is not None and not 0.0 < self.alpha_max < np.inf:
-            raise ValueError("alpha_max must be positive and finite")
+        if self.alpha_max is not None and not _ALPHA_MAX_FLOOR <= self.alpha_max < np.inf:
+            raise ValueError(f"alpha_max must be finite and at least {_ALPHA_MAX_FLOOR:.3g} 1/m")
         if not (isinstance(self.n_panels, Integral) and self.n_panels >= 8):
             raise ValueError("n_panels must be an integer >= 8")
         if self.rule not in ("adaptive", "fixed"):
@@ -148,6 +159,16 @@ class QuadratureSpec:
         return 40.0 / min(coil.coil_height + coil.gap, coil.inner_radius)
 
 
+def _within_budget(count, unit, source, level=0):
+    """Raise when ``count`` ``unit`` exceed _BUDGET: a ValueError naming the
+    input ``source`` at level 0, a QuadratureConvergenceError on a halving."""
+    if count > _BUDGET:
+        message = f"{source} asks for {count:.3g} {unit}, more than the budget of {_BUDGET}"
+        if level:
+            raise QuadratureConvergenceError(f"no convergence by halving {level}: {message}")
+        raise ValueError(message)
+
+
 def radial_integral(coil: CoilPair, alpha):
     """P(alpha) = int_{alpha r1}^{alpha r2} x J1(x) dx.
 
@@ -155,7 +176,7 @@ def radial_integral(coil: CoilPair, alpha):
     max(1, ceil(alpha (r2 - r1) / 3)) equal sub-panels, so no panel spans
     more than 3 radians of the J1 oscillation and a node's work and value do
     not depend on the other nodes of the call: every element is bitwise the
-    scalar call's.
+    scalar call's. More than _BUDGET sub-panels in all raise ValueError.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(a) & (a >= 0.0)):
@@ -163,7 +184,9 @@ def radial_integral(coil: CoilPair, alpha):
     x, w = _GAUSS_NODES, _GAUSS_WEIGHTS
     lo = a * coil.inner_radius
     width = a * coil.outer_radius - lo
-    n_sub = np.maximum(1, np.ceil(width / 3.0)).astype(np.intp)
+    n_sub = np.maximum(1, np.ceil(width / 3.0))
+    _within_budget(n_sub.sum(), "radial sub-panels", f"alpha = {a.max():.6g} 1/m")
+    n_sub = n_sub.astype(np.intp)
     # Flatten the ragged (node, sub-panel) set: panel k of its node.
     first = np.cumsum(n_sub) - n_sub
     k = np.arange(n_sub.sum()) - np.repeat(first, n_sub)
@@ -226,10 +249,16 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
     # the nine decades at this N
     stretched = _DECADES * np.log(10.0) + _BETA * (v0 + np.logaddexp(0.0, -v0))
     n_steps = int(np.ceil(stretched * n_panels / ((1.0 + _BETA) * np.log(10.0)))) << level
+    # the counts are checked before their arrays are allocated
+    n_nodes = n_steps + 1 if level == 0 else n_steps >> 1
+    _within_budget(n_nodes, "nodes", f"n_panels = {n_panels}", level)
     h = np.log(10.0) / (n_panels << level)
     v = h * (np.arange(n_steps + 1) if level == 0 else np.arange(1, n_steps, 2))
     psi = v + _BETA * (np.logaddexp(0.0, v - v0) - np.logaddexp(0.0, -v0))
     nodes = alpha_max * np.exp(-psi)
+    # radial_integral's sum of max(1, ceil(alpha (r2 - r1) / 3)), bounded above
+    sub_panels = nodes.size + nodes.sum() * (coil.outer_radius - coil.inner_radius) / 3.0
+    _within_budget(sub_panels, "radial sub-panels", f"alpha_max = {alpha_max:.6g} 1/m", level)
     p_radial = radial_integral(coil, nodes)
     # alpha P^2 / alpha^6: the integrand's measure in u, shared by every window
     kernel = p_radial**2 / nodes**5

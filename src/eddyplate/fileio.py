@@ -7,6 +7,7 @@ a header row ``freq_hz,dL_re,dL_im`` and one row per frequency. Numbers use
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 
@@ -35,6 +36,9 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
         lines.append(f"# {key}={meta[key]}")
     lines.append("freq_hz,dL_re,dL_im")
     for f, v in zip(spectrum.frequencies, spectrum.delta_L):
+        # the reader rejects such a row: refuse it before the file is opened
+        if not (math.isfinite(f) and cmath.isfinite(v)):
+            raise ValueError(f"{path}: non-finite value at freq_hz = {_fmt(f)}; nothing written")
         lines.append(f"{_fmt(f)},{_fmt(v.real)},{_fmt(v.imag)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

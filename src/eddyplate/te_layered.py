@@ -1,51 +1,17 @@
-"""TE-mode plane-wave propagation through an air / plate / air stack.
+"""TE-mode plane-wave reflection of an air / plate / air stack.
 
-Wavenumbers, interface (Fresnel) coefficients, and the generalized
-reflection coefficient of a finite-thickness layer including all internal
-multiples. All functions are pure and accept numpy arrays in any argument
-that is not a structured object, broadcasting as usual. The solver's inner
-loop, ``generalized_reflection``, forms k1 = |alpha0| and k2 in real
-arithmetic that rounds exactly as ``wavenumber`` would.
+The generalized reflection coefficient of a finite-thickness layer including
+all internal multiples, the solver's inner loop. It is pure and accepts numpy
+arrays in alpha0 and omega, broadcasting as usual. It forms k1 = |alpha0| and
+k2 in real arithmetic that rounds exactly as numpy's complex sqrt of alpha0^2
++ j omega sigma mu would.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .model import MU_0, Plate
-
-
-class InterfaceCoeffs(NamedTuple):
-    """Fresnel reflection/transmission amplitude ratios at one interface."""
-
-    reflection: np.ndarray | complex
-    transmission: np.ndarray | complex
-
-
-def wavenumber(alpha0, omega, sigma, mu):
-    """Layer wavenumber k = sqrt(alpha0^2 + j*omega*sigma*mu), principal branch.
-
-    For sigma = 0 this collapses to the purely real alpha0; Re(k) > 0 always.
-    """
-    return np.sqrt(alpha0 * alpha0 + 1j * omega * sigma * mu)
-
-
-def fresnel(k_i, k_j, mu_i, mu_j) -> InterfaceCoeffs:
-    """Interface coefficients for a wave going from medium i into medium j.
-
-    reflection = (mu_j k_i - mu_i k_j) / (mu_j k_i + mu_i k_j)
-    transmission = 2 mu_j k_i / (mu_j k_i + mu_i k_j) = 1 + reflection
-    """
-    num = mu_j * k_i - mu_i * k_j
-    den = mu_j * k_i + mu_i * k_j
-    if np.any(np.abs(den) == 0.0):
-        raise ZeroDivisionError("degenerate interface: mu_j k_i + mu_i k_j = 0")
-    r = num / den
-    # 2 mu_j k_i / den == 1 + r algebraically; the latter keeps the identity
-    # exact in floating point as well.
-    return InterfaceCoeffs(reflection=r, transmission=1.0 + r)
 
 
 def _complex(real, imag):

@@ -22,17 +22,14 @@ from eddyplate import (
     delta_L_air,
     derive_alpha0,
     fit_sigma_d,
-    fresnel,
     generalized_reflection,
     normalized_response_exact,
     normalized_response_thin,
     sweep,
-    wavenumber,
 )
 from eddyplate.thin_plate import ThinRegimeWarning
 
-from test_dodd_deeds import filament_stack_mutual
-from test_te_layered import series_reflection
+from oracles import filament_stack_mutual, fresnel, series_reflection, wavenumber
 
 COIL = default_sensor()
 A0 = derive_alpha0(COIL)

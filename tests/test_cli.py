@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 import numpy as np
 
 import eddyplate
-from eddyplate import MU_0, QuadratureSpec
+from eddyplate import MU_0, QuadratureSpec, dodd_deeds
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
 from eddyplate.scenario import ScenarioError, load_scenario
@@ -89,6 +90,45 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
         path = tmp_path / "quad.ini"
         path.write_text(base + "\n[quadrature]\n" + section)
         assert load_scenario(str(path)).quadrature == expected
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("alpha_max_per_m = 1e12", "alpha_max = 1e+12 1/m asks for"),
+        ("alpha_max_per_m = 1e-100", "alpha_max must be finite and at least 5.3e-52 1/m"),
+        ("n_panels = 1e9", "n_panels = 1000000000 asks for"),
+    ],
+)
+def test_spectrum_quadrature_out_of_range_exits_1(tmp_path, copper_brass, capsys, entry, message):
+    bad = tmp_path / "huge.ini"
+    bad.write_text(open(copper_brass).read() + "\n[quadrature]\n" + entry + "\n")
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["spectrum", str(bad), "copper", "--model", "dodd_deeds", "-o", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    assert peak < 2_000_000
+    assert not out.exists()
+
+
+def test_spectrum_step_halving_over_budget_exits_2(tmp_path, copper_brass, capsys, monkeypatch):
+    monkeypatch.setattr(dodd_deeds, "_BUDGET", 100)
+    dodd_deeds._kernel_table.cache_clear()
+    bad = tmp_path / "tight.ini"
+    quadrature = "\n[quadrature]\nn_panels = 8\nrel_tolerance = 1e-16\n"
+    bad.write_text(open(copper_brass).read() + quadrature)
+    try:
+        rc = main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")])
+    finally:
+        dodd_deeds._kernel_table.cache_clear()
+    assert rc == EXIT_NO_CONVERGENCE
+    assert capsys.readouterr().err.startswith("error: no convergence by halving")
 
 
 @pytest.mark.parametrize("entry", ["[quadrature]\nn_panels = inf", "[quadrature]\nn_panels = x"])
@@ -416,6 +456,28 @@ def test_bad_alpha0_exits_1(tmp_path, copper_brass, capsys, alpha0):
     assert main(args) == EXIT_OK
     assert main(["invert", str(out), "--alpha0", alpha0]) == EXIT_INVALID
     assert "alpha0" in capsys.readouterr().err
+
+
+def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass):
+    # alpha0 = 1e-320 passes 0 < alpha0 < inf, but every thin-plate value is
+    # nan: the writer refuses the rows that read_spectrum_csv would reject.
+    override = tmp_path / "subnormal.ini"
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-320\n")
+    out = tmp_path / "cu.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(eddyplate.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "eddyplate.cli", "spectrum", str(override), "copper",
+         "--model", "thin_plate", "-o", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == EXIT_INVALID
+    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: {out}: non-finite value at freq_hz = 1000; nothing written"]
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -30,6 +31,8 @@ from eddyplate.dodd_deeds import (
 )
 from eddyplate.te_layered import generalized_reflection
 
+from oracles import filament_stack_mutual
+
 COIL = default_sensor()
 QUAD = QuadratureSpec()
 # The five plates of the benchmark: copper, its brass sigma*D equivalent, an
@@ -47,40 +50,6 @@ def trapezoid_p(coil, alpha, n=200001):
     """Oracle: P(alpha) by brute-force trapezoid over [alpha r1, alpha r2]."""
     x = np.linspace(alpha * coil.inner_radius, alpha * coil.outer_radius, n)
     return np.trapezoid(x * special.j1(x), x)
-
-
-def filament_mutual(r_a, r_b, z):
-    """Oracle: Neumann mutual inductance of two coaxial circular filaments.
-
-    M = mu0 sqrt(ra rb) [(2/k - k) K(k^2) - (2/k) E(k^2)]   (scipy's m = k^2
-    convention for the complete elliptic integrals).
-    """
-    m = 4.0 * r_a * r_b / ((r_a + r_b) ** 2 + z * z)
-    k = np.sqrt(m)
-    return (
-        MU_0
-        * np.sqrt(r_a * r_b)
-        * ((2.0 / k - k) * special.ellipk(m) - (2.0 / k) * special.ellipe(m))
-    )
-
-
-def filament_stack_mutual(coil, n=25, mirrored=False):
-    """Oracle: coil pair as two stacks of n filaments at the mean radius.
-
-    ``mirrored`` reflects the receive stack in the plate surface z = 0.
-    """
-    r = 0.5 * (coil.inner_radius + coil.outer_radius)
-    z_tx = coil.tx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
-    z_rx = coil.rx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
-    if mirrored:
-        z_rx = -z_rx
-    per_filament_tx = coil.turns_tx / n
-    per_filament_rx = coil.turns_rx / n
-    total = 0.0
-    for za in z_tx:
-        for zb in z_rx:
-            total += filament_mutual(r, r, zb - za)
-    return total * per_filament_tx * per_filament_rx
 
 
 def uniform_trapezoid(coil, alpha_max, distance, phi):
@@ -329,6 +298,53 @@ def test_truncation_warning_below_lowest_node(monkeypatch):
         dodd_deeds._kernel_table.cache_clear()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # about 1.05e8 sub-panels x 10 points, 8 GB, at the top node alone
+        (lambda: radial_integral(COIL, 1e12), r"alpha = 1e\+12 1/m asks for 1.05e\+08 radial"),
+        (lambda: radial_integral(COIL, 1e20), r"alpha = 1e\+20 1/m asks for 1.05e\+16 radial"),
+        # past the intp cast, which would wrap
+        (lambda: radial_integral(COIL, 1e300), r"alpha = 1e\+300 1/m asks for 1.05e\+296 radial"),
+        (
+            lambda: delta_L(COIL, PLATES[0], 1e4, QuadratureSpec(alpha_max=1e12)),
+            r"alpha_max = 1e\+12 1/m asks for .* radial sub-panels, more than the budget",
+        ),
+        (
+            lambda: delta_L_air(COIL, QuadratureSpec(alpha_max=1e12)),
+            r"alpha_max = 1e\+12 1/m asks for .* radial sub-panels, more than the budget",
+        ),
+        (
+            lambda: delta_L(COIL, PLATES[0], 1e4, QuadratureSpec(n_panels=10**9)),
+            r"n_panels = 1000000000 asks for 5.\de\+09 nodes, more than the budget",
+        ),
+    ],
+)
+def test_quadrature_over_budget_fails_fast(call, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_step_halving_over_budget_is_no_convergence(monkeypatch):
+    # Level 0 holds 42 nodes at 8 steps per decade; the third halving adds
+    # 164 midpoints, more than a budget of 100. The estimates do not reach
+    # 1e-16 before (test_quadrature_convergence_error).
+    monkeypatch.setattr(dodd_deeds, "_BUDGET", 100)
+    dodd_deeds._kernel_table.cache_clear()
+    try:
+        quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
+        with pytest.raises(QuadratureConvergenceError, match="halving 3: n_panels = 8 asks for 164"):
+            delta_L(COIL, PLATES[0], 2 * np.pi * 10.0, quad)
+    finally:
+        dodd_deeds._kernel_table.cache_clear()
+
+
 def test_omega_validation():
     with pytest.raises(ValueError):
         delta_L(COIL, Plate(59.8e6, 0.56e-3), 0.0, QUAD)
@@ -338,6 +354,9 @@ def test_quadrature_spec_rejects_non_finite():
     for kwargs in (
         dict(alpha_max=np.nan),
         dict(alpha_max=np.inf),
+        # alpha_max^6 of the truncation check would underflow to 0
+        dict(alpha_max=1e-100),
+        dict(alpha_max=0.99 * dodd_deeds._ALPHA_MAX_FLOOR),
         dict(n_panels=np.nan),
         dict(n_panels=np.inf),
         dict(n_panels=16.5),

@@ -60,3 +60,12 @@ def test_spectrum_csv_without_rows_is_rejected(tmp_path):
         path.write_text(body)
         with pytest.raises(ValueError, match=f"{path}: no data rows"):
             read_spectrum_csv(str(path))
+
+
+def test_spectrum_csv_writer_refuses_non_finite_values(tmp_path):
+    delta = np.array([1.0 + 1.0j, complex(np.nan, 0.0), complex(0.0, np.inf)])
+    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], delta, normalized=False, model_tag="dodd_deeds")
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"{path}: non-finite value at freq_hz = 20;"):
+        write_spectrum_csv(str(path), spectrum)
+    assert not path.exists()

@@ -3,21 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eddyplate import (
-    MU_0,
-    Plate,
-    QuadratureSpec,
-    default_sensor,
+import eddyplate
+from eddyplate import MU_0, Plate, QuadratureSpec, default_sensor, generalized_reflection
+from eddyplate import te_layered
+from eddyplate.dodd_deeds import _kernel_table
+
+from oracles import (
+    HALF_SPACE_EXPONENT,
+    complex_sqrt_reflection,
     fresnel,
-    generalized_reflection,
+    series_reflection,
     wavenumber,
 )
-from eddyplate.dodd_deeds import _kernel_table
-from eddyplate.te_layered import _complex
-
-# Above this Re(2 k2 D) the reference form below sets E = 0 (the half-space
-# limit); generalized_reflection has no such branch and must match it anyway.
-HALF_SPACE_EXPONENT = 700.0
 
 # The five plates of the benchmark, a vacuum slab, and a thick magnetic
 # conductor whose high-frequency elements are in the half-space regime.
@@ -32,59 +29,46 @@ BITWISE_PLATES = (
 )
 
 
-def series_reflection(alpha0, omega, plate, min_terms=20, rel_term=1e-14):
-    """Independent oracle: sum the interface multiple-reflection series.
-
-    R~ = R12 + sum_n T12 R23 (R21 R23)^(n-1) T21 E^n,  E = exp(-2 k2 D),
-    summed until terms are negligible. Kept deliberately naive.
-    """
-    mu2 = MU_0 * plate.relative_permeability
-    k1 = wavenumber(alpha0, omega, 0.0, MU_0)
-    k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
-    r12, t12 = fresnel(k1, k2, MU_0, mu2)
-    r21, t21 = fresnel(k2, k1, mu2, MU_0)
-    r23 = r21
-    E = np.exp(-2.0 * k2 * plate.thickness)
-    total = r12
-    term = t12 * r23 * t21 * E
-    n = 1
-    while True:
-        total = total + term
-        if n >= min_terms and abs(term) < rel_term * abs(total):
-            return total, n
-        if n > 100000:
-            raise RuntimeError("series did not converge")
-        term = term * (r21 * r23 * E)
-        n += 1
-
-
-def complex_sqrt_reflection(alpha0, omega, plate):
-    """Reference: the reflection with both wavenumbers from complex sqrt.
-
-    ``generalized_reflection`` builds k1 = |alpha0| and k2 in real
-    arithmetic and must round exactly like this form.
-    """
-    mu_r = plate.relative_permeability
-    mu2 = MU_0 * mu_r
-    k1 = wavenumber(alpha0, omega, 0.0, MU_0)
-    k2 = wavenumber(alpha0, omega, plate.conductivity, mu2)
-    den = mu_r * k1 + k2
-    num = (mu_r - 1.0) * (mu_r + 1.0) * (k1 * k1) - 1j * omega * plate.conductivity * mu2
-    x = (-2.0 * plate.thickness) * k2.real
-    tau = np.tan(plate.thickness * k2.imag)
-    ea_sin_b = np.exp(x) * (2.0 * tau / (1.0 + tau * tau))
-    one_minus_E = np.where(
-        x < -HALF_SPACE_EXPONENT, 1.0, _complex(ea_sin_b * tau - np.expm1(x), ea_sin_b)
-    )
-    q = 4.0 * mu_r * k1 * k2
-    return num * one_minus_E / (q + num * (num / (den * den) * one_minus_E))
-
-
 def assert_bitwise_equal(a, b):
     """Same complex values bit for bit, signed zeros included."""
     a, b = np.atleast_1d(a), np.atleast_1d(b)
     assert a.dtype == b.dtype == np.complex128
     assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_public_surface():
+    # The per-interface wavenumbers and Fresnel coefficients are test oracles
+    # (oracles.py), not part of the package.
+    assert sorted(eddyplate.__all__) == [
+        "CoilPair",
+        "EquivalenceReport",
+        "InductanceSpectrum",
+        "MU_0",
+        "Plate",
+        "QuadratureConvergenceError",
+        "QuadratureSpec",
+        "SigmaDFit",
+        "SweepSpec",
+        "TruncationWarning",
+        "compare",
+        "default_sensor",
+        "delta_L",
+        "delta_L_air",
+        "derive_alpha0",
+        "equivalent_plate",
+        "equivalent_thickness",
+        "fit_sigma_d",
+        "frequency_grid",
+        "generalized_reflection",
+        "normalized_response_exact",
+        "normalized_response_thin",
+        "sweep",
+    ]
+    for name in eddyplate.__all__:
+        assert getattr(eddyplate, name) is not None
+    for module in (eddyplate, te_layered):
+        for name in ("wavenumber", "fresnel", "InterfaceCoeffs"):
+            assert not hasattr(module, name)
 
 
 def test_wavenumber_sigma_zero_is_alpha0():

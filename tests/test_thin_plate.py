@@ -13,6 +13,8 @@ from eddyplate import (
 )
 from eddyplate.thin_plate import ThinRegimeWarning
 
+from oracles import fresnel, wavenumber
+
 A0 = 1.0 / 0.006
 FREQS = np.geomspace(10.0, 1e6, 60)
 
@@ -76,8 +78,6 @@ def test_thin_vs_exact_aluminium_one_percent():
 
 
 def test_exact_half_space_limit():
-    from eddyplate import fresnel, wavenumber
-
     omega = 2 * np.pi * 100e3
     thick = Plate(59.8e6, 1.0)
     k1 = wavenumber(A0, omega, 0.0, MU_0)
