@@ -79,6 +79,13 @@ def sweep(
 
     if model in _NORMALIZED_MODELS:
         a0 = derive_alpha0(coil) if alpha0 is None else alpha0
+        with np.errstate(over="ignore"):  # c of _thin_response at the top frequency
+            c_max = omegas.max() * MU_0 * plate.sigma_thickness_product / (2.0 * a0)
+        if not np.isfinite(c_max):
+            raise ValueError(
+                f"alpha0 = {a0:.6g} 1/m: c = j omega mu0 sigma D / (2 alpha0) overflows "
+                f"at f = {freqs.max():.6g} Hz"
+            )
         return InductanceSpectrum(
             frequencies=freqs,
             delta_L=_NORMALIZED_MODELS[model](a0, omegas, plate),

@@ -74,6 +74,16 @@ def test_sweep_alpha0_override():
                 sweep(model, COIL, Plate(36.9e6, 20e-6), spec, alpha0=bad)
 
 
+@pytest.mark.parametrize("model", ["thin_plate", "thin_plate_exact"])
+def test_sweep_rejects_alpha0_where_c_overflows(model):
+    # c = j omega mu0 sigma D / (2 alpha0) = 6.6e310 j on copper at 500 kHz
+    plate, spec = Plate(59.8e6, 0.56e-3), SweepSpec(1e3, 5e5, 50)
+    for alpha0 in (1e-320, 1e-306):
+        with pytest.raises(ValueError, match=rf"alpha0 = {alpha0:.6g} 1/m: c = .* at f = 500000 Hz"):
+            sweep(model, COIL, plate, spec, alpha0=alpha0)
+    assert np.all(np.isfinite(sweep(model, COIL, plate, spec, alpha0=1e-300).delta_L))
+
+
 def test_sweep_dodd_deeds_single_point_consistency():
     from eddyplate import delta_L
 

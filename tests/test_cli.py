@@ -458,26 +458,103 @@ def test_bad_alpha0_exits_1(tmp_path, copper_brass, capsys, alpha0):
     assert "alpha0" in capsys.readouterr().err
 
 
-def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass):
-    # alpha0 = 1e-320 passes 0 < alpha0 < inf, but every thin-plate value is
-    # nan: the writer refuses the rows that read_spectrum_csv would reject.
-    override = tmp_path / "subnormal.ini"
-    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-320\n")
-    out = tmp_path / "cu.csv"
-    env = dict(os.environ, PYTHONPATH=str(Path(eddyplate.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "eddyplate.cli", "spectrum", str(override), "copper",
-         "--model", "thin_plate", "-o", str(out)],
-        env=env,
+def run_cli(argv, code=None):
+    """The CLI in a fresh interpreter: ``python -m eddyplate.cli argv``, or
+    ``python -c code argv``."""
+    command = ["-m", "eddyplate.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *command, *argv],
+        env=dict(os.environ, PYTHONPATH=str(Path(eddyplate.__file__).parents[1])),
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass):
+    # alpha0 = 1e160 passes the sweep's checks, but every thin_plate_exact
+    # value is nan: the writer refuses the rows that read_spectrum_csv would
+    # reject.
+    override = tmp_path / "huge.ini"
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e160\n")
+    out = tmp_path / "cu.csv"
+    done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)])
     assert done.returncode == EXIT_INVALID
     errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
     assert errors == [f"error: {out}: non-finite value at freq_hz = 1000; nothing written"]
     assert "Traceback" not in done.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha0", ["1e-320", "1e-306"])
+def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0):
+    # c = j omega mu0 sigma D / (2 alpha0) overflows at 500 kHz: the sweep
+    # rejects alpha0 before the model divides by it.
+    override = tmp_path / "tiny.ini"
+    override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
+    out = tmp_path / "cu.csv"
+    done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)])
+    assert done.returncode == EXIT_INVALID
+    assert len(done.stderr.splitlines()) == 1
+    assert re.match(r"error: alpha0 = \S+ 1/m: c = .* overflows at f = 500000 Hz$", done.stderr)
+    assert not out.exists()
+    # 1e-300 keeps c finite, and so every row
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-300\n")
+    assert main(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_OK
+    assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
+
+
+def test_zero_integral_warns_once(tmp_path, copper_brass):
+    # At alpha_max = 5.4e-52 1/m every delta_L underflows to 0, and the tail
+    # check says so in one line.
+    scenario = tmp_path / "tiny.ini"
+    scenario.write_text(
+        open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 5.4e-52\nn_panels = 8\n"
+    )
+    done = run_cli(["spectrum", str(scenario), "copper", "--model", "dodd_deeds", "-o", str(tmp_path / "cu.csv")])
+    assert done.returncode == EXIT_OK, done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert re.match(r"warning: tail estimate .* of the integral 0; increase alpha_max$", done.stderr)
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, eddyplate.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = run_cli([], code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+# The CLI with every scipy import refused by a meta path finder, once the
+# refusal is shown to work.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, Refuse())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("scipy was imported")
+from eddyplate.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_spectrum_runs_without_scipy(tmp_path, copper_brass):
+    argv = ["spectrum", copper_brass, "copper", "--model", "dodd_deeds", "-o"]
+    done = run_cli([*argv, str(tmp_path / "refused.csv")], _WITHOUT_SCIPY)
+    assert done.returncode == EXIT_OK, done.stderr
+    assert done.stderr == ""
+    assert main([*argv, str(tmp_path / "ref.csv")]) == EXIT_OK
+    assert (tmp_path / "refused.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])

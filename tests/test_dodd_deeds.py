@@ -127,6 +127,69 @@ def test_radial_integral_against_struve_closed_form():
         assert np.all(error <= 1e-12 * np.maximum(np.abs(exact), envelope)), coil
 
 
+def test_j1_against_mpmath():
+    # 2,306 points over the three branches: x < 2 (power series), 2 <= x <= 25
+    # (trapezoid rule) and x > 25 (Hankel), with each edge and its neighbours
+    # 1 ulp away. The error is gated against the envelope min(x / 2,
+    # sqrt(2 / pi x)) of |J1|, since J1 itself has zeros.
+    mpmath = pytest.importorskip("mpmath")
+    edges = [np.nextafter(edge, toward) for edge in (2.0, 25.0) for toward in (0.0, edge, np.inf)]
+    x = np.concatenate([np.geomspace(1e-12, 1e5, 1500), np.linspace(0.0, 40.0, 801)[1:], edges])
+    branches = (x < 2.0, (x >= 2.0) & (x <= 25.0), x > 25.0)
+    assert x.size == 2306 and all(np.count_nonzero(b) > 500 for b in branches)
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.besselj(1, mpmath.mpf(v))) for v in x])
+    envelope = np.minimum(x / 2.0, np.sqrt(2.0 / (np.pi * x)))
+    error = np.abs(dodd_deeds._j1(x) - exact)
+    assert np.all(error <= 1e-14 * envelope)
+
+
+def test_expit_matches_scipy():
+    v = np.linspace(-50.0, 50.0, 100_001)
+    reference = special.expit(v)
+    assert np.all(np.abs(dodd_deeds._expit(v) - reference) <= 4e-15 * reference)
+
+
+# radial_integral's tracemalloc peak on 1e5 sub-panels before _j1, when it
+# called scipy's J1 on the whole (sub-panel x Gauss point) array: 29.6 MB on
+# 1e5 one-panel nodes, 26.4 MB on one node of 1e5 sub-panels.
+@pytest.mark.parametrize(
+    "alphas, lo, hi, before",
+    [
+        (np.linspace(50.0, 300.0, 100_000), 0.0, 2.0, 29.6e6),  # power series
+        (np.linspace(780.0, 830.0, 100_000), 2.0, 25.0, 29.6e6),  # trapezoid rule, x near 5
+        (np.array([3e5 / (COIL.outer_radius - COIL.inner_radius)]), 25.0, np.inf, 26.4e6),  # Hankel
+    ],
+    ids=["series", "trapezoid", "hankel"],
+)
+def test_radial_integral_memory(alphas, lo, hi, before):
+    sub_panels = np.maximum(1, np.ceil(alphas * (COIL.outer_radius - COIL.inner_radius) / 3.0))
+    assert sub_panels.sum() == pytest.approx(1e5, rel=1e-4)
+    assert lo <= alphas.min() * COIL.inner_radius and alphas.max() * COIL.outer_radius <= hi
+    tracemalloc.start()
+    try:
+        radial_integral(COIL, alphas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * before
+
+
+def test_zero_integral_is_not_exempt_from_the_tail_check():
+    # At alpha_max = 5.4e-52 1/m, P^2 underflows to 0 on every node, so L_air
+    # and the copper plate's delta_L come out 0 while the tail beyond
+    # alpha_max holds all of the integral.
+    quad = QuadratureSpec(alpha_max=5.4e-52, n_panels=8)
+    with pytest.warns(TruncationWarning, match="increase alpha_max"):
+        assert delta_L_air(COIL, quad) == 0.0
+    with pytest.warns(TruncationWarning, match="increase alpha_max"):
+        assert delta_L(COIL, PLATES[0], 1e4, quad) == 0.0
+    # A plate that reflects nothing has delta_L = 0 and no tail at all.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert delta_L(COIL, Plate(0.0, 1e-3), 1e4, quad) == 0.0
+
+
 def test_radial_integral_vectorized_matches_scalar():
     # One call mixes nodes of one sub-panel (alpha (r2 - r1) <= 8) with
     # nodes of up to 40, in shuffled order: each node's value is its own.
@@ -622,34 +685,34 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, scipy 1.17, x86-64), frozen from the solver after its
-# trapezoid rule moved to the stretched grid in ln(alpha). They agree to
-# 1.8e-15 relative with the values frozen before, from a uniform step.
+# plates (numpy 2.4, x86-64), frozen from the solver after radial_integral
+# moved from scipy's J1 to its own _j1. They agree to 2.1e-16 relative with
+# the values frozen before, from scipy's J1 on the same stretched grid.
 FROZEN_DELTA_L = (
     (
         (-7.031203347622593e-11-2.6066902056236237e-09j), (-1.3234719970067289e-08-3.867036469571212e-08j),
-        (-1.6416859635900688e-07-5.143563489130852e-08j), (-1.8724429333723122e-07-6.638248929748473e-09j),
-        (-1.9282231611300297e-07-1.7112523289472496e-09j),
+        (-1.6416859635900688e-07-5.1435634891308525e-08j), (-1.8724429333723122e-07-6.638248929748473e-09j),
+        (-1.9282231611300297e-07-1.7112523289472498e-09j),
     ),
     (
-        (-6.443848236945221e-11-2.3091109458576784e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
-        (-1.4412129289928278e-07-4.877250939039611e-08j), (-1.8079881266421797e-07-1.2575949686443749e-08j),
-        (-1.9128229769924192e-07-3.200717268265164e-09j),
+        (-6.44384823694522e-11-2.309110945857678e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
+        (-1.4412129289928278e-07-4.877250939039612e-08j), (-1.80798812664218e-07-1.257594968644375e-08j),
+        (-1.912822976992419e-07-3.2007172682651646e-09j),
     ),
     (
-        (-3.678712357730889e-14-6.04896331984518e-11j), (-1.145659128091447e-11-1.0751843085760898e-09j),
-        (-2.880289676202159e-09-1.819428724472047e-08j), (-1.2102287003497922e-07-8.245889107563583e-08j),
-        (-1.9364731481234207e-07-9.080797438480547e-09j),
+        (-3.678712357730889e-14-6.048963319845179e-11j), (-1.1456591280914468e-11-1.0751843085760898e-09j),
+        (-2.8802896762021586e-09-1.8194287244720474e-08j), (-1.2102287003497925e-07-8.245889107563583e-08j),
+        (-1.9364731481234204e-07-9.080797438480547e-09j),
     ),
     (
         (-3.670515750184897e-14-6.029259077522123e-11j), (-1.1430688374899167e-11-1.0716806870625666e-09j),
-        (-2.8726362106993688e-09-1.813345380504296e-08j), (-1.205811368691012e-07-8.218133219338694e-08j),
+        (-2.8726362106993688e-09-1.813345380504296e-08j), (-1.205811368691012e-07-8.218133219338695e-08j),
         (-1.9303057858170528e-07-9.079741245463363e-09j),
     ),
     (
-        (1.7668902938228717e-07-5.109970428702581e-10j), (1.75353338573201e-07-8.786709202245892e-09j),
-        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.1303333481733694e-08-7.330247250574361e-08j),
-        (-1.1792421910892143e-07-5.080399510394747e-08j),
+        (1.7668902938228717e-07-5.109970428702581e-10j), (1.75353338573201e-07-8.786709202245894e-09j),
+        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.13033334817337e-08-7.330247250574361e-08j),
+        (-1.1792421910892143e-07-5.080399510394748e-08j),
     ),
 )
 
