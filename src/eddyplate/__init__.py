@@ -15,7 +15,6 @@ from .model import (
 from .te_layered import generalized_reflection
 from .thin_plate import (
     equivalent_plate,
-    equivalent_thickness,
     normalized_response_exact,
     normalized_response_thin,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "normalized_response_exact",
     "normalized_response_thin",
     "equivalent_plate",
-    "equivalent_thickness",
     "delta_L",
     "delta_L_air",
     "sweep",

@@ -70,7 +70,9 @@ def sweep(
     "thin_plate_exact" (normalized finite-thickness bracket) or
     "dodd_deeds" (absolute henries, the whole grid in one batched
     ``dodd_deeds.delta_L`` call, whose QuadratureConvergenceError names the
-    first frequency that did not converge).
+    first frequency that did not converge). ``alpha0`` must be positive and
+    finite, and a normalized model must be finite at every frequency at it:
+    otherwise ValueError names alpha0 and the first frequency that is not.
     """
     if alpha0 is not None and not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -79,16 +81,16 @@ def sweep(
 
     if model in _NORMALIZED_MODELS:
         a0 = derive_alpha0(coil) if alpha0 is None else alpha0
-        with np.errstate(over="ignore"):  # c of _thin_response at the top frequency
-            c_max = omegas.max() * MU_0 * plate.sigma_thickness_product / (2.0 * a0)
-        if not np.isfinite(c_max):
+        with np.errstate(all="ignore"):  # checked below
+            values = _NORMALIZED_MODELS[model](a0, omegas, plate)
+        if not np.all(np.isfinite(values)):
             raise ValueError(
-                f"alpha0 = {a0:.6g} 1/m: c = j omega mu0 sigma D / (2 alpha0) overflows "
-                f"at f = {freqs.max():.6g} Hz"
+                f"alpha0 = {a0:.6g} 1/m: the {model} response is not finite "
+                f"at f = {freqs[np.isfinite(values).argmin()]:.6g} Hz"
             )
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=_NORMALIZED_MODELS[model](a0, omegas, plate),
+            delta_L=values,
             normalized=True,
             model_tag=model,
             metadata={"alpha0": a0},
@@ -178,10 +180,11 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     Minimizes the squared misfit |model - data|^2 of the thin-plate model
     against a normalized spectrum. The model depends on the plate only
     through sigma*D / alpha0, so at a known alpha0 sigma*D is its one
-    unknown, and each step is the scalar -Re<J, r> / ||J||^2. A spectrum
-    whose misfit overflows is rejected: its cost could not tell convergence.
-    A fit whose standard error is not finite, so that the data do not pin
-    sigma*D down, is reported as not converged.
+    unknown, and each step is the scalar -Re<J, r> / ||J||^2. An alpha0 at
+    which (omega mu0 / (2 alpha0))^2 is not a normal double on the spectrum's
+    band, or a spectrum whose misfit overflows, is rejected: the fit could
+    not tell convergence. A fit whose standard error is not finite, so that
+    the data do not pin sigma*D down, is reported as not converged.
     """
     if not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -193,6 +196,13 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
         raise ValueError("spectrum is identically zero")
 
     omegas = 2.0 * np.pi * spectrum.frequencies
+    with np.errstate(over="ignore", under="ignore"):
+        u_sq = (omegas * MU_0 / (2.0 * alpha0)) ** 2
+    if not (u_sq.max() < np.inf and u_sq.min() >= np.finfo(float).tiny):
+        raise ValueError(
+            f"alpha0 = {alpha0:.6g} 1/m: (omega mu0 / (2 alpha0))^2 is not a normal number on "
+            f"{spectrum.frequencies.min():.6g}..{spectrum.frequencies.max():.6g} Hz"
+        )
     u = 1j * omegas * MU_0 / (2.0 * alpha0)
     data = spectrum.delta_L
 

@@ -53,13 +53,10 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_equivalent(args) -> int:
-    if (args.thickness is None) == (args.conductivity is None):
-        raise ValueError("give exactly one of --thickness or --conductivity")
     plate = load_scenario(args.scenario).plate(args.plate)
-    if args.thickness is not None:
-        eq = thin_plate.equivalent_plate(plate, parse_quantity(args.thickness, "m"))
-    else:
-        eq = thin_plate.equivalent_thickness(plate, parse_quantity(args.conductivity, "S/m"))
+    thickness = None if args.thickness is None else parse_quantity(args.thickness, "m")
+    conductivity = None if args.conductivity is None else parse_quantity(args.conductivity, "S/m")
+    eq = thin_plate.equivalent_plate(plate, thickness, conductivity=conductivity)
 
     print(f"equivalent plate for {args.plate!r}:")
     print(f"  conductivity = {eq.conductivity:.6g} S/m ({eq.conductivity / 1e6:.6g} MS/m)")

@@ -39,6 +39,8 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
         # the reader rejects such a row: refuse it before the file is opened
         if not (math.isfinite(f) and cmath.isfinite(v)):
             raise ValueError(f"{path}: non-finite value at freq_hz = {_fmt(f)}; nothing written")
+        if not f > 0.0:
+            raise ValueError(f"{path}: freq_hz = {_fmt(f)} is not > 0; nothing written")
         lines.append(f"{_fmt(f)},{_fmt(v.real)},{_fmt(v.imag)}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -47,9 +49,9 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
 def read_spectrum_csv(path: str) -> InductanceSpectrum:
     """Parse a spectrum file.
 
-    A malformed data row, or a format line naming another version than
-    FORMAT_VERSION, raises ValueError naming its line; a file with no data
-    row raises ValueError naming the file.
+    A malformed data row (not three finite numbers, or freq_hz not > 0), or a
+    format line naming another version than FORMAT_VERSION, raises ValueError
+    naming its line; a file with no data row raises ValueError naming the file.
     """
     meta: dict[str, str] = {}
     freqs, re, im = [], [], []
@@ -76,8 +78,8 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
                 f, dl_re, dl_im = map(float, line.split(","))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 3 numbers, got {line!r}") from None
-            if not (math.isfinite(f) and math.isfinite(dl_re) and math.isfinite(dl_im)):
-                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            if not (0.0 < f < math.inf and math.isfinite(dl_re) and math.isfinite(dl_im)):
+                raise ValueError(f"{path}:{lineno}: non-finite value or freq_hz <= 0 in {line!r}")
             freqs.append(f)
             re.append(dl_re)
             im.append(dl_im)

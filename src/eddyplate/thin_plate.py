@@ -69,32 +69,22 @@ def _thin_response(alpha0, omega, sigma_d):
     return -c / (1.0 + c)
 
 
-def equivalent_plate(original: Plate, target_thickness: float) -> Plate:
-    """Plate of the given thickness with the same sigma*D product.
+def equivalent_plate(original: Plate, thickness=None, *, conductivity=None) -> Plate:
+    """Plate of the same sigma*D and one target, a thickness or a conductivity.
 
-    conductivity = sigma1 * D1 / D2, so D1/D2 = sigma2/sigma1.
+    Exactly one must be given; the other value is sigma*D / target, so
+    D1/D2 = sigma2/sigma1. A target equal to the original's own value returns
+    the original. Magnetic plates are rejected.
     """
     _require_nonmagnetic(original)
-    if not 0.0 < target_thickness < np.inf:
-        raise ValueError(f"target thickness must be positive and finite, got {target_thickness}")
-    if target_thickness == original.thickness:
+    if (thickness is None) == (conductivity is None):
+        raise ValueError("give exactly one of thickness or conductivity")
+    name = "thickness" if conductivity is None else "conductivity"
+    target = thickness if conductivity is None else conductivity
+    if not 0.0 < target < np.inf:
+        raise ValueError(f"target {name} must be positive and finite, got {target}")
+    if target == getattr(original, name):
         return original
-    return Plate(
-        conductivity=original.sigma_thickness_product / target_thickness,
-        thickness=target_thickness,
-    )
-
-
-def equivalent_thickness(original: Plate, target_conductivity: float) -> Plate:
-    """Plate of the given conductivity with the same sigma*D product."""
-    _require_nonmagnetic(original)
-    if not 0.0 < target_conductivity < np.inf:
-        raise ValueError(
-            f"target conductivity must be positive and finite, got {target_conductivity}"
-        )
-    if target_conductivity == original.conductivity:
-        return original
-    return Plate(
-        conductivity=target_conductivity,
-        thickness=original.sigma_thickness_product / target_conductivity,
-    )
+    if conductivity is None:
+        return Plate(conductivity=original.sigma_thickness_product / target, thickness=target)
+    return Plate(conductivity=target, thickness=original.sigma_thickness_product / target)

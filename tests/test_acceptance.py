@@ -266,10 +266,10 @@ def test_criterion_8_inversion_round_trip(announce):
 def test_criterion_9_out_of_scope_declaration(announce):
     # Measured hardware curves, FEM mesh studies, and curved-plate spectra
     # are not reproducible here; their equivalence-transform arithmetic is.
-    from eddyplate import equivalent_plate, equivalent_thickness
+    from eddyplate import equivalent_plate
 
     brass_eq = equivalent_plate(COPPER, 2.00e-3)
-    bent = equivalent_thickness(Plate(59.8e6, 20e-6), 17.3e6)
+    bent = equivalent_plate(Plate(59.8e6, 20e-6), conductivity=17.3e6)
     ok = (
         abs(brass_eq.conductivity - 16.744e6) / 16.744e6 < 1e-12
         and abs(bent.thickness - 69.13e-6) / 69.13e-6 < 1e-3

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,14 +77,25 @@ def test_sweep_alpha0_override():
                 sweep(model, COIL, Plate(36.9e6, 20e-6), spec, alpha0=bad)
 
 
-@pytest.mark.parametrize("model", ["thin_plate", "thin_plate_exact"])
-def test_sweep_rejects_alpha0_where_c_overflows(model):
-    # c = j omega mu0 sigma D / (2 alpha0) = 6.6e310 j on copper at 500 kHz
+@pytest.mark.parametrize(
+    "model, rejected, kept",
+    [
+        # c = j omega mu0 sigma D / (2 alpha0) overflows on copper from 1 kHz at
+        # 1e-320 and from 1463 Hz at 1e-306
+        ("thin_plate", {1e-320: 1000, 1e-306: 1463}, 1e-300),
+        # the exact bracket stays finite (-1) there, but not past about 9.5e153
+        ("thin_plate_exact", {1e160: 1000, 1e200: 1000}, 1e152),
+    ],
+    ids=["thin_plate", "thin_plate_exact"],
+)
+def test_sweep_rejects_alpha0_where_c_overflows(model, rejected, kept):
     plate, spec = Plate(59.8e6, 0.56e-3), SweepSpec(1e3, 5e5, 50)
-    for alpha0 in (1e-320, 1e-306):
-        with pytest.raises(ValueError, match=rf"alpha0 = {alpha0:.6g} 1/m: c = .* at f = 500000 Hz"):
+    for alpha0, freq in rejected.items():
+        alpha0_text = re.escape(f"{alpha0:.6g}")
+        message = rf"alpha0 = {alpha0_text} 1/m: the {model} response is not finite at f = {freq} Hz$"
+        with pytest.raises(ValueError, match=message):
             sweep(model, COIL, plate, spec, alpha0=alpha0)
-    assert np.all(np.isfinite(sweep(model, COIL, plate, spec, alpha0=1e-300).delta_L))
+    assert np.all(np.isfinite(sweep(model, COIL, plate, spec, alpha0=kept).delta_L))
 
 
 def test_sweep_dodd_deeds_single_point_consistency():
@@ -278,3 +292,28 @@ def test_fit_rejects_bad_inputs():
     for bad in (np.nan, np.inf, 0.0, -A0):
         with pytest.raises(ValueError, match="alpha0"):
             fit_sigma_d(good, bad)
+
+
+# The thin_plate spectrum of copper_brass.ini's copper plate, at alpha0 = 166.67 1/m.
+COPPER_THIN = sweep("thin_plate", COIL, Plate(59.8e6, 0.56e-3), SweepSpec(1e3, 5e5, 50))
+
+
+@pytest.mark.parametrize("alpha0", [1e-306, 1e-200, 1e-160, 1e160, 1e200])
+def test_fit_rejects_alpha0_out_of_range(alpha0):
+    # (omega mu0 / (2 alpha0))^2 overflows at 500 kHz below about 1.5e-154 1/m
+    # and is subnormal at 1 kHz above about 2.6e151 1/m
+    alpha0_text = re.escape(f"{alpha0:.6g}")
+    with pytest.raises(ValueError, match=rf"^alpha0 = {alpha0_text} 1/m: .* not a normal number"):
+        fit_sigma_d(COPPER_THIN, alpha0)
+
+
+def test_fit_sigma_d_scales_with_alpha0():
+    # The model depends on sigma*D / alpha0 only, across the admitted range.
+    ratios = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha0 in (1e-150, 1e-100, 1.0, 1e100, 1e150):
+            fit = fit_sigma_d(COPPER_THIN, alpha0)
+            assert fit.converged
+            ratios.append(fit.sigma_d / alpha0)
+    np.testing.assert_allclose(ratios, fit_sigma_d(COPPER_THIN, A0).sigma_d / A0, rtol=1e-12)

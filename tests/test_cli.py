@@ -425,7 +425,9 @@ def test_invert_absolute_spectrum_exits_1(tmp_path, copper_brass, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bad_row", ["1,2", "1e3,0.5,1,2", "1e3,x,0.1", "1e3,nan,0.1", "1e3,0.5,inf"])
+@pytest.mark.parametrize(
+    "bad_row", ["1,2", "1e3,0.5,1,2", "1e3,x,0.1", "1e3,nan,0.1", "1e3,0.5,inf", "-5,-0.5,0.1", "0,-0.5,0.1"]
+)
 def test_invert_malformed_row_exits_1(tmp_path, copper_brass, capsys, bad_row):
     out = tmp_path / "cu.csv"
     main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
@@ -472,36 +474,53 @@ def run_cli(argv, code=None):
 
 
 def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass):
-    # alpha0 = 1e160 passes the sweep's checks, but every thin_plate_exact
-    # value is nan: the writer refuses the rows that read_spectrum_csv would
-    # reject.
+    # Every thin_plate_exact value is nan at alpha0 = 1e160: the sweep says so
+    # before the model's numpy warnings or the writer's refusal are reached.
     override = tmp_path / "huge.ini"
     override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e160\n")
     out = tmp_path / "cu.csv"
     done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)])
     assert done.returncode == EXIT_INVALID
-    errors = [line for line in done.stderr.splitlines() if line.startswith("error:")]
-    assert errors == [f"error: {out}: non-finite value at freq_hz = 1000; nothing written"]
-    assert "Traceback" not in done.stderr
+    assert done.stderr == (
+        "error: alpha0 = 1e+160 1/m: the thin_plate_exact response is not finite at f = 1000 Hz\n"
+    )
     assert not out.exists()
+    # 1e152 keeps every row finite
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e152\n")
+    args = ["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)]
+    assert main(args) == EXIT_OK
+    assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
 
 
-@pytest.mark.parametrize("alpha0", ["1e-320", "1e-306"])
-def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0):
-    # c = j omega mu0 sigma D / (2 alpha0) overflows at 500 kHz: the sweep
-    # rejects alpha0 before the model divides by it.
+@pytest.mark.parametrize("alpha0, freq", [("1e-320", "1000"), ("1e-306", "1463")], ids=["1e-320", "1e-306"])
+def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0, freq):
+    # c = j omega mu0 sigma D / (2 alpha0) overflows from f = freq on: the
+    # sweep rejects alpha0 before the model's numpy warnings are printed.
     override = tmp_path / "tiny.ini"
     override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
     out = tmp_path / "cu.csv"
     done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)])
     assert done.returncode == EXIT_INVALID
     assert len(done.stderr.splitlines()) == 1
-    assert re.match(r"error: alpha0 = \S+ 1/m: c = .* overflows at f = 500000 Hz$", done.stderr)
+    message = rf"error: alpha0 = \S+ 1/m: the thin_plate response is not finite at f = {freq} Hz$"
+    assert re.match(message, done.stderr)
     assert not out.exists()
     # 1e-300 keeps c finite, and so every row
     override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-300\n")
     assert main(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_OK
     assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
+
+
+@pytest.mark.parametrize("alpha0", ["1e-306", "1e200"])
+def test_invert_alpha0_out_of_range_exits_1(tmp_path, copper_brass, alpha0):
+    # (omega mu0 / (2 alpha0))^2 over- or underflows on the spectrum's band
+    spectrum = tmp_path / "cu.csv"
+    assert main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(spectrum)]) == EXIT_OK
+    done = run_cli(["invert", str(spectrum), "--alpha0", alpha0])
+    assert done.returncode == EXIT_INVALID
+    assert len(done.stderr.splitlines()) == 1
+    assert re.match(r"error: alpha0 = \S+ 1/m: .* not a normal number on 1000\.\.500000 Hz$", done.stderr)
+    assert done.stdout == ""
 
 
 def test_zero_integral_warns_once(tmp_path, copper_brass):
@@ -604,22 +623,19 @@ def test_equivalent_quantity_of_another_unit_exits_1(copper_brass, capsys, optio
     )
 
 
-def test_equivalent_needs_exactly_one_target(copper_brass):
-    assert main(["equivalent", copper_brass, "copper"]) == EXIT_INVALID
-    assert (
-        main(
-            [
-                "equivalent",
-                copper_brass,
-                "copper",
-                "--thickness",
-                "2mm",
-                "--conductivity",
-                "17.3MS/m",
-            ]
-        )
-        == EXIT_INVALID
-    )
+def test_equivalent_needs_exactly_one_target(copper_brass, capsys):
+    one_target = "exactly one of thickness or conductivity"
+    for targets, message in [
+        ([], one_target),
+        (["--thickness", "2mm", "--conductivity", "17.3MS/m"], one_target),
+        (["--thickness", ""], "bad quantity ''"),
+        (["--conductivity", ""], "bad quantity ''"),
+    ]:
+        assert main(["equivalent", copper_brass, "copper", *targets]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+        assert message in captured.err
 
 
 def test_foreign_spectrum_format_exits_1(tmp_path, copper_brass, capsys):

@@ -69,3 +69,17 @@ def test_spectrum_csv_writer_refuses_non_finite_values(tmp_path):
     with pytest.raises(ValueError, match=f"{path}: non-finite value at freq_hz = 20;"):
         write_spectrum_csv(str(path), spectrum)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("freq", [-5.0, 0.0, -0.0])
+def test_spectrum_csv_rejects_frequencies_not_above_zero(tmp_path, freq):
+    # SweepSpec's rule f_min > 0, on both sides of the file
+    spectrum = InductanceSpectrum([freq, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"{path}: freq_hz = {freq:g} is not > 0; nothing written"):
+        write_spectrum_csv(str(path), spectrum)
+    assert not path.exists()
+
+    path.write_text(f"# normalized=true\nfreq_hz,dL_re,dL_im\n10,-0.5,0.1\n{freq!r},-0.5,0.1\n")
+    with pytest.raises(ValueError, match=f"{path}:4: non-finite value or freq_hz <= 0 in"):
+        read_spectrum_csv(str(path))

@@ -56,7 +56,6 @@ def test_public_surface():
         "delta_L_air",
         "derive_alpha0",
         "equivalent_plate",
-        "equivalent_thickness",
         "fit_sigma_d",
         "frequency_grid",
         "generalized_reflection",

@@ -7,7 +7,6 @@ from eddyplate import (
     MU_0,
     Plate,
     equivalent_plate,
-    equivalent_thickness,
     normalized_response_exact,
     normalized_response_thin,
 )
@@ -137,6 +136,8 @@ def test_magnetic_plate_rejected():
         normalized_response_exact(A0, 2 * np.pi * 1e5, magnetic)
     with pytest.raises(ValueError):
         equivalent_plate(magnetic, 1e-3)
+    with pytest.raises(ValueError, match="non-magnetic"):
+        equivalent_plate(magnetic, conductivity=1e6)
 
 
 def test_equivalent_plate_copper_to_brass():
@@ -151,20 +152,20 @@ def test_equivalent_plate_aluminium():
 
 
 def test_equivalent_thickness_bent_copper():
-    result = equivalent_thickness(Plate(59.8e6, 20e-6), 17.3e6)
+    result = equivalent_plate(Plate(59.8e6, 20e-6), conductivity=17.3e6)
     assert result.thickness == pytest.approx(69.13e-6, rel=1e-3)
 
 
 def test_equivalence_identity_transforms():
     plate = Plate(59.8e6, 0.56e-3)
     assert equivalent_plate(plate, plate.thickness) == plate
-    assert equivalent_thickness(plate, plate.conductivity) == plate
+    assert equivalent_plate(plate, conductivity=plate.conductivity) == plate
 
 
 def test_equivalence_round_trip():
     plate = Plate(36.9e6, 20e-6)
     via = equivalent_plate(plate, 55e-6)
-    back = equivalent_thickness(via, plate.conductivity)
+    back = equivalent_plate(via, conductivity=plate.conductivity)
     assert back.conductivity == plate.conductivity
     assert back.thickness == pytest.approx(plate.thickness, rel=1e-14)
     assert back.sigma_thickness_product == pytest.approx(
@@ -177,9 +178,17 @@ def test_equivalence_rejects_bad_targets():
     with pytest.raises(ValueError):
         equivalent_plate(plate, 0.0)
     with pytest.raises(ValueError):
-        equivalent_thickness(plate, -1.0)
+        equivalent_plate(plate, conductivity=-1.0)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="target thickness must be positive and finite"):
             equivalent_plate(plate, bad)
         with pytest.raises(ValueError, match="target conductivity must be positive and finite"):
-            equivalent_thickness(plate, bad)
+            equivalent_plate(plate, conductivity=bad)
+
+
+def test_equivalence_needs_exactly_one_target():
+    plate = Plate(36.9e6, 20e-6)
+    with pytest.raises(ValueError, match="exactly one of thickness or conductivity"):
+        equivalent_plate(plate)
+    with pytest.raises(ValueError, match="exactly one of thickness or conductivity"):
+        equivalent_plate(plate, 1e-3, conductivity=1e6)
