@@ -17,7 +17,7 @@ from eddyplate import (
     Plate,
     default_sensor,
     derive_alpha0,
-    normalized_response_exact,
+    generalized_reflection,
     normalized_response_thin,
 )
 from eddyplate.thin_plate import ThinRegimeWarning
@@ -34,7 +34,7 @@ for d_alpha in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1):
     plate = Plate(sigma, d_alpha / alpha0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ThinRegimeWarning)
-        exact = normalized_response_exact(alpha0, omegas, plate)
+        exact = generalized_reflection(alpha0, omegas, plate)
         thin = normalized_response_thin(alpha0, omegas, plate)
     rel = np.max(np.abs(exact - thin) / np.maximum(np.abs(exact), np.abs(thin)))
     print(f"{d_alpha:10.0e}  {plate.thickness*1e6:9.2f}  {rel:32.3%}")

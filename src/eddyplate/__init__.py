@@ -13,11 +13,7 @@ from .model import (
     frequency_grid,
 )
 from .te_layered import generalized_reflection
-from .thin_plate import (
-    equivalent_plate,
-    normalized_response_exact,
-    normalized_response_thin,
-)
+from .thin_plate import equivalent_plate, normalized_response_thin
 from .dodd_deeds import (
     QuadratureConvergenceError,
     QuadratureSpec,
@@ -42,7 +38,6 @@ __all__ = [
     "derive_alpha0",
     "frequency_grid",
     "generalized_reflection",
-    "normalized_response_exact",
     "normalized_response_thin",
     "equivalent_plate",
     "delta_L",

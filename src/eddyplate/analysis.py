@@ -16,15 +16,17 @@ from .model import (
     derive_alpha0,
     frequency_grid,
 )
+from .te_layered import generalized_reflection
 
 # Frequencies where the reference magnitude drops below this fraction of its
 # peak are excluded from relative-error statistics (and counted).
 NEAR_ZERO_FRACTION = 1e-3
 
-# The normalized single-alpha0 models by name, and every model sweep evaluates.
+# The normalized single-alpha0 models by name, and every model sweep evaluates:
+# the exact bracket is the layered reflection at k1 = alpha0.
 _NORMALIZED_MODELS = {
     "thin_plate": thin_plate.normalized_response_thin,
-    "thin_plate_exact": thin_plate.normalized_response_exact,
+    "thin_plate_exact": generalized_reflection,
 }
 MODELS = (*_NORMALIZED_MODELS, "dodd_deeds")
 
@@ -67,7 +69,8 @@ def sweep(
     """Evaluate one forward model on a frequency grid.
 
     ``model`` is one of MODELS: "thin_plate" (normalized, sigma*D-only form),
-    "thin_plate_exact" (normalized finite-thickness bracket) or
+    "thin_plate_exact" (normalized finite-thickness bracket, the layered
+    reflection at k1 = alpha0), both for non-magnetic plates only, or
     "dodd_deeds" (absolute henries, the whole grid in one batched
     ``dodd_deeds.delta_L`` call, whose QuadratureConvergenceError names the
     first frequency that did not converge). ``alpha0`` must be positive and
@@ -81,6 +84,7 @@ def sweep(
 
     if model in _NORMALIZED_MODELS:
         a0 = derive_alpha0(coil) if alpha0 is None else alpha0
+        thin_plate._require_nonmagnetic(plate)
         with np.errstate(all="ignore"):  # checked below
             values = _NORMALIZED_MODELS[model](a0, omegas, plate)
         if not np.all(np.isfinite(values)):
@@ -126,8 +130,6 @@ def compare(
         raise ValueError("spectra are on different frequency grids")
     if a.normalized != b.normalized:
         raise ValueError("cannot compare normalized against absolute spectra")
-    if a.frequencies.size == 0:
-        raise ValueError("cannot compare spectra with no frequencies")
     if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
         raise ValueError(f"band must be finite with lo <= hi, got {band}")
 

@@ -21,7 +21,7 @@ class CoilPair:
 
     The transmitter is the bottom coil; ``liftoff`` is the distance from its
     lower face to the top surface of the plate. The receiver sits above it,
-    separated by ``gap``.
+    separated by ``gap``: its lower face is at liftoff + coil_height + gap.
     """
 
     inner_radius: float  # [m]
@@ -47,23 +47,6 @@ class CoilPair:
             raise ValueError("turns_tx and turns_rx must be finite and at least 1")
         if not 0.0 < self.drive_current < np.inf:
             raise ValueError("drive_current must be positive and finite")
-
-    @property
-    def tx_bottom(self) -> float:
-        return self.liftoff
-
-    @property
-    def tx_top(self) -> float:
-        return self.liftoff + self.coil_height
-
-    @property
-    def rx_bottom(self) -> float:
-        # Receiver lift-off is taken as liftoff + coil_height + gap.
-        return self.tx_top + self.gap
-
-    @property
-    def rx_top(self) -> float:
-        return self.rx_bottom + self.coil_height
 
 
 @dataclass(frozen=True)
@@ -117,7 +100,7 @@ class InductanceSpectrum:
     solver).
     """
 
-    frequencies: np.ndarray        # [Hz], strictly increasing
+    frequencies: np.ndarray        # [Hz], one or more, finite, > 0, strictly increasing
     delta_L: np.ndarray            # complex, same length
     normalized: bool
     model_tag: str                 # "thin_plate" | "dodd_deeds"
@@ -128,8 +111,10 @@ class InductanceSpectrum:
         self.delta_L = np.asarray(self.delta_L, dtype=complex)
         if self.frequencies.shape != self.delta_L.shape:
             raise ValueError("frequencies and delta_L must have equal length")
-        if self.frequencies.size > 1 and not np.all(np.diff(self.frequencies) > 0):
-            raise ValueError("frequencies must be strictly increasing")
+        f = self.frequencies
+        # NaN fails every comparison, so each frequency is finite and > 0 too
+        if not (f.size and f[0] > 0.0 and f[-1] < np.inf and np.all(np.diff(f) > 0)):
+            raise ValueError("need at least one frequency, each finite and > 0, strictly increasing")
 
 
 def default_sensor() -> CoilPair:

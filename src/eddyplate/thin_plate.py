@@ -1,10 +1,10 @@
-"""Closed-form thin-plate response and the sigma*D equivalence transform.
+"""Thin-plate response and the sigma*D equivalence transform.
 
 The normalized response is delta-L / L_air at a single representative
-spatial frequency alpha0. Two forms are provided: the exact finite-thickness
-bracket (identical to the layered-media generalized reflection with
-k1 = alpha0) and the thin-plate limit, which depends on the plate only
-through the product sigma * D.
+spatial frequency alpha0. Its exact finite-thickness form is the layered
+reflection te_layered.generalized_reflection at k1 = alpha0; this module
+holds its thin-plate limit, which depends on the plate only through the
+product sigma * D, and the transform that keeps sigma * D.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import warnings
 import numpy as np
 
 from .model import MU_0, Plate
-from .te_layered import generalized_reflection
 
 # Above this value of D * alpha0 the dropped exp(-2 D alpha0) factor starts
 # to matter at the percent level.
@@ -31,15 +30,6 @@ def _require_nonmagnetic(plate: Plate) -> None:
             "thin-plate response is derived for non-magnetic plates "
             f"(relative_permeability = {plate.relative_permeability})"
         )
-
-
-def normalized_response_exact(alpha0, omega, plate: Plate):
-    """Exact finite-thickness normalized response delta-L / L_air.
-
-    Equals the generalized layer reflection evaluated at k1 = alpha0.
-    """
-    _require_nonmagnetic(plate)
-    return generalized_reflection(alpha0, omega, plate)
 
 
 def normalized_response_thin(alpha0, omega, plate: Plate):

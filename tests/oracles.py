@@ -120,11 +120,15 @@ def filament_mutual(r_a, r_b, z):
 def filament_stack_mutual(coil, n=25, mirrored=False):
     """Oracle: coil pair as two stacks of n filaments at the mean radius.
 
-    ``mirrored`` reflects the receive stack in the plate surface z = 0.
+    The transmitter's lower face is at z = liftoff above the plate surface
+    z = 0, the receiver's a coil height and the gap higher. ``mirrored``
+    reflects the receive stack in the plate surface.
     """
     r = 0.5 * (coil.inner_radius + coil.outer_radius)
-    z_tx = coil.tx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
-    z_rx = coil.rx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
+    tx_bottom = coil.liftoff
+    rx_bottom = tx_bottom + coil.coil_height + coil.gap
+    z_tx = tx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
+    z_rx = rx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
     if mirrored:
         z_rx = -z_rx
     per_filament_tx = coil.turns_tx / n

@@ -175,9 +175,9 @@ def test_compare_rejects_flag_mismatch():
 
 
 def test_compare_rejects_empty_spectra():
-    empty = InductanceSpectrum([], [], normalized=True, model_tag="synthetic")
-    with pytest.raises(ValueError, match="no frequencies"):
-        compare(empty, empty)
+    # no spectrum has zero frequencies, so compare never meets one
+    with pytest.raises(ValueError, match="at least one frequency"):
+        InductanceSpectrum([], [], normalized=True, model_tag="synthetic")
 
 
 @pytest.mark.parametrize("band", [(5e4, 2e4), (np.nan, 1e5), (1e3, np.inf), (-np.inf, 1e5)])
@@ -305,6 +305,19 @@ def test_fit_rejects_alpha0_out_of_range(alpha0):
     alpha0_text = re.escape(f"{alpha0:.6g}")
     with pytest.raises(ValueError, match=rf"^alpha0 = {alpha0_text} 1/m: .* not a normal number"):
         fit_sigma_d(COPPER_THIN, alpha0)
+
+
+@pytest.mark.parametrize("freq", [-5.0, 0.0])
+def test_fit_spectrum_rejects_frequencies_not_above_zero(freq):
+    # The copper spectrum with one row prepended: the spectrum refuses the
+    # row, so the fit neither uses it nor blames alpha0 for it.
+    with pytest.raises(ValueError, match="each finite and > 0"):
+        InductanceSpectrum(
+            np.insert(COPPER_THIN.frequencies, 0, freq),
+            np.insert(COPPER_THIN.delta_L, 0, COPPER_THIN.delta_L[0]),
+            normalized=True,
+            model_tag="thin_plate",
+        )
 
 
 def test_fit_sigma_d_scales_with_alpha0():

@@ -238,8 +238,9 @@ def test_unknown_scenario_key_exits_1(tmp_path, copper_brass, capsys, section, t
             "thickness_mm = 0.56\nthickness_um = 560",
             "[plate.copper] thickness_um sets thickness a second time",
         ),
+        ("spacing = logarithmic", "spacing = geometric", "unknown spacing 'geometric'"),
     ],
-    ids=["turns_tx", "turns_rx", "n_points", "n_panels", "thickness-twice"],
+    ids=["turns_tx", "turns_rx", "n_points", "n_panels", "thickness-twice", "spacing"],
 )
 def test_malformed_scenario_entry_exits_1(tmp_path, copper_brass, capsys, old, new, message):
     # Each used to load: a fraction truncated, a repeated quantity's last value won.
@@ -327,14 +328,23 @@ def test_compare_copper_brass_band(tmp_path, copper_brass):
     assert payload["band_filter_hz"] == [1e5, 5e5]
 
 
-@pytest.mark.parametrize("band", ["5:2", "nan:inf"])
-def test_compare_rejects_bad_band(tmp_path, copper_brass, capsys, band):
+@pytest.mark.parametrize(
+    "band, message",
+    [
+        ("5:2", "band must be finite with lo <= hi"),
+        ("nan:inf", "band must be finite with lo <= hi"),
+        ("x:y", "bad band 'x:y', expected lo:hi in Hz"),
+        ("1e3", "bad band '1e3', expected lo:hi in Hz"),
+    ],
+    ids=["5:2", "nan:inf", "x:y", "no-colon"],
+)
+def test_compare_rejects_bad_band(tmp_path, copper_brass, capsys, band, message):
     out = tmp_path / "cu.csv"
     main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
     report = tmp_path / "r.json"
     argv = ["compare", str(out), str(out), "--band", band, "--report", str(report)]
     assert main(argv) == EXIT_INVALID
-    assert "band must be finite with lo <= hi" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not report.exists()
 
 
@@ -415,6 +425,29 @@ def test_invert_unusable_spectrum_exits_1(tmp_path, capsys, body, message):
     spectrum.write_text(body)
     assert main(["invert", str(spectrum), "--alpha0", "200"]) == EXIT_INVALID
     assert message in capsys.readouterr().err
+
+
+def test_invert_without_alpha0_exits_1(tmp_path, copper_brass, capsys):
+    # alpha0 comes from the spectrum's metadata or from --alpha0
+    out = tmp_path / "cu.csv"
+    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(line for line in lines if not line.startswith("# alpha0=")))
+    capsys.readouterr()
+    assert main(["invert", str(out)]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == "error: --alpha0 required (no alpha0 in spectrum metadata)\n"
+    assert captured.out == ""
+    assert main(["invert", str(out), "--alpha0", "166.66666666666666"]) == EXIT_OK
+
+
+def test_scenario_without_plate_exits_1(tmp_path, copper_brass, capsys):
+    text = open(copper_brass).read()
+    bad = tmp_path / "no_plate.ini"
+    bad.write_text(text[: text.index("[plate.copper]")] + text[text.index("[sweep]") :])
+    assert main(["spectrum", str(bad), "copper", "-o", str(tmp_path / "x.csv")]) == EXIT_INVALID
+    assert "scenario defines no [plate.<name>] section" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_invert_absolute_spectrum_exits_1(tmp_path, copper_brass, capsys):

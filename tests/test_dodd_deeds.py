@@ -128,18 +128,20 @@ def test_radial_integral_against_struve_closed_form():
 
 
 def test_j1_against_mpmath():
-    # 2,306 points over the three branches: x < 2 (power series), 2 <= x <= 25
-    # (trapezoid rule) and x > 25 (Hankel), with each edge and its neighbours
-    # 1 ulp away. The error is gated against the envelope min(x / 2,
-    # sqrt(2 / pi x)) of |J1|, since J1 itself has zeros.
+    # 2,304 points over the two branches: x <= 25 (trapezoid rule) and x > 25
+    # (Hankel), with x = 0, the edge 25 and its neighbours 1 ulp away. The
+    # error is gated against the envelope min(x / 2, sqrt(2 / pi x)) of |J1|,
+    # since J1 itself has zeros; at x = 0 the envelope is 0, so J1(0) must be
+    # exactly 0.
     mpmath = pytest.importorskip("mpmath")
-    edges = [np.nextafter(edge, toward) for edge in (2.0, 25.0) for toward in (0.0, edge, np.inf)]
-    x = np.concatenate([np.geomspace(1e-12, 1e5, 1500), np.linspace(0.0, 40.0, 801)[1:], edges])
-    branches = (x < 2.0, (x >= 2.0) & (x <= 25.0), x > 25.0)
-    assert x.size == 2306 and all(np.count_nonzero(b) > 500 for b in branches)
+    edges = [np.nextafter(25.0, toward) for toward in (0.0, 25.0, np.inf)]
+    x = np.concatenate([[0.0], np.geomspace(1e-12, 1e5, 1500), np.linspace(0.0, 40.0, 801)[1:], edges])
+    branches = (x <= 25.0, x > 25.0)
+    assert x.size == 2304 and all(np.count_nonzero(b) > 500 for b in branches)
     with mpmath.workdps(30):
         exact = np.array([float(mpmath.besselj(1, mpmath.mpf(v))) for v in x])
-    envelope = np.minimum(x / 2.0, np.sqrt(2.0 / (np.pi * x)))
+    with np.errstate(divide="ignore"):  # sqrt(2 / pi x) is inf at x = 0
+        envelope = np.minimum(x / 2.0, np.sqrt(2.0 / (np.pi * x)))
     error = np.abs(dodd_deeds._j1(x) - exact)
     assert np.all(error <= 1e-14 * envelope)
 
@@ -152,11 +154,13 @@ def test_expit_matches_scipy():
 
 # radial_integral's tracemalloc peak on 1e5 sub-panels before _j1, when it
 # called scipy's J1 on the whole (sub-panel x Gauss point) array: 29.6 MB on
-# 1e5 one-panel nodes, 26.4 MB on one node of 1e5 sub-panels.
+# 1e5 one-panel nodes, 26.4 MB on one node of 1e5 sub-panels. The case
+# "series" keeps the name of the power series _j1 once used for x < 2, a
+# range its trapezoid rule now covers.
 @pytest.mark.parametrize(
     "alphas, lo, hi, before",
     [
-        (np.linspace(50.0, 300.0, 100_000), 0.0, 2.0, 29.6e6),  # power series
+        (np.linspace(50.0, 300.0, 100_000), 0.0, 2.0, 29.6e6),  # trapezoid rule, x < 2
         (np.linspace(780.0, 830.0, 100_000), 2.0, 25.0, 29.6e6),  # trapezoid rule, x near 5
         (np.array([3e5 / (COIL.outer_radius - COIL.inner_radius)]), 25.0, np.inf, 26.4e6),  # Hankel
     ],
@@ -209,11 +213,12 @@ def test_radial_integral_rejects_bad_alpha():
 
 
 def test_axial_factor_zero_at_origin_and_decaying():
-    assert axial_factor(COIL, 0.0, COIL.tx_bottom + COIL.rx_bottom) == 0.0
+    image_path = 2.0 * COIL.liftoff + COIL.coil_height + COIL.gap
+    assert axial_factor(COIL, 0.0, image_path) == 0.0
     a = np.geomspace(1.0, 1e5, 50)
-    vals = axial_factor(COIL, a, COIL.tx_bottom + COIL.rx_bottom)
+    vals = axial_factor(COIL, a, image_path)
     assert np.all(vals >= 0.0)
-    assert vals[-1] < 1e-30  # decays like exp(-a*(l1_tx + l1_rx))
+    assert vals[-1] < 1e-30  # decays like exp(-a * image_path)
 
 
 def test_air_factor_limits():
@@ -610,7 +615,7 @@ def test_default_rule_against_uniform_trapezoid():
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 7)
     for liftoff in (0.1e-3, 1e-3, 10e-3):
         coil = dataclasses.replace(COIL, liftoff=liftoff)
-        alpha_max, path = QUAD.resolve_alpha_max(coil), coil.tx_bottom + coil.rx_bottom
+        alpha_max, path = QUAD.resolve_alpha_max(coil), 2.0 * liftoff + coil.coil_height + coil.gap
         for plate in PLATES:
             value = delta_L(coil, plate, omegas, QUAD)
             exact = uniform_trapezoid(
@@ -685,34 +690,35 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, x86-64), frozen from the solver after radial_integral
-# moved from scipy's J1 to its own _j1. They agree to 2.1e-16 relative with
-# the values frozen before, from scipy's J1 on the same stretched grid.
+# plates (numpy 2.4, x86-64), frozen from the solver after _j1 dropped its
+# power series below x = 2 for the trapezoid rule. They agree to 3.6e-16
+# relative with the values frozen before, from the power series, and those
+# agreed to 2.1e-16 with scipy's J1 on the same stretched grid.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622593e-11-2.6066902056236237e-09j), (-1.3234719970067289e-08-3.867036469571212e-08j),
-        (-1.6416859635900688e-07-5.1435634891308525e-08j), (-1.8724429333723122e-07-6.638248929748473e-09j),
-        (-1.9282231611300297e-07-1.7112523289472498e-09j),
+        (-7.031203347622591e-11-2.6066902056236237e-09j), (-1.3234719970067287e-08-3.867036469571211e-08j),
+        (-1.6416859635900688e-07-5.143563489130851e-08j), (-1.872442933372312e-07-6.6382489297484725e-09j),
+        (-1.9282231611300297e-07-1.7112523289472496e-09j),
     ),
     (
-        (-6.44384823694522e-11-2.309110945857678e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
-        (-1.4412129289928278e-07-4.877250939039612e-08j), (-1.80798812664218e-07-1.257594968644375e-08j),
-        (-1.912822976992419e-07-3.2007172682651646e-09j),
+        (-6.443848236945218e-11-2.309110945857678e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
+        (-1.4412129289928278e-07-4.8772509390396104e-08j), (-1.8079881266421797e-07-1.2575949686443749e-08j),
+        (-1.9128229769924187e-07-3.200717268265164e-09j),
     ),
     (
-        (-3.678712357730889e-14-6.048963319845179e-11j), (-1.1456591280914468e-11-1.0751843085760898e-09j),
-        (-2.8802896762021586e-09-1.8194287244720474e-08j), (-1.2102287003497925e-07-8.245889107563583e-08j),
-        (-1.9364731481234204e-07-9.080797438480547e-09j),
+        (-3.678712357730889e-14-6.048963319845177e-11j), (-1.1456591280914467e-11-1.0751843085760896e-09j),
+        (-2.8802896762021582e-09-1.8194287244720467e-08j), (-1.2102287003497922e-07-8.245889107563582e-08j),
+        (-1.9364731481234199e-07-9.080797438480545e-09j),
     ),
     (
-        (-3.670515750184897e-14-6.029259077522123e-11j), (-1.1430688374899167e-11-1.0716806870625666e-09j),
-        (-2.8726362106993688e-09-1.813345380504296e-08j), (-1.205811368691012e-07-8.218133219338695e-08j),
-        (-1.9303057858170528e-07-9.079741245463363e-09j),
+        (-3.670515750184897e-14-6.029259077522123e-11j), (-1.1430688374899165e-11-1.0716806870625664e-09j),
+        (-2.8726362106993684e-09-1.8133453805042956e-08j), (-1.2058113686910118e-07-8.218133219338694e-08j),
+        (-1.9303057858170528e-07-9.079741245463361e-09j),
     ),
     (
-        (1.7668902938228717e-07-5.109970428702581e-10j), (1.75353338573201e-07-8.786709202245894e-09j),
-        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.13033334817337e-08-7.330247250574361e-08j),
-        (-1.1792421910892143e-07-5.080399510394748e-08j),
+        (1.7668902938228715e-07-5.109970428702581e-10j), (1.7535333857320096e-07-8.78670920224589e-09j),
+        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.1303333481733687e-08-7.330247250574361e-08j),
+        (-1.1792421910892141e-07-5.080399510394747e-08j),
     ),
 )
 

@@ -73,8 +73,10 @@ def test_spectrum_csv_writer_refuses_non_finite_values(tmp_path):
 
 @pytest.mark.parametrize("freq", [-5.0, 0.0, -0.0])
 def test_spectrum_csv_rejects_frequencies_not_above_zero(tmp_path, freq):
-    # SweepSpec's rule f_min > 0, on both sides of the file
-    spectrum = InductanceSpectrum([freq, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
+    # SweepSpec's rule f_min > 0, on both sides of the file. A spectrum is
+    # built with f > 0, but its arrays can be changed afterwards.
+    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
+    spectrum.frequencies[0] = freq
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=f"{path}: freq_hz = {freq:g} is not > 0; nothing written"):
         write_spectrum_csv(str(path), spectrum)
@@ -83,3 +85,13 @@ def test_spectrum_csv_rejects_frequencies_not_above_zero(tmp_path, freq):
     path.write_text(f"# normalized=true\nfreq_hz,dL_re,dL_im\n10,-0.5,0.1\n{freq!r},-0.5,0.1\n")
     with pytest.raises(ValueError, match=f"{path}:4: non-finite value or freq_hz <= 0 in"):
         read_spectrum_csv(str(path))
+
+
+def test_spectrum_csv_skips_blank_lines(tmp_path):
+    rows = ["10,-0.5,0.25", "20,-0.75,0.125", "30,-1,0"]
+    plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+    plain.write_text("# normalized=true\nfreq_hz,dL_re,dL_im\n" + "\n".join(rows) + "\n")
+    spaced.write_text("# normalized=true\n\nfreq_hz,dL_re,dL_im\n\n" + "\n  \n".join(rows) + "\n\n")
+    a, b = read_spectrum_csv(str(plain)), read_spectrum_csv(str(spaced))
+    assert a.frequencies.tolist() == b.frequencies.tolist() == [10.0, 20.0, 30.0]
+    assert a.delta_L.tobytes() == b.delta_L.tobytes()

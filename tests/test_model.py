@@ -3,7 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eddyplate import CoilPair, Plate, SweepSpec, default_sensor, derive_alpha0, frequency_grid, sweep
+from eddyplate import (
+    CoilPair,
+    InductanceSpectrum,
+    Plate,
+    SweepSpec,
+    default_sensor,
+    derive_alpha0,
+    frequency_grid,
+    sweep,
+)
 from eddyplate.fileio import write_spectrum_csv
 
 
@@ -17,14 +26,6 @@ def test_default_sensor_geometry():
     assert coil.liftoff == pytest.approx(1.0e-3)
     assert coil.turns_tx == 25 and coil.turns_rx == 25
     assert coil.drive_current == pytest.approx(10.0e-3)
-
-
-def test_coil_axial_positions():
-    coil = default_sensor()
-    assert coil.tx_bottom == pytest.approx(1.0e-3)
-    assert coil.tx_top == pytest.approx(9.0e-3)
-    assert coil.rx_bottom == pytest.approx(11.0e-3)
-    assert coil.rx_top == pytest.approx(19.0e-3)
 
 
 def test_alpha0_default_sensor():
@@ -171,3 +172,23 @@ def test_sweep_spec_rejects_non_finite():
     ):
         with pytest.raises(ValueError, match=name):
             SweepSpec(*args)
+
+
+@pytest.mark.parametrize(
+    "frequencies, delta_L, message",
+    [
+        ([10.0, 20.0], [1.0], "equal length"),
+        ([10.0, 20.0, 30.0], [1.0, 1.0], "equal length"),
+        ([10.0, 20.0, 20.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([30.0, 20.0, 10.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([-5.0, 10.0, 20.0], [1.0, 1.0, 1.0], "> 0"),
+        ([0.0, 10.0, 20.0], [1.0, 1.0, 1.0], "> 0"),
+        ([-0.0], [1.0], "> 0"),
+        ([10.0, np.nan, 20.0], [1.0, 1.0, 1.0], "finite"),
+        ([10.0, 20.0, np.inf], [1.0, 1.0, 1.0], "finite"),
+        ([np.nan], [1.0], "finite"),
+    ],
+)
+def test_spectrum_validation(frequencies, delta_L, message):
+    with pytest.raises(ValueError, match=message):
+        InductanceSpectrum(frequencies, delta_L, normalized=True, model_tag="synthetic")

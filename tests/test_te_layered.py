@@ -59,7 +59,6 @@ def test_public_surface():
         "fit_sigma_d",
         "frequency_grid",
         "generalized_reflection",
-        "normalized_response_exact",
         "normalized_response_thin",
         "sweep",
     ]

@@ -6,9 +6,12 @@ import pytest
 from eddyplate import (
     MU_0,
     Plate,
+    SweepSpec,
+    default_sensor,
     equivalent_plate,
-    normalized_response_exact,
+    generalized_reflection,
     normalized_response_thin,
+    sweep,
 )
 from eddyplate.thin_plate import ThinRegimeWarning
 
@@ -25,7 +28,7 @@ def test_zero_conductivity_gives_zero():
     plate = Plate(0.0, 1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ThinRegimeWarning)
-        assert normalized_response_exact(A0, 2 * np.pi * 1e5, plate) == 0.0
+        assert generalized_reflection(A0, 2 * np.pi * 1e5, plate) == 0.0
         assert normalized_response_thin(A0, 2 * np.pi * 1e5, plate) == 0.0
 
 
@@ -62,7 +65,7 @@ def test_thin_matches_exact_in_regime():
     for d_alpha in (1e-3, 3e-3, 1e-2):
         for sigma in (1e6, 36.9e6, 60e6):
             plate = Plate(sigma, d_alpha / A0)
-            ex = normalized_response_exact(A0, omegas, plate)
+            ex = generalized_reflection(A0, omegas, plate)
             th = normalized_response_thin(A0, omegas, plate)
             rel = np.abs(ex - th) / np.maximum(np.abs(ex), np.abs(th))
             assert np.max(rel) < 1.01 * d_alpha
@@ -71,7 +74,7 @@ def test_thin_matches_exact_in_regime():
 def test_thin_vs_exact_aluminium_one_percent():
     plate = Plate(36.9e6, 20e-6)  # D*alpha0 = 3.3e-3
     omegas = 2 * np.pi * FREQS
-    ex = normalized_response_exact(A0, omegas, plate)
+    ex = generalized_reflection(A0, omegas, plate)
     th = normalized_response_thin(A0, omegas, plate)
     assert np.max(np.abs(ex - th) / np.abs(ex)) < 0.01
 
@@ -81,7 +84,7 @@ def test_exact_half_space_limit():
     thick = Plate(59.8e6, 1.0)
     k1 = wavenumber(A0, omega, 0.0, MU_0)
     k2 = wavenumber(A0, omega, 59.8e6, MU_0)
-    assert normalized_response_exact(A0, omega, thick) == pytest.approx(
+    assert generalized_reflection(A0, omega, thick) == pytest.approx(
         fresnel(k1, k2, MU_0, MU_0).reflection, rel=1e-12
     )
 
@@ -108,7 +111,7 @@ def test_thin_limit_ratio_to_one():
     prev = None
     for d in (1e-4, 1e-5, 1e-6, 1e-7):
         plate = Plate(sigma, d)
-        ratio = normalized_response_exact(A0, omega, plate) / normalized_response_thin(
+        ratio = generalized_reflection(A0, omega, plate) / normalized_response_thin(
             A0, omega, plate
         )
         err = abs(ratio - 1.0)
@@ -132,8 +135,10 @@ def test_magnetic_plate_rejected():
     magnetic = Plate(1e6, 1e-4, relative_permeability=100.0)
     with pytest.raises(ValueError):
         normalized_response_thin(A0, 2 * np.pi * 1e5, magnetic)
-    with pytest.raises(ValueError):
-        normalized_response_exact(A0, 2 * np.pi * 1e5, magnetic)
+    # both normalized models of sweep; the layered reflection itself takes mu_r
+    for model in ("thin_plate", "thin_plate_exact"):
+        with pytest.raises(ValueError, match=r"non-magnetic plates \(relative_permeability = 100.0\)"):
+            sweep(model, default_sensor(), magnetic, SweepSpec(1e3, 1e5, 3))
     with pytest.raises(ValueError):
         equivalent_plate(magnetic, 1e-3)
     with pytest.raises(ValueError, match="non-magnetic"):
