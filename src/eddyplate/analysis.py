@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dodd_deeds, thin_plate
+from . import dodd_deeds, te_layered, thin_plate
 from .model import (
     MU_0,
     CoilPair,
@@ -16,19 +16,14 @@ from .model import (
     derive_alpha0,
     frequency_grid,
 )
-from .te_layered import generalized_reflection
 
 # Frequencies where the reference magnitude drops below this fraction of its
 # peak are excluded from relative-error statistics (and counted).
 NEAR_ZERO_FRACTION = 1e-3
 
-# The normalized single-alpha0 models by name, and every model sweep evaluates:
-# the exact bracket is the layered reflection at k1 = alpha0.
-_NORMALIZED_MODELS = {
-    "thin_plate": thin_plate.normalized_response_thin,
-    "thin_plate_exact": generalized_reflection,
-}
-MODELS = (*_NORMALIZED_MODELS, "dodd_deeds")
+# Every model sweep evaluates: two normalized single-alpha0 models, then the
+# full solver.
+MODELS = ("thin_plate", "thin_plate_exact", "dodd_deeds")
 
 _MAX_FIT_ITERATIONS = 100
 _STEP_TOLERANCE = 1e-9
@@ -82,11 +77,17 @@ def sweep(
     freqs = frequency_grid(spec)
     omegas = 2.0 * np.pi * freqs
 
-    if model in _NORMALIZED_MODELS:
+    if model in MODELS[:2]:
         a0 = derive_alpha0(coil) if alpha0 is None else alpha0
         thin_plate._require_nonmagnetic(plate)
+        # looked up in its module at each call, so that a wrapper bound there
+        # sees it; the exact bracket is the layered reflection at k1 = alpha0
+        if model == "thin_plate":
+            response = thin_plate.normalized_response_thin
+        else:
+            response = te_layered.generalized_reflection
         with np.errstate(all="ignore"):  # checked below
-            values = _NORMALIZED_MODELS[model](a0, omegas, plate)
+            values = response(a0, omegas, plate)
         if not np.all(np.isfinite(values)):
             raise ValueError(
                 f"alpha0 = {a0:.6g} 1/m: the {model} response is not finite "

@@ -81,8 +81,10 @@ _KAPPA = 0.03
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
-# call overhead while the temporaries stay in cache and peak memory flat.
-_BLOCK_ELEMENTS = 4096
+# call overhead (about 30 us) while the kernel's five complex buffers (80
+# bytes an element, about 660 kB) stay in cache. The output bits do not
+# depend on it.
+_BLOCK_ELEMENTS = 8192
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
@@ -427,12 +429,11 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
 
     def row_sums(rows, nodes, weight):
         step = max(1, _BLOCK_ELEMENTS // nodes.size)
-        # alpha0 takes the block's shape: its size counts the evaluations made
-        grid = np.broadcast_to(nodes, (step, nodes.size))
+        alpha0 = nodes[None, :]
         out = np.empty((rows.size, weight.shape[1]), dtype=complex)
         for start in range(0, rows.size, step):
             block = rows[start : start + step]
-            phi = generalized_reflection(grid[: block.size], w[block, None], plate)
+            phi = generalized_reflection(alpha0, w[block, None], plate)
             # (Re, Im) x weight columns as one real matrix product per
             # frequency, so a row's bits do not depend on its block's size
             sums = phi.view(float).reshape(block.size, -1, 2).transpose(0, 2, 1) @ weight

@@ -16,7 +16,6 @@ import numpy as np
 from scipy import special
 
 from eddyplate.model import MU_0
-from eddyplate.te_layered import _complex
 
 # Above this Re(2 k2 D) the reference form below sets E = 0 (the half-space
 # limit); generalized_reflection has no such branch and must match it anyway.
@@ -78,6 +77,13 @@ def series_reflection(alpha0, omega, plate, min_terms=20, rel_term=1e-14):
             raise RuntimeError("series did not converge")
         term = term * (r21 * r23 * E)
         n += 1
+
+
+def _complex(real, imag):
+    """Complex array assembled from its parts, with no complex arithmetic."""
+    z = np.empty(np.broadcast(real, imag).shape, dtype=complex)
+    z.real, z.imag = real, imag
+    return z
 
 
 def complex_sqrt_reflection(alpha0, omega, plate):

@@ -60,6 +60,23 @@ def test_sweep_thin_plate_matches_direct_call():
     assert np.array_equal(s.delta_L, direct)
 
 
+def test_sweep_calls_the_thin_model_through_its_module(monkeypatch):
+    # A wrapper bound in the module, as a profiler installs one, sees every call.
+    from eddyplate import thin_plate
+
+    calls = []
+    model = thin_plate.normalized_response_thin
+
+    def counting(*args):
+        calls.append(args)
+        return model(*args)
+
+    monkeypatch.setattr(thin_plate, "normalized_response_thin", counting)
+    for n in (1, 2):
+        sweep("thin_plate", COIL, Plate(36.9e6, 20e-6), SweepSpec(1e3, 500e3, 5))
+        assert len(calls) == n
+
+
 def test_sweep_thin_plate_exact_model_tag():
     spec = SweepSpec(1e3, 500e3, 5)
     s = sweep("thin_plate_exact", COIL, Plate(36.9e6, 20e-6), spec)

@@ -463,6 +463,17 @@ def test_delta_L_array_matches_scalar_calls(monkeypatch):
         assert np.array_equal(batched, np.array(scalar))
 
 
+def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
+    # One block of 2^16 elements holds the whole 400 x 93 grid, past numpy's
+    # 256 KiB temporary elision; the default blocks stay below it.
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
+    blocked = [delta_L(COIL, plate, omegas, QUAD) for plate in PLATES]
+    monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", 1 << 16)
+    for plate, value in zip(PLATES, blocked):
+        whole = delta_L(COIL, plate, omegas, QUAD)
+        assert np.array_equal(whole.view(np.uint64), value.view(np.uint64)), plate
+
+
 def test_delta_L_array_validation():
     plate = Plate(59.8e6, 0.56e-3)
     for omegas in ([1e3, 0.0], [1e3, np.nan], [1e3, np.inf], [[1e3, 2e3]]):
@@ -782,7 +793,7 @@ def test_default_rule_accuracy_audit(monkeypatch):
 
     def counting(alpha0, omega, plate):
         n = alpha0.shape[-1]
-        nodes_per_level[n] = nodes_per_level.get(n, 0) + alpha0.size
+        nodes_per_level[n] = nodes_per_level.get(n, 0) + np.broadcast(alpha0, omega).size
         return reflection(alpha0, omega, plate)
 
     monkeypatch.setattr(dodd_deeds, "generalized_reflection", counting)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import eddyplate
 from eddyplate import MU_0, Plate, QuadratureSpec, default_sensor, generalized_reflection
-from eddyplate import te_layered
+from eddyplate import dodd_deeds, te_layered
 from eddyplate.dodd_deeds import _kernel_table
 
 from oracles import (
@@ -222,9 +224,10 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
         for start in range(0, omegas.size, 50):
             w = omegas[start : start + 50, None]
             grid = np.broadcast_to(nodes, (w.size, nodes.size))
-            assert_bitwise_equal(
-                generalized_reflection(grid, w, plate), complex_sqrt_reflection(grid, w, plate)
-            )
+            # one row per oracle call: below numpy's 256 KiB temporary
+            # elision, whose in-place products would change the oracle's bits
+            oracle = [complex_sqrt_reflection(nodes, w[i], plate) for i in range(w.size)]
+            assert_bitwise_equal(generalized_reflection(grid, w, plate), np.array(oracle))
             k2 = wavenumber(grid, w, plate.conductivity, MU_0 * plate.relative_permeability)
             x_re = 2.0 * k2.real * plate.thickness
             half_space_elements += int(np.count_nonzero(x_re > HALF_SPACE_EXPONENT))
@@ -253,6 +256,35 @@ def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
             generalized_reflection(-alphas, omega, plate),
             generalized_reflection(alphas, omega, plate),
         )
+
+
+def test_generalized_reflection_bits_do_not_depend_on_call_size():
+    # 40,000 elements are past numpy's 256 KiB temporary elision, which
+    # would make products in place with their operands swapped.
+    alphas = np.geomspace(1e-3, 1e4, 40_000)
+    for plate in (Plate(5.0e6, 1.0e-3, 200.0), Plate(1e8, 5e-2, 1000.0)):
+        for frequency in (10.0, 1e3, 1e5):
+            omega = 2 * np.pi * frequency
+            pieces = [generalized_reflection(part, omega, plate) for part in np.split(alphas, 80)]
+            assert_bitwise_equal(generalized_reflection(alphas, omega, plate), np.concatenate(pieces))
+
+
+def test_generalized_reflection_memory_of_a_delta_L_block():
+    # One block of delta_L, (frequencies x nodes) of the default sensor. The
+    # kernel's five buffers and numpy's iteration buffers come to about 6
+    # complex arrays of the block's size; a chain of temporaries, to 11.5.
+    coil = default_sensor()
+    quad = QuadratureSpec()
+    nodes = _kernel_table(coil, quad.resolve_alpha_max(coil), quad.n_panels)[0]
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)[: dodd_deeds._BLOCK_ELEMENTS // nodes.size]
+    assert (omegas.size, nodes.size) == (88, 93)
+    tracemalloc.start()
+    try:
+        generalized_reflection(nodes[None, :], omegas[:, None], Plate(5.0e6, 1.0e-3, 200.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * omegas.size * nodes.size * np.dtype(complex).itemsize
 
 
 def mp_reflection(alpha0, omega, plate):
