@@ -81,9 +81,12 @@ _KAPPA = 0.03
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
-# call overhead (about 30 us) while the kernel's five complex buffers (80
-# bytes an element, about 660 kB) stay in cache. The output bits do not
-# depend on it.
+# call overhead (about 35 us) while the kernel's five complex buffers (80
+# bytes an element, about 655 kB at 88 x 93) stay in cache. The output bits
+# do not depend on it. With the one-division kernel, 12,288 and 16,384 took
+# 1% and 3% off delta_L's thread time on the benchmark grid, faster in only
+# 59% and 61% of 80 interleaved rounds, for up to twice the buffers: no
+# clear gain.
 _BLOCK_ELEMENTS = 8192
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300

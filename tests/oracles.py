@@ -3,9 +3,10 @@
 The per-interface wavenumbers and Fresnel coefficients of the TE-mode
 derivation, and the references built on them: the multiple-reflection
 series, the reflection with both wavenumbers from numpy's complex sqrt, and
-the coil pair as two stacks of Neumann filaments. None of them is called by
-the package; the solver forms its wavenumbers and its closed-form reflection
-on its own, and the tests check it against these.
+the mutual inductance of the two windings in the spatial domain, from
+Maxwell's formula for two coaxial filaments. None of them is called by the
+package; the solver forms its wavenumbers and its closed-form reflection on
+its own, and the tests check it against these.
 """
 
 from __future__ import annotations
@@ -123,24 +124,30 @@ def filament_mutual(r_a, r_b, z):
     )
 
 
-def filament_stack_mutual(coil, n=25, mirrored=False):
-    """Oracle: coil pair as two stacks of n filaments at the mean radius.
+def winding_mutual(coil, n=32, mirrored=False):
+    """Oracle: mutual inductance of the two rectangular windings.
 
-    The transmitter's lower face is at z = liftoff above the plate surface
-    z = 0, the receiver's a coil height and the gap higher. ``mirrored``
-    reflects the receive stack in the plate surface.
+    Each winding carries its turns at uniform density over its cross-section
+    r1..r2 by coil_height. The transmitter's lower face is at z = liftoff
+    above the plate surface z = 0, the receiver's a coil height and the gap
+    higher; ``mirrored`` reflects the receiver in the plate surface. The
+    mean of filament_mutual over both cross-sections is taken by a tensor
+    n-point Gauss-Legendre rule in (r, z) on each: no Bessel function, no
+    spectral integral and no reflection coefficient.
     """
-    r = 0.5 * (coil.inner_radius + coil.outer_radius)
-    tx_bottom = coil.liftoff
-    rx_bottom = tx_bottom + coil.coil_height + coil.gap
-    z_tx = tx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
-    z_rx = rx_bottom + (np.arange(n) + 0.5) * coil.coil_height / n
+    x, weight = np.polynomial.legendre.leggauss(n)
+    r1, r2, h = coil.inner_radius, coil.outer_radius, coil.coil_height
+    r = r1 + (r2 - r1) * (x + 1.0) / 2.0
+    dz = (x + 1.0) * h / 2.0
+    z_tx = coil.liftoff + dz
+    z_rx = coil.liftoff + h + coil.gap + dz
     if mirrored:
         z_rx = -z_rx
-    per_filament_tx = coil.turns_tx / n
-    per_filament_rx = coil.turns_rx / n
+    weight = weight / 2.0  # each rule's weights sum to 1: a mean
+    # axes (transmitter r, receiver r, receiver z), one transmitter z at a time
+    r_tx, r_rx = r[:, None, None], r[None, :, None]
+    w3 = weight[:, None, None] * weight[None, :, None] * weight
     total = 0.0
-    for za in z_tx:
-        for zb in z_rx:
-            total += filament_mutual(r, r, zb - za)
-    return total * per_filament_tx * per_filament_rx
+    for z, w_z in zip(z_tx, weight):
+        total += w_z * np.sum(w3 * filament_mutual(r_tx, r_rx, z_rx - z))
+    return total * coil.turns_tx * coil.turns_rx

@@ -28,7 +28,7 @@ from eddyplate import (
 )
 from eddyplate.thin_plate import ThinRegimeWarning
 
-from oracles import filament_stack_mutual, fresnel, series_reflection, wavenumber
+from oracles import fresnel, series_reflection, wavenumber, winding_mutual
 
 COIL = default_sensor()
 A0 = derive_alpha0(COIL)
@@ -179,15 +179,15 @@ def test_criterion_6_quadrature_robustness(announce):
             a = delta_L(COIL, plate, 2 * np.pi * f, base)
             b = delta_L(COIL, plate, 2 * np.pi * f, fine)
             worst = max(worst, abs(a - b) / abs(b))
-    oracle = filament_stack_mutual(COIL, n=25)
+    oracle = winding_mutual(COIL, n=32)
     air = delta_L_air(COIL, QuadratureSpec())
     air_err = abs(air - oracle) / oracle
-    ok = worst < 1e-6 and air_err < 0.02
+    ok = worst < 1e-6 and air_err < 1e-14
     announce(
         6,
         ok,
         f"self-convergence (2x alpha_max, 4x steps per decade) worst rel {worst:.3g} < 1e-6; "
-        f"delta_L_air vs Neumann filament oracle {air_err:.4%} <= 2%",
+        f"delta_L_air vs rectangular-winding oracle {air_err:.3g} < 1e-14",
     )
 
 

@@ -31,7 +31,7 @@ from eddyplate.dodd_deeds import (
 )
 from eddyplate.te_layered import generalized_reflection
 
-from oracles import filament_stack_mutual
+from oracles import winding_mutual
 
 COIL = default_sensor()
 QUAD = QuadratureSpec()
@@ -277,12 +277,27 @@ def test_delta_L_air_positive_and_frequency_free():
 def test_delta_L_perfect_conductor_limit():
     # sigma -> inf on a non-magnetic plate gives phi -> -1: the plate acts as
     # a mirror, and dL is minus the mutual inductance of the transmit coil
-    # with the receive coil mirrored in the plate surface. The filaments at
-    # the mean radius limit the agreement (2.3e-4 observed).
-    value = delta_L(COIL, Plate(1e20, 1e-2), 2 * np.pi * 100e3, QUAD)
-    image = filament_stack_mutual(COIL, n=50, mirrored=True)
-    assert abs(value.real + image) <= 1e-3 * image
-    assert abs(value.imag) <= 1e-6 * abs(value.real)
+    # with the receive coil mirrored in the plate surface. At sigma = 1e30,
+    # 1 + phi ~ 2 alpha / sqrt(j omega mu0 sigma) is below 1e-13 on the grid:
+    # 2.2e-13 measured for both, so 1e-12 is a 4.5x margin (sigma = 1e20
+    # would leave 2.2e-8).
+    value = delta_L(COIL, Plate(1e30, 1e-2), 2 * np.pi * 100e3, QUAD)
+    image = winding_mutual(COIL, n=32, mirrored=True)
+    assert abs(value.real + image) <= 1e-12 * image
+    assert abs(value.imag) <= 1e-12 * abs(value.real)
+
+
+def test_delta_L_magnetostatic_half_space():
+    # A non-conducting half-space of permeability mu_r images the receiver
+    # with the factor r = (mu_r - 1) / (mu_r + 1) at every alpha: phi = r.
+    # Measured within 2.6e-15 for each mu_r, so 1e-14 is a 3.8x margin; with
+    # c = 0 the response has no imaginary part at all.
+    image = winding_mutual(COIL, n=32, mirrored=True)
+    for mu_r in (2.0, 200.0, 1000.0):
+        value = delta_L(COIL, Plate(0.0, 1e4, mu_r), 2 * np.pi * 100e3, QUAD)
+        expected = (mu_r - 1.0) / (mu_r + 1.0) * image
+        assert abs(value.real - expected) <= 1e-14 * expected, mu_r
+        assert value.imag == 0.0
 
 
 def test_delta_L_air_turns_scaling():
@@ -291,14 +306,24 @@ def test_delta_L_air_turns_scaling():
     assert delta_L_air(doubled, QUAD) == pytest.approx(2.0 * base, rel=1e-10)
 
 
-def test_delta_L_air_against_filament_oracle():
-    # Independent Neumann-formula oracle: each coil as 25 coaxial filaments
-    # at the mean winding radius. The finite radial build (0.315 mm on a
-    # 6 mm radius) limits the agreement; 2% is comfortably above the
-    # observed 0.03% discrepancy yet far below any kernel bug.
-    oracle = filament_stack_mutual(COIL, n=25)
+def test_delta_L_air_against_winding_oracle():
+    # Independent spatial-domain oracle: both rectangular windings at uniform
+    # turn density, a 32-point Gauss-Legendre rule in r and z on each, and
+    # Maxwell's filament formula. 0 to 2.1e-15 apart for n = 16 to 48, so
+    # 1e-14 is a 4.7x margin.
+    oracle = winding_mutual(COIL, n=32)
     value = delta_L_air(COIL, QUAD)
-    assert abs(value - oracle) / oracle < 0.02
+    assert abs(value - oracle) <= 1e-14 * oracle
+
+
+def test_delta_L_air_short_gap_against_winding_oracle():
+    # As the gap closes, the integrand of the spatial rule nears the
+    # filaments' logarithmic singularity and it needs more points: at a
+    # 0.2 mm gap, n = 32 is 1.5e-12 off and n = 48 and 64 agree with the
+    # solver to 9.0e-13, so 5e-12 is a 5.6x margin.
+    short = CoilPair(3e-3, 5e-3, 2e-3, 0.2e-3, 1e-3, 25, 25, 10e-3)
+    oracle = winding_mutual(short, n=48)
+    assert abs(delta_L_air(short, QUAD) - oracle) <= 5e-12 * oracle
 
 
 def test_delta_L_air_touching_coils():
@@ -701,35 +726,36 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, x86-64), frozen from the solver after _j1 dropped its
-# power series below x = 2 for the trapezoid rule. They agree to 3.6e-16
-# relative with the values frozen before, from the power series, and those
-# agreed to 2.1e-16 with scipy's J1 on the same stretched grid.
+# plates (numpy 2.4, x86-64), frozen from the solver after the reflection
+# kernel dropped hypot and its second complex division. They agree to
+# 3.0e-16 of |delta_L| with the values frozen before, which agreed to 3.6e-16
+# with those of _j1's power series, and those to 2.1e-16 with scipy's J1 on
+# the same stretched grid.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622591e-11-2.6066902056236237e-09j), (-1.3234719970067287e-08-3.867036469571211e-08j),
-        (-1.6416859635900688e-07-5.143563489130851e-08j), (-1.872442933372312e-07-6.6382489297484725e-09j),
-        (-1.9282231611300297e-07-1.7112523289472496e-09j),
+        (-7.031203347622586e-11-2.6066902056236237e-09j), (-1.3234719970067287e-08-3.867036469571211e-08j),
+        (-1.6416859635900688e-07-5.143563489130852e-08j), (-1.872442933372312e-07-6.638248929748472e-09j),
+        (-1.9282231611300294e-07-1.7112523289472444e-09j),
     ),
     (
-        (-6.443848236945218e-11-2.309110945857678e-09j), (-1.1793371412165815e-08-3.39869991807981e-08j),
-        (-1.4412129289928278e-07-4.8772509390396104e-08j), (-1.8079881266421797e-07-1.2575949686443749e-08j),
-        (-1.9128229769924187e-07-3.200717268265164e-09j),
+        (-6.443848236945216e-11-2.309110945857678e-09j), (-1.1793371412165813e-08-3.398699918079809e-08j),
+        (-1.4412129289928278e-07-4.8772509390396104e-08j), (-1.8079881266421797e-07-1.2575949686443747e-08j),
+        (-1.9128229769924187e-07-3.200717268265159e-09j),
     ),
     (
-        (-3.678712357730889e-14-6.048963319845177e-11j), (-1.1456591280914467e-11-1.0751843085760896e-09j),
-        (-2.8802896762021582e-09-1.8194287244720467e-08j), (-1.2102287003497922e-07-8.245889107563582e-08j),
-        (-1.9364731481234199e-07-9.080797438480545e-09j),
+        (-3.678712357730839e-14-6.048963319845177e-11j), (-1.1456591280914473e-11-1.0751843085760898e-09j),
+        (-2.880289676202158e-09-1.8194287244720467e-08j), (-1.2102287003497922e-07-8.245889107563582e-08j),
+        (-1.9364731481234199e-07-9.080797438480547e-09j),
     ),
     (
-        (-3.670515750184897e-14-6.029259077522123e-11j), (-1.1430688374899165e-11-1.0716806870625664e-09j),
-        (-2.8726362106993684e-09-1.8133453805042956e-08j), (-1.2058113686910118e-07-8.218133219338694e-08j),
-        (-1.9303057858170528e-07-9.079741245463361e-09j),
+        (-3.670515750184945e-14-6.029259077522123e-11j), (-1.1430688374899175e-11-1.0716806870625664e-09j),
+        (-2.872636210699369e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338693e-08j),
+        (-1.9303057858170528e-07-9.079741245463365e-09j),
     ),
     (
-        (1.7668902938228715e-07-5.109970428702581e-10j), (1.7535333857320096e-07-8.78670920224589e-09j),
-        (1.2945125173630866e-07-4.4229369054213735e-08j), (1.1303333481733687e-08-7.330247250574361e-08j),
-        (-1.1792421910892141e-07-5.080399510394747e-08j),
+        (1.7668902938228715e-07-5.10997042870252e-10j), (1.753533385732009e-07-8.786709202245892e-09j),
+        (1.2945125173630866e-07-4.422936905421375e-08j), (1.1303333481733697e-08-7.330247250574361e-08j),
+        (-1.1792421910892143e-07-5.080399510394747e-08j),
     ),
 )
 

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -215,7 +216,33 @@ def test_reflection_magnitude_nondecreasing_in_thickness():
     assert np.all(np.diff(mags) >= -1e-12)
 
 
-def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
+# generalized_reflection against the complex-sqrt form, relative to |R~|: in
+# range, the kernel takes k2 without hypot and R~ with one division (5.0 eps
+# measured on the grid below); out of range, the form's own bits.
+ULP_BOUND = 8 * np.finfo(float).eps
+
+
+def in_range(alpha0, omega, plate):
+    """The elements that the docstring of generalized_reflection puts in the
+    range of its one-division form."""
+    mu_r = plate.relative_permeability
+    k1 = np.abs(alpha0)
+    c = np.abs(omega * plate.conductivity * (MU_0 * mu_r))
+    return (mu_r <= 1e75) & (k1 <= 1e75 / mu_r) & (c <= 1e150) & ((k1 >= 1e-50) | (c >= 1e-100))
+
+
+def assert_matches_complex_sqrt_form(value, alpha0, omega, plate):
+    """Within ULP_BOUND of complex_sqrt_reflection in range, bitwise out of it."""
+    value = np.atleast_1d(value)
+    with np.errstate(all="ignore"):
+        oracle = np.atleast_1d(complex_sqrt_reflection(alpha0, omega, plate))
+        inside = np.broadcast_to(in_range(alpha0, omega, plate), value.shape)
+    assert_bitwise_equal(value[~inside], oracle[~inside])
+    error = np.abs(value[inside] - oracle[inside])
+    assert np.all(error <= ULP_BOUND * np.abs(oracle[inside]))
+
+
+def test_generalized_reflection_matches_complex_sqrt_form():
     coil = default_sensor()
     nodes = _kernel_table(coil, QuadratureSpec().resolve_alpha_max(coil), 128)[0]
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
@@ -224,10 +251,12 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
         for start in range(0, omegas.size, 50):
             w = omegas[start : start + 50, None]
             grid = np.broadcast_to(nodes, (w.size, nodes.size))
+            assert np.all(in_range(grid, w, plate))
             # one row per oracle call: below numpy's 256 KiB temporary
             # elision, whose in-place products would change the oracle's bits
-            oracle = [complex_sqrt_reflection(nodes, w[i], plate) for i in range(w.size)]
-            assert_bitwise_equal(generalized_reflection(grid, w, plate), np.array(oracle))
+            values = generalized_reflection(grid, w, plate)
+            for i in range(w.size):
+                assert_matches_complex_sqrt_form(values[i], nodes, w[i], plate)
             k2 = wavenumber(grid, w, plate.conductivity, MU_0 * plate.relative_permeability)
             x_re = 2.0 * k2.real * plate.thickness
             half_space_elements += int(np.count_nonzero(x_re > HALF_SPACE_EXPONENT))
@@ -236,26 +265,72 @@ def test_generalized_reflection_bitwise_equals_complex_sqrt_form():
 
 def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
     # A scalar call rounds as the same element of an array call, and as the
-    # complex-sqrt form on a 1-element array.
+    # complex-sqrt form on a 1-element array: within ULP_BOUND in range, and
+    # bitwise out of it (1e80 everywhere, 1e-60 on the vacuum slab).
     omega = 2 * np.pi * 1e5
     alphas = np.geomspace(1e-3, 1e5, 50)
-    scalars = (166.67, -166.67, np.float64(3e4), np.array(1e-3), *map(float, alphas))
+    scalars = (166.67, -166.67, np.float64(3e4), np.array(1e-3), 1e-60, 1e80, *map(float, alphas))
+    out_of_range = 0
     for plate in BITWISE_PLATES + (Plate(1.0, 1e-6),):
         row = generalized_reflection(np.array(scalars), omega, plate)
         for a0, element in zip(scalars, row):
             value = generalized_reflection(a0, omega, plate)
             assert type(value) is np.complex128
             assert_bitwise_equal(value, element)
-            assert_bitwise_equal(value, complex_sqrt_reflection(np.array([a0]), omega, plate))
+            assert_matches_complex_sqrt_form(value, np.array([a0]), omega, plate)
+            out_of_range += not in_range(a0, omega, plate)
         # k1 = sqrt(alpha0^2): the sign of alpha0 never matters
-        assert_bitwise_equal(
-            generalized_reflection(-alphas, omega, plate),
-            complex_sqrt_reflection(-alphas, omega, plate),
-        )
+        assert_matches_complex_sqrt_form(generalized_reflection(-alphas, omega, plate), -alphas, omega, plate)
         assert_bitwise_equal(
             generalized_reflection(-alphas, omega, plate),
             generalized_reflection(alphas, omega, plate),
         )
+    assert out_of_range == len(BITWISE_PLATES) + 2
+
+
+def test_generalized_reflection_range_guard_bits_per_element():
+    # One call mixes elements in and out of the one-division form's range.
+    # Each has the bits of its scalar call; an element out of range has the
+    # bits of the hypot, two-division form, which the complex-sqrt form
+    # shares wherever alpha0^2 does not underflow to 0 (k1 = |alpha0| in
+    # the kernel, sqrt(alpha0^2) = 0 in the oracle). No call warns.
+    alphas = np.array([1e-320, 1e-160, 1.0, 1e3, 1e140, 1e152, 1e300, np.inf, np.nan])[:, None]
+    omegas = np.geomspace(1e-3, 1e10, 14)
+    inside = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu_r in (1.0, 200.0, 1e4):
+            # c from 1e-104 to 1e-87 on the second plate: tiny alpha0 is out
+            # of range at the low frequencies only
+            for plate in (Plate(5e6, 1e-3, mu_r), Plate(1e-95, 1e-3, mu_r)):
+                values = generalized_reflection(alphas, omegas, plate)
+                for (i, j), value in np.ndenumerate(values):
+                    assert_bitwise_equal(generalized_reflection(alphas[i, 0], omegas[j], plate), value)
+                mask = in_range(alphas, omegas, plate)
+                assert not np.any(mask[4:])  # 1e140 and up, inf and nan
+                with np.errstate(over="ignore"):
+                    comparable = alphas[:, 0] * alphas[:, 0] != 0.0
+                assert_matches_complex_sqrt_form(values[comparable], alphas[comparable], omegas, plate)
+                inside += np.count_nonzero(mask)
+            # at the guard's edge, mu_r |alpha0| = 1e75 and c = 1e150, the
+            # one-division form stays finite and accurate; 100 and 1000
+            # times beyond it, where its terms would overflow, the other form
+            # takes over
+            plate = Plate(5e6, 1e-3, mu_r)
+            edge = 1e75 / mu_r
+            omega = 1e150 / (plate.conductivity * (MU_0 * mu_r))
+            while omega * plate.conductivity * (MU_0 * mu_r) > 1e150:
+                omega = np.nextafter(omega, 0.0)
+            a0s, ws = np.array([[1.0], [edge], [100.0 * edge]]), np.array([1.0, omega, 1000.0 * omega])
+            values = generalized_reflection(a0s, ws, plate)
+            assert_matches_complex_sqrt_form(values, a0s, ws, plate)
+            mask = in_range(a0s, ws, plate)
+            assert np.array_equal(mask, [[True, True, False], [True, True, False], [False, False, False]])
+            for (i, j), value in np.ndenumerate(values):
+                assert_bitwise_equal(generalized_reflection(a0s[i, 0], ws[j], plate), value)
+                if mask[i, j]:
+                    assert abs(value - mp_reflection(a0s[i, 0], ws[j], plate)) <= ULP_BOUND * abs(value)
+    assert 0 < inside < 2 * 3 * alphas.size * omegas.size
 
 
 def test_generalized_reflection_bits_do_not_depend_on_call_size():
