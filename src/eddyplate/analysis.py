@@ -236,7 +236,16 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
                     break
             lam *= 0.5
         else:
-            converged = True  # no descent direction left: at the optimum
+            # No step lowers the cost. That is the optimum if the full step
+            # passes the test below: negligible against sigma*D, or, where
+            # round-off in the cost hides the last digits of sigma*D, a drop
+            # the residual tolerance would stop at. A step as large as sigma*D
+            # means the model cannot reach the data: no optimum, however flat.
+            predicted_drop = np.vdot(jac, jac).real * step * step
+            converged = bool(
+                abs(step) <= _STEP_TOLERANCE * sigma_d
+                or (abs(step) < sigma_d and predicted_drop <= _RESIDUAL_TOLERANCE * cost)
+            )
             break
 
         step_size = abs(lam * step) / cand

@@ -7,7 +7,6 @@ a header row ``freq_hz,dL_re,dL_im`` and one row per frequency. Numbers use
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 
@@ -34,16 +33,21 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
     ]
     for key in sorted(meta):
         lines.append(f"# {key}={meta[key]}")
-    lines.append("freq_hz,dL_re,dL_im")
-    for f, v in zip(spectrum.frequencies, spectrum.delta_L):
-        # the reader rejects such a row: refuse it before the file is opened
-        if not (math.isfinite(f) and cmath.isfinite(v)):
+    lines.append("freq_hz,dL_re,dL_im\n")
+    freqs, values = spectrum.frequencies, spectrum.delta_L
+    finite = np.isfinite(freqs) & np.isfinite(values)
+    good = finite & (freqs > 0.0)
+    if not good.all():
+        # the reader rejects such a row: refuse the first before the file is opened
+        row = good.argmin()
+        f = freqs[row]
+        if not finite[row]:
             raise ValueError(f"{path}: non-finite value at freq_hz = {_fmt(f)}; nothing written")
-        if not f > 0.0:
-            raise ValueError(f"{path}: freq_hz = {_fmt(f)} is not > 0; nothing written")
-        lines.append(f"{_fmt(f)},{_fmt(v.real)},{_fmt(v.imag)}")
+        raise ValueError(f"{path}: freq_hz = {_fmt(f)} is not > 0; nothing written")
+    # Python floats format to the same .17g bytes as numpy scalars, and faster.
+    numbers = np.column_stack((freqs, values.real, values.imag)).ravel().tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines) + ("%.17g,%.17g,%.17g\n" * freqs.size) % tuple(numbers))
 
 
 def read_spectrum_csv(path: str) -> InductanceSpectrum:

@@ -40,12 +40,23 @@ Example::
 
     [alpha0]                ; optional
     override_per_m = 166.67
+
+The file is read line by line. A blank line, or one whose first non-blank
+character is ';' or '#', is skipped; elsewhere a ';' or '#' after whitespace
+starts a comment that runs to the end of the line. What remains of a line,
+stripped, is a section header [name] or an entry key = value (or key: value),
+split at its first '=' or ':' with both sides stripped. There are no
+continuation lines (an indented line reads like any other) and no
+interpolation (a '%' is just part of the value). A key before the first
+header, a section or a key within one section given twice, an entry with no
+key, or any other line makes load_scenario raise ScenarioError naming the
+line's number.
 """
 
 from __future__ import annotations
 
-import configparser
 import hashlib
+import re
 from dataclasses import dataclass
 
 from .dodd_deeds import QuadratureSpec
@@ -90,6 +101,10 @@ _QUADRATURE_KEYS = _keys(alpha_max="1/m", n_panels=int, rule=str, rel_tolerance=
 _ALPHA0_KEYS = _keys(override="1/m")
 
 
+# An inline comment: ';' or '#' after whitespace, to the end of the line.
+_INLINE_COMMENT = re.compile(r"\s[;#].*")
+
+
 class ScenarioError(ValueError):
     """The scenario file is missing, malformed, or fails validation."""
 
@@ -112,15 +127,51 @@ class Scenario:
             ) from None
 
 
-def _section(cp: configparser.ConfigParser, name: str, keys: dict, required=()) -> dict:
-    """A section's values by bare key name, in SI, read through the name table ``keys``.
+def _parse(text: str) -> dict:
+    """{section: {key: value}} of a scenario file's text, both in file order.
 
-    An int key must hold a whole number. Unknown keys (a unit of another
-    quantity among them), a key set twice under two units, values of the
-    wrong type and a missing ``required`` key raise ValueError.
+    Raises ValueError naming the line of anything outside the grammar of the
+    module docstring.
     """
+    sections: dict[str, dict[str, str]] = {}
+    name = entries = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = _INLINE_COMMENT.sub("", line, count=1).strip()
+        if not line or line[0] in ";#":
+            continue
+        if line[0] == "[" and line[-1] == "]":
+            name = line[1:-1]
+            if name in sections:
+                raise ValueError(f"line {lineno}: section [{name}] given a second time")
+            entries = sections[name] = {}
+            continue
+        key, delimiter, value = line.partition("=")
+        if ":" in key:  # the first delimiter is ':'
+            key, delimiter, value = line.partition(":")
+        if not delimiter:
+            raise ValueError(f"line {lineno}: expected [section] or key = value, got {line!r}")
+        key = key.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: no key before {delimiter!r}")
+        if entries is None:
+            raise ValueError(f"line {lineno}: key {key!r} before any [section]")
+        if key in entries:
+            raise ValueError(f"line {lineno}: [{name}] {key} given a second time")
+        entries[key] = value.strip()
+    return sections
+
+
+def _section(sections: dict, name: str, keys: dict, required=()) -> dict:
+    """Section ``name``'s values by bare key name, in SI, read through the name table ``keys``.
+
+    An int key must hold a whole number. A missing section, unknown keys (a
+    unit of another quantity among them), a key set twice under two units,
+    values of the wrong type and a missing ``required`` key raise ValueError.
+    """
+    if name not in sections:
+        raise ValueError(f"No section: {name!r}")
     out = {}
-    for key, raw in cp.items(name):
+    for key, raw in sections[name].items():
         try:
             bare, kind, scale = keys[key]
         except KeyError:
@@ -162,41 +213,40 @@ def parse_quantity(text: str, unit: str) -> float:
 
 def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario file."""
-    # No header can name a section "\n", so [DEFAULT] is a section like any other.
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="\n")
-    cp.optionxform = str  # unit suffixes in key names are case sensitive
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-        cp.read_string(raw)
-    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        sections = _parse(raw)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError is a ValueError
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}") from exc
-    sha = hashlib.sha256(raw.encode("utf-8")).hexdigest()
-
     try:
-        for name in cp.sections():
-            plate = name.startswith("plate.") and name[len("plate.") :].strip()
-            if not plate and name not in ("coil", "sweep", "quadrature", "alpha0"):
-                raise ValueError(f"unknown section [{name}]")
-        coil = CoilPair(
-            **{
-                "coil_height" if key == "height" else key: value
-                for key, value in _section(cp, "coil", _COIL_KEYS, _COIL_REQUIRED).items()
-            }
-        )
-        plates = {
-            name[len("plate.") :]: Plate(**_section(cp, name, _PLATE_KEYS, _PLATE_REQUIRED))
-            for name in cp.sections()
-            if name.startswith("plate.")
-        }
-        if not plates:
-            raise ValueError("scenario defines no [plate.<name>] section")
-        sweep = SweepSpec(**_section(cp, "sweep", _SWEEP_KEYS, _SWEEP_REQUIRED))
-        quadrature = QuadratureSpec(
-            **(_section(cp, "quadrature", _QUADRATURE_KEYS) if cp.has_section("quadrature") else {})
-        )
-        alpha0 = _section(cp, "alpha0", _ALPHA0_KEYS) if cp.has_section("alpha0") else {}
-    except (ValueError, configparser.Error) as exc:
+        return _scenario(sections, hashlib.sha256(raw.encode("utf-8")).hexdigest())
+    except ValueError as exc:
         raise ScenarioError(f"invalid scenario {path!r}: {exc}") from exc
 
+
+def _scenario(sections: dict, sha: str) -> Scenario:
+    """The Scenario that ``sections`` ({section: {key: value}}) set; ValueError if invalid."""
+    for name in sections:
+        plate = name.startswith("plate.") and name[len("plate.") :].strip()
+        if not plate and name not in ("coil", "sweep", "quadrature", "alpha0"):
+            raise ValueError(f"unknown section [{name}]")
+    coil = CoilPair(
+        **{
+            "coil_height" if key == "height" else key: value
+            for key, value in _section(sections, "coil", _COIL_KEYS, _COIL_REQUIRED).items()
+        }
+    )
+    plates = {
+        name[len("plate.") :]: Plate(**_section(sections, name, _PLATE_KEYS, _PLATE_REQUIRED))
+        for name in sections
+        if name.startswith("plate.")
+    }
+    if not plates:
+        raise ValueError("scenario defines no [plate.<name>] section")
+    sweep = SweepSpec(**_section(sections, "sweep", _SWEEP_KEYS, _SWEEP_REQUIRED))
+    quadrature = QuadratureSpec(
+        **(_section(sections, "quadrature", _QUADRATURE_KEYS) if "quadrature" in sections else {})
+    )
+    alpha0 = _section(sections, "alpha0", _ALPHA0_KEYS) if "alpha0" in sections else {}
     return Scenario(coil, plates, sweep, quadrature, alpha0.get("override"), sha)

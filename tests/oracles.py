@@ -1,4 +1,5 @@
-"""Independent oracles for the layered reflection and the coil mutual inductance.
+"""Independent oracles for the layered reflection, the coil mutual inductance
+and the scenario file's lines.
 
 The per-interface wavenumbers and Fresnel coefficients of the TE-mode
 derivation, and the references built on them: the multiple-reflection
@@ -6,16 +7,20 @@ series, the reflection with both wavenumbers from numpy's complex sqrt, and
 the mutual inductance of the two windings in the spatial domain, from
 Maxwell's formula for two coaxial filaments. None of them is called by the
 package; the solver forms its wavenumbers and its closed-form reflection on
-its own, and the tests check it against these.
+its own, and the tests check it against these. The scenario loader's line
+parser is checked against configparser reading the same lines.
 """
 
 from __future__ import annotations
 
+import configparser
+import hashlib
 from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
+from eddyplate import scenario
 from eddyplate.model import MU_0
 
 # Above this Re(2 k2 D) the reference form below sets E = 0 (the half-space
@@ -151,3 +156,21 @@ def winding_mutual(coil, n=32, mirrored=False):
     for z, w_z in zip(z_tx, weight):
         total += w_z * np.sum(w3 * filament_mutual(r_tx, r_rx, z_rx - z))
     return total * coil.turns_tx * coil.turns_rx
+
+
+def configparser_scenario(path):
+    """Oracle: the Scenario of a scenario file whose lines configparser reads.
+
+    configparser as the loader once used it: ';' and '#' comments, inline
+    after whitespace too, case-sensitive keys, no [DEFAULT] section, and its
+    continuation lines and %-interpolation. Its {section: {key: value}} goes
+    through the loader's own validation. Raises configparser.Error or
+    ValueError where either rejects the file.
+    """
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), default_section="\n")
+    cp.optionxform = str
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read()
+    cp.read_string(raw)
+    sections = {name: dict(cp.items(name)) for name in cp.sections()}
+    return scenario._scenario(sections, hashlib.sha256(raw.encode("utf-8")).hexdigest())

@@ -284,6 +284,40 @@ def test_fit_unconstrained_is_not_converged():
     assert fit.sigma_d == 1.0 and fit.sigma_d_std == np.inf
 
 
+def _relative_full_step(spectrum, alpha0, sigma_d):
+    """The Gauss-Newton step from sigma_d, over sigma_d."""
+    omegas = 2 * np.pi * spectrum.frequencies
+    jac = _thin_slope(1j * omegas * MU_0 / (2.0 * alpha0), sigma_d)
+    r = _thin_response(alpha0, omegas, sigma_d) - spectrum.delta_L
+    return -np.vdot(jac, r).real / np.vdot(jac, jac).real / sigma_d
+
+
+def test_fit_stalled_out_of_reach_is_not_converged():
+    # From the 1 S fallback no step lowers the cost, which the full step
+    # would lower by only 1e-14 of itself: as flat as at an optimum, but that
+    # step is 2e20 S and the standard error finite.
+    far = InductanceSpectrum([1.0, 2.0, 3.0], [1e20] * 3, True, "synthetic")
+    fit = fit_sigma_d(far, 166.67)
+    assert abs(_relative_full_step(far, 166.67, fit.sigma_d)) > 1e20
+    assert fit.converged is False
+    assert fit.sigma_d == 1.0 and fit.sigma_d_std < np.inf
+
+
+def test_fit_stalled_by_round_off_is_converged():
+    # A plate and noise (1e-3 per part) of the CLI benchmark's round trip.
+    # After one step no step lowers the cost, though the full step is
+    # 1.1e-9 of sigma*D, over the step tolerance: round-off in the cost
+    # hides that last digit, and the fit is at its optimum.
+    plate = Plate(55223501.766835175, 0.00020837952763270504)
+    clean = sweep("thin_plate", COIL, plate, SweepSpec(10.0, 1e6, 50))
+    noise = np.random.default_rng([1006, 2, 719]).normal(0.0, 1e-3, (2, 50))
+    noisy = InductanceSpectrum(clean.frequencies, clean.delta_L + noise[0] + 1j * noise[1], True, "synthetic")
+    fit = fit_sigma_d(noisy, A0)
+    assert fit.iterations == len(fit.history) == 2  # the second iteration found no lower cost
+    assert 1e-9 < abs(_relative_full_step(noisy, A0, fit.sigma_d)) < 2e-9
+    assert fit.converged
+
+
 def test_fit_rejects_bad_inputs():
     freqs = np.geomspace(1e3, 5e5, 10)
     absolute = synthetic_spectrum(33488.0, A0, freqs)

@@ -175,7 +175,7 @@ def test_warning_prints_as_one_plain_line(tmp_path, copper_brass):
         ("plates.copper", "conductivity_MSm = 1"),
         ("plate.", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
         ("plate. ", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
-        # configparser would copy its keys into every other section
+        # a section configparser would have copied into every other
         ("DEFAULT", "foo = 1"),
     ],
     ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank", "DEFAULT"],
@@ -412,6 +412,20 @@ def test_invert_unconstrained_fit_exits_2(tmp_path, capsys):
     assert payload["converged"] is False and payload["sigma_d_std_S"] is None
 
 
+def test_invert_stalled_fit_exits_2(tmp_path, capsys):
+    # At the spectrum's own alpha0 and kHz the standard error is finite
+    # (8.7e153 S), but no step lowers the cost from the start of 1 S either:
+    # a search that stalls far from a negligible step is no convergence.
+    big = tmp_path / "big.csv"
+    big.write_text("# normalized=true\n# alpha0=166.67\n1e3,1e150,0\n2e3,1e150,0\n3e3,1e150,0\n")
+    fit = tmp_path / "fit.json"
+    assert main(["invert", str(big), "-o", str(fit)]) == EXIT_NO_CONVERGENCE
+    assert "converged=False" in capsys.readouterr().out
+    payload = _strict_json(fit)
+    assert payload["converged"] is False and payload["sigma_d_S"] == 1.0
+    assert 1e150 < payload["sigma_d_std_S"] < np.inf
+
+
 @pytest.mark.parametrize(
     "body, message",
     [
@@ -571,6 +585,13 @@ def test_zero_integral_warns_once(tmp_path, copper_brass):
 
 def test_import_loads_no_scipy():
     code = "import sys, eddyplate.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    done = run_cli([], code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_import_loads_no_configparser():
+    code = "import sys, eddyplate.cli; print(sorted(m for m in sys.modules if 'configparser' in m))"
     done = run_cli([], code)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"

@@ -34,14 +34,32 @@ EDGE_SPECTRUM = InductanceSpectrum(
     model_tag="dodd_deeds",
 )
 EDGE_SPECTRUM.delta_L.real, EDGE_SPECTRUM.delta_L.imag = EDGE_RE.ravel(), EDGE_IM.ravel()
+# The smallest subnormal and normal and the largest double, with -0.0 in each part of delta_L.
+EXTREMES = [5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
+EXTREME_SPECTRUM = InductanceSpectrum(
+    EXTREMES, np.empty(4, dtype=complex), normalized=False, model_tag="dodd_deeds"
+)
+EXTREME_SPECTRUM.delta_L.real = [-0.0, *EXTREMES[1:]]
+EXTREME_SPECTRUM.delta_L.imag = [*EXTREMES[:3], -0.0]
+
+
+def _reference_rows(spectrum):
+    """The data rows formatted one at a time from numpy scalars, as the writer once did."""
+    return "".join(
+        f"{f:.17g},{v.real:.17g},{v.imag:.17g}\n"
+        for f, v in zip(spectrum.frequencies, spectrum.delta_L)
+    )
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(spectrum=spectra())
 @example(spectrum=EDGE_SPECTRUM)
+@example(spectrum=EXTREME_SPECTRUM)
 def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
     path = str(tmp_path_factory.mktemp("csv") / "spectrum.csv")
     write_spectrum_csv(path, spectrum)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read().partition("freq_hz,dL_re,dL_im\n")[2] == _reference_rows(spectrum)
     back = read_spectrum_csv(path)
     for written, read in (
         (spectrum.frequencies, back.frequencies),
@@ -67,6 +85,30 @@ def test_spectrum_csv_writer_refuses_non_finite_values(tmp_path):
     spectrum = InductanceSpectrum([10.0, 20.0, 30.0], delta, normalized=False, model_tag="dodd_deeds")
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match=f"{path}: non-finite value at freq_hz = 20;"):
+        write_spectrum_csv(str(path), spectrum)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "freqs, values, message",
+    [
+        ({2: 0.0}, {1: np.nan}, "non-finite value at freq_hz = 20;"),
+        ({0: -5.0}, {2: np.inf}, "freq_hz = -5 is not > 0;"),
+        ({1: 0.0}, {1: complex(0.0, np.nan)}, "non-finite value at freq_hz = 0;"),
+        ({1: np.nan}, {}, "non-finite value at freq_hz = nan;"),
+    ],
+    ids=["non-finite-first", "not-above-zero-first", "both-in-one-row", "nan-freq"],
+)
+def test_spectrum_csv_writer_names_the_first_bad_row(tmp_path, freqs, values, message):
+    # Rows are judged in file order; within a row, a non-finite value comes
+    # before f <= 0. A spectrum is built valid, but its arrays can be changed.
+    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
+    for row, freq in freqs.items():
+        spectrum.frequencies[row] = freq
+    for row, value in values.items():
+        spectrum.delta_L[row] = value
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"{path}: {message} nothing written"):
         write_spectrum_csv(str(path), spectrum)
     assert not path.exists()
 
