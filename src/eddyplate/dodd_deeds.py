@@ -13,8 +13,8 @@ integral along the direct path, d = gap, with phi = 1.
 
 The integral over a runs as a trapezoid rule in v, where u = ln(alpha_max /
 a) = psi(v) is a smooth stretch, weights h psi'(v_j) a_j, over the nine
-decades below alpha_max. The step in u is h at alpha_max and widens to 3 h
-below about 0.03 / outer_radius, where the integrand is smooth, near
+decades below alpha_max. The step in u is h at alpha_max and widens to 5 h
+below about 0.02 / outer_radius, where the integrand is smooth, near
 a^3 phi(a), so that the grid spends its nodes where P^2 oscillates. The
 integrand in u, a times the one above, vanishes as a^2 or faster for a -> 0
 and decays exponentially for a -> inf, and psi is analytic in a strip about
@@ -74,19 +74,21 @@ _HANKEL_P, _HANKEL_Q = _HANKEL[0::2], _HANKEL[1::2]
 _DECADES = 9
 # The grid's stretch (beta and kappa of _kernel_table): below about
 # _KAPPA / outer_radius the steps in ln(alpha) widen to 1 + _BETA times the
-# step at alpha_max.
-_BETA = 2.0
-_KAPPA = 0.03
+# step at alpha_max: 82 nodes per frequency for the default sensor.
+_BETA = 4.0
+_KAPPA = 0.02
 # Step halvings the adaptive rule may make: from the default 18 steps per
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
 # call overhead (about 35 us) while the kernel's five complex buffers (80
-# bytes an element, about 655 kB at 88 x 93) stay in cache. The output bits
-# do not depend on it. With the one-division kernel, 12,288 and 16,384 took
-# 1% and 3% off delta_L's thread time on the benchmark grid, faster in only
-# 59% and 61% of 80 interleaved rounds, for up to twice the buffers: no
-# clear gain.
+# bytes an element, about 656 kB at 100 x 82) stay in cache. delta_L splits
+# F rows of N nodes into max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal
+# size, so a block holds at most about 1.5 x _BLOCK_ELEMENTS elements and a
+# 400 x 82 sweep makes 4 blocks of 100 rows. The output bits do not depend
+# on it. With the one-division kernel, 12,288 and 16,384 took 1% and 3% off
+# delta_L's thread time on the benchmark grid, faster in only 59% and 61% of
+# 80 interleaved rounds, for up to twice the buffers: no clear gain.
 _BLOCK_ELEMENTS = 8192
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300
@@ -123,20 +125,22 @@ class QuadratureSpec:
     ``n_panels`` is the number of trapezoid steps per decade of alpha at
     alpha_max. The rule is uniform in v, where ln(alpha_max / alpha) = psi(v)
     widens the step in ln(alpha) smoothly from h = ln(10) / n_panels at
-    alpha_max to 3 h below about 0.03 / outer_radius, and it spans the nine
-    decades below alpha_max: 93 nodes per frequency for the default sensor
+    alpha_max to 5 h below about 0.02 / outer_radius, and it spans the nine
+    decades below alpha_max: 82 nodes per frequency for the default sensor
     at the default 18 steps per decade, where a uniform step in ln(alpha)
     takes 163. The adaptive rule accepts an integral when |T_h - T_2h| <=
     rel_tolerance |T_h|, T_2h being the same rule on every other node; the
     others are evaluated again with the step halved, on the new midpoints
     only. The fixed rule returns T_h. delta_L converges at the first check
     at the default 18: on the benchmark's plates, 10 Hz - 1 MHz and
-    lift-offs of 0.5 - 3 mm the estimate is <= 2.6e-9 and the value within
-    1.3e-14 of a uniform step in ln(alpha) at 512 steps per decade. Over
-    f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um - 10 cm, mu_r up to
-    1000 and lift-offs of 0.1 - 10 mm all but one of 1,035 frequencies stop
-    there too (estimate <= 1.2e-8; 1.9 Hz on 10 cm of 1e8 S/m at 10 mm
-    takes one halving), within 2.7e-14 of that rule. delta_L_air, whose
+    lift-offs of 0.5 - 3 mm the estimate is <= 2.61e-9 and the value within
+    7.8e-15 of the same rule at 512 steps per decade, and over lift-offs of
+    0.1 - 10 mm within 5.3e-15 of a uniform step in ln(alpha) at 256 steps
+    per decade. Over f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um -
+    10 cm, mu_r up to 1000 and lift-offs of 0.1 - 10 mm, 1,019 of 1,035
+    frequencies stop there too (estimate <= 3.1e-8). The other 16, all on
+    10 cm of 1e8 S/m with mu_r = 1 at 5.3 Hz and below, take one halving.
+    All are within 1.8e-14 of the 512-step rule. delta_L_air, whose
     integrand decays only as exp(-alpha gap), is solved once per coil
     geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
     2.2e-12 of the 512-step rule.
@@ -148,7 +152,7 @@ class QuadratureSpec:
     The estimate overstates the error. The trapezoid rule converges
     exponentially in 1 / h, so where the step and not round-off sets the
     error of T_h (8 - 12 steps per decade on the benchmark's plates),
-    |T_h - T_2h| is 2.7e3x to 1e7x that error. rel_tolerance is not tuned
+    |T_h - T_2h| is 8.8e2x to 1.1e7x that error. rel_tolerance is not tuned
     around this: it stays a bound on the estimate.
     """
 
@@ -431,17 +435,19 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     w = np.atleast_1d(omegas)
 
     def row_sums(rows, nodes, weight):
-        step = max(1, _BLOCK_ELEMENTS // nodes.size)
         alpha0 = nodes[None, :]
         out = np.empty((rows.size, weight.shape[1]), dtype=complex)
-        for start in range(0, rows.size, step):
-            block = rows[start : start + step]
+        # blocks of equal size, as near _BLOCK_ELEMENTS as whole rows allow
+        n_blocks = max(1, min(rows.size, round(rows.size * nodes.size / _BLOCK_ELEMENTS)))
+        for k in range(n_blocks):
+            start, stop = rows.size * k // n_blocks, rows.size * (k + 1) // n_blocks
+            block = rows[start:stop]
             phi = generalized_reflection(alpha0, w[block, None], plate)
             # (Re, Im) x weight columns as one real matrix product per
             # frequency, so a row's bits do not depend on its block's size
             sums = phi.view(float).reshape(block.size, -1, 2).transpose(0, 2, 1) @ weight
-            out[start : start + step].real = sums[:, 0]
-            out[start : start + step].imag = sums[:, 1]
+            out[start:stop].real = sums[:, 0]
+            out[start:stop].imag = sums[:, 1]
         return out
 
     # the image path: the lower faces of the transmitter and the receiver

@@ -409,7 +409,7 @@ def test_truncation_warning_below_lowest_node(monkeypatch):
         ),
         (
             lambda: delta_L(COIL, PLATES[0], 1e4, QuadratureSpec(n_panels=10**9)),
-            r"n_panels = 1000000000 asks for 5.\de\+09 nodes, more than the budget",
+            r"n_panels = 1000000000 asks for 4.46e\+09 nodes, more than the budget",
         ),
     ],
 )
@@ -425,14 +425,15 @@ def test_quadrature_over_budget_fails_fast(call, message):
 
 
 def test_step_halving_over_budget_is_no_convergence(monkeypatch):
-    # Level 0 holds 42 nodes at 8 steps per decade; the third halving adds
-    # 164 midpoints, more than a budget of 100. The estimates do not reach
+    # Level 0 holds 37 nodes at 8 steps per decade; the third halving adds
+    # 144 midpoints, more than a budget of 100. The estimates do not reach
     # 1e-16 before (test_quadrature_convergence_error).
     monkeypatch.setattr(dodd_deeds, "_BUDGET", 100)
     dodd_deeds._kernel_table.cache_clear()
     try:
         quad = QuadratureSpec(n_panels=8, rel_tolerance=1e-16)
-        with pytest.raises(QuadratureConvergenceError, match="halving 3: n_panels = 8 asks for 164"):
+        assert first_level_nodes(COIL, quad) == 37
+        with pytest.raises(QuadratureConvergenceError, match="halving 3: n_panels = 8 asks for 144"):
             delta_L(COIL, PLATES[0], 2 * np.pi * 10.0, quad)
     finally:
         dodd_deeds._kernel_table.cache_clear()
@@ -489,14 +490,28 @@ def test_delta_L_array_matches_scalar_calls(monkeypatch):
 
 
 def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
-    # One block of 2^16 elements holds the whole 400 x 93 grid, past numpy's
-    # 256 KiB temporary elision; the default blocks stay below it.
+    # The default sweep of 400 x 82 elements goes to the kernel in 4 blocks
+    # of 100 rows. Blocks of one row, an uneven split of 1 - 2 rows, and one
+    # block of the whole grid, past numpy's 256 KiB temporary elision, give
+    # the same bits.
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
+    reflection = dodd_deeds.generalized_reflection
+    shapes = []
+
+    def recording(alpha0, omega, plate):
+        shapes.append(np.broadcast(alpha0, omega).shape)
+        return reflection(alpha0, omega, plate)
+
+    monkeypatch.setattr(dodd_deeds, "generalized_reflection", recording)
+    delta_L(COIL, PLATES[0], omegas, QUAD)
+    assert shapes == [(100, first_level_nodes(COIL))] * 4
+    monkeypatch.undo()
     blocked = [delta_L(COIL, plate, omegas, QUAD) for plate in PLATES]
-    monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", 1 << 16)
-    for plate, value in zip(PLATES, blocked):
-        whole = delta_L(COIL, plate, omegas, QUAD)
-        assert np.array_equal(whole.view(np.uint64), value.view(np.uint64)), plate
+    for elements in (1, 97, 8192, 1 << 16):
+        monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", elements)
+        for plate, value in zip(PLATES, blocked):
+            other = delta_L(COIL, plate, omegas, QUAD)
+            assert np.array_equal(other.view(np.uint64), value.view(np.uint64)), (elements, plate)
 
 
 def test_delta_L_array_validation():
@@ -664,6 +679,29 @@ def test_default_rule_against_uniform_trapezoid():
         assert abs(delta_L_air(coil, QUAD) - exact) <= 1e-12 * exact, gap
 
 
+def test_default_rule_on_extreme_plates_against_uniform_trapezoid():
+    # The accuracy audit's extreme plates, frequencies and lift-offs against
+    # the uniform step in ln(alpha), which shares no grid with the rule: the
+    # audit's reference, the same stretch at 512 steps per decade, would not
+    # see a stretch too wide below kappa / outer_radius.
+    plates = (
+        Plate(1.0, 1e-6),
+        Plate(1.0, 1e-6, 1000.0),
+        Plate(1e8, 0.1),
+        Plate(1e8, 0.1, 1000.0),
+    )
+    omegas = 2 * np.pi * np.geomspace(0.01, 1e8, 11)
+    for liftoff in (0.1e-3, 10e-3):
+        coil = dataclasses.replace(COIL, liftoff=liftoff)
+        alpha_max, path = QUAD.resolve_alpha_max(coil), 2.0 * liftoff + coil.coil_height + coil.gap
+        for plate in plates:
+            value = delta_L(coil, plate, omegas, QUAD)
+            exact = uniform_trapezoid(
+                coil, alpha_max, path, lambda nodes: generalized_reflection(nodes, omegas[:, None], plate)
+            )
+            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
+
+
 def test_delta_L_air_same_bits_at_every_liftoff():
     # Neither the lift-off nor the drive current enters L_air, its grid or its
     # cache key.
@@ -726,36 +764,36 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, x86-64), frozen from the solver after the reflection
-# kernel dropped hypot and its second complex division. They agree to
-# 3.0e-16 of |delta_L| with the values frozen before, which agreed to 3.6e-16
-# with those of _j1's power series, and those to 2.1e-16 with scipy's J1 on
-# the same stretched grid.
+# plates (numpy 2.4, x86-64), frozen from the solver after the grid's stretch
+# widened to 5 h below about 0.02 / outer_radius (82 nodes). They agree to
+# 1.9e-15 of |delta_L| with the values frozen before on the 93-node grid,
+# which agreed to 3.0e-16 with those of the reflection kernel with hypot, and
+# those to 3.6e-16 with those of _j1's power series.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622586e-11-2.6066902056236237e-09j), (-1.3234719970067287e-08-3.867036469571211e-08j),
-        (-1.6416859635900688e-07-5.143563489130852e-08j), (-1.872442933372312e-07-6.638248929748472e-09j),
-        (-1.9282231611300294e-07-1.7112523289472444e-09j),
+        (-7.03120334762257e-11-2.6066902056236237e-09j), (-1.3234719970067276e-08-3.867036469571214e-08j),
+        (-1.6416859635900704e-07-5.14356348913086e-08j), (-1.872442933372315e-07-6.6382489297484774e-09j),
+        (-1.9282231611300323e-07-1.7112523289472509e-09j),
     ),
     (
-        (-6.443848236945216e-11-2.309110945857678e-09j), (-1.1793371412165813e-08-3.398699918079809e-08j),
-        (-1.4412129289928278e-07-4.8772509390396104e-08j), (-1.8079881266421797e-07-1.2575949686443747e-08j),
-        (-1.9128229769924187e-07-3.200717268265159e-09j),
+        (-6.4438482369452e-11-2.309110945857678e-09j), (-1.179337141216581e-08-3.398699918079809e-08j),
+        (-1.4412129289928286e-07-4.877250939039619e-08j), (-1.8079881266421823e-07-1.2575949686443764e-08j),
+        (-1.912822976992422e-07-3.2007172682651604e-09j),
     ),
     (
-        (-3.678712357730839e-14-6.048963319845177e-11j), (-1.1456591280914473e-11-1.0751843085760898e-09j),
-        (-2.880289676202158e-09-1.8194287244720467e-08j), (-1.2102287003497922e-07-8.245889107563582e-08j),
-        (-1.9364731481234199e-07-9.080797438480547e-09j),
+        (-3.6787123577370345e-14-6.048963319845181e-11j), (-1.1456591280914678e-11-1.07518430857609e-09j),
+        (-2.880289676202157e-09-1.819428724472048e-08j), (-1.210228700349794e-07-8.245889107563603e-08j),
+        (-1.9364731481234236e-07-9.080797438480547e-09j),
     ),
     (
-        (-3.670515750184945e-14-6.029259077522123e-11j), (-1.1430688374899175e-11-1.0716806870625664e-09j),
-        (-2.872636210699369e-09-1.813345380504296e-08j), (-1.2058113686910118e-07-8.218133219338693e-08j),
-        (-1.9303057858170528e-07-9.079741245463365e-09j),
+        (-3.670515750190983e-14-6.02925907752212e-11j), (-1.1430688374899323e-11-1.0716806870625676e-09j),
+        (-2.872636210699367e-09-1.8133453805042963e-08j), (-1.205811368691013e-07-8.2181332193387e-08j),
+        (-1.9303057858170547e-07-9.07974124546337e-09j),
     ),
     (
-        (1.7668902938228715e-07-5.10997042870252e-10j), (1.753533385732009e-07-8.786709202245892e-09j),
-        (1.2945125173630866e-07-4.422936905421375e-08j), (1.1303333481733697e-08-7.330247250574361e-08j),
-        (-1.1792421910892143e-07-5.080399510394747e-08j),
+        (1.7668902938228723e-07-5.109970428702479e-10j), (1.7535333857320107e-07-8.786709202245892e-09j),
+        (1.2945125173630885e-07-4.422936905421373e-08j), (1.1303333481733772e-08-7.330247250574366e-08j),
+        (-1.1792421910892156e-07-5.080399510394753e-08j),
     ),
 )
 
@@ -812,7 +850,7 @@ def test_default_rule_accuracy_audit(monkeypatch):
         assert abs(air - delta_L_air(coil, reference)) <= 1e-10 * air, gap
 
     # The benchmark's inputs converge at the first check: one evaluation of
-    # every frequency on the first level's nodes (93 for the default sensor,
+    # every frequency on the first level's nodes (82 for the default sensor,
     # where a uniform step in ln(alpha) takes 9 x 18 + 1 = 163).
     nodes_per_level = {}
     reflection = dodd_deeds.generalized_reflection

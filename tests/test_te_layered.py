@@ -344,15 +344,28 @@ def test_generalized_reflection_bits_do_not_depend_on_call_size():
             assert_bitwise_equal(generalized_reflection(alphas, omega, plate), np.concatenate(pieces))
 
 
-def test_generalized_reflection_memory_of_a_delta_L_block():
-    # One block of delta_L, (frequencies x nodes) of the default sensor. The
-    # kernel's five buffers and numpy's iteration buffers come to about 6
-    # complex arrays of the block's size; a chain of temporaries, to 11.5.
+def test_generalized_reflection_memory_of_a_delta_L_block(monkeypatch):
+    # The largest block of delta_L, (frequencies x nodes) of the default
+    # sensor: a sweep makes one block while its size rounds to one
+    # _BLOCK_ELEMENTS, about 1.5 x 8,192 elements. The kernel's five buffers
+    # and numpy's iteration buffers come to about 6 complex arrays of the
+    # block's size; a chain of temporaries, to 11.5.
     coil = default_sensor()
     quad = QuadratureSpec()
     nodes = _kernel_table(coil, quad.resolve_alpha_max(coil), quad.n_panels)[0]
-    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)[: dodd_deeds._BLOCK_ELEMENTS // nodes.size]
-    assert (omegas.size, nodes.size) == (88, 93)
+    rows = []
+
+    def recording(alpha0, omega, plate):
+        rows.append(np.broadcast(alpha0, omega).shape[0])
+        return generalized_reflection(alpha0, omega, plate)
+
+    # the blocks of every sweep of up to 400 frequencies of the benchmark's band
+    monkeypatch.setattr(dodd_deeds, "generalized_reflection", recording)
+    for n in range(1, 401):
+        dodd_deeds.delta_L(coil, Plate(59.8e6, 0.56e-3), 2 * np.pi * np.geomspace(10.0, 1e6, n), quad)
+    monkeypatch.undo()
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, max(rows))
+    assert 1.4 * dodd_deeds._BLOCK_ELEMENTS < omegas.size * nodes.size < 1.5 * dodd_deeds._BLOCK_ELEMENTS
     tracemalloc.start()
     try:
         generalized_reflection(nodes[None, :], omegas[:, None], Plate(5.0e6, 1.0e-3, 200.0))
