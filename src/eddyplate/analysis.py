@@ -48,7 +48,7 @@ class SigmaDFit:
     sigma_d: float               # [S]
     sigma_d_std: float           # [S], linearized 1-sigma error
     residual_norm: float         # ||model - data|| / ||data||
-    iterations: int
+    iterations: int              # full steps judged, the last one included
     converged: bool
     history: list = field(default_factory=list, repr=False)
 
@@ -139,20 +139,16 @@ def compare(
     rel = np.full(a.frequencies.shape, np.nan)
     rel[usable] = np.abs(a.delta_L[usable] - b.delta_L[usable]) / mag[usable]
 
-    if band is None:
-        in_band = np.ones(a.frequencies.shape, dtype=bool)
-        effective = (float(a.frequencies[0]), float(a.frequencies[-1]))
-    else:
-        lo, hi = band
-        in_band = (a.frequencies >= lo) & (a.frequencies <= hi)
-        effective = (float(lo), float(hi))
+    # the frequencies increase strictly, so with no band this selects them all
+    lo, hi = band if band is not None else (a.frequencies[0], a.frequencies[-1])
+    in_band = (a.frequencies >= lo) & (a.frequencies <= hi)
 
     selected = rel[in_band]
     max_err = float(np.nanmax(selected)) if np.any(np.isfinite(selected)) else float("nan")
     return EquivalenceReport(
         per_frequency_rel_error=rel,
         max_rel_error=max_err,
-        max_rel_error_band=effective,
+        max_rel_error_band=(float(lo), float(hi)),
         band_filter=band,
         n_excluded=int(np.count_nonzero(~usable & in_band)),
     )
@@ -183,11 +179,16 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     Minimizes the squared misfit |model - data|^2 of the thin-plate model
     against a normalized spectrum. The model depends on the plate only
     through sigma*D / alpha0, so at a known alpha0 sigma*D is its one
-    unknown, and each step is the scalar -Re<J, r> / ||J||^2. An alpha0 at
-    which (omega mu0 / (2 alpha0))^2 is not a normal double on the spectrum's
-    band, or a spectrum whose misfit overflows, is rejected: the fit could
-    not tell convergence. A fit whose standard error is not finite, so that
-    the data do not pin sigma*D down, is reported as not converged.
+    unknown, and each step is the scalar -Re<J, r> / ||J||^2. The fit stops
+    at the top of an iteration, before its line search, when the full step
+    is at most 1e-9 of sigma*D, or smaller than sigma*D with a predicted drop
+    ||J||^2 step^2 of at most 1e-12 of the cost. A line search that finds no
+    lower cost ends the fit as not converged: the model cannot reach the
+    data from there. An alpha0 at which (omega mu0 / (2 alpha0))^2 is not a
+    normal double on the spectrum's band, or a spectrum whose misfit
+    overflows, is rejected: the fit could not tell convergence. A fit whose
+    standard error is not finite, so that the data do not pin sigma*D down,
+    is reported as not converged.
     """
     if not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -224,9 +225,20 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
 
     for iterations in range(1, _MAX_FIT_ITERATIONS + 1):
         jac = _thin_slope(u, sigma_d)
-        step = -np.vdot(jac, r).real / np.vdot(jac, jac).real
+        jac_sq = np.vdot(jac, jac).real
+        step = -np.vdot(jac, r).real / jac_sq
+        # Judge the full step: negligible against sigma*D, or, where round-off
+        # in the cost hides the last digits of sigma*D, a predicted drop the
+        # residual tolerance stops at. A step as large as sigma*D means the
+        # model cannot reach the data: no optimum, however flat.
+        if abs(step) <= _STEP_TOLERANCE * sigma_d or (
+            abs(step) < sigma_d and jac_sq * step * step <= _RESIDUAL_TOLERANCE * cost
+        ):
+            converged = True
+            break
 
-        # Backtracking: halve the step until the cost drops at a positive iterate.
+        # Backtracking: halve the step until the cost drops at a positive
+        # iterate. If none does, the fit is stuck short of an optimum.
         lam = 1.0
         for _ in range(30):
             cand = sigma_d + lam * step
@@ -236,25 +248,10 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
                     break
             lam *= 0.5
         else:
-            # No step lowers the cost. That is the optimum if the full step
-            # passes the test below: negligible against sigma*D, or, where
-            # round-off in the cost hides the last digits of sigma*D, a drop
-            # the residual tolerance would stop at. A step as large as sigma*D
-            # means the model cannot reach the data: no optimum, however flat.
-            predicted_drop = np.vdot(jac, jac).real * step * step
-            converged = bool(
-                abs(step) <= _STEP_TOLERANCE * sigma_d
-                or (abs(step) < sigma_d and predicted_drop <= _RESIDUAL_TOLERANCE * cost)
-            )
             break
 
-        step_size = abs(lam * step) / cand
-        cost_drop = (cost - cost_cand) / cost if cost > 0 else 0.0
         sigma_d, r, cost = cand, r_cand, cost_cand
         history.append(cost)
-        if step_size < _STEP_TOLERANCE or cost_drop < _RESIDUAL_TOLERANCE:
-            converged = True
-            break
 
     # Linearized 1-sigma error, with the noise variance taken from the
     # residual over 2N real residuals and one parameter.

@@ -152,9 +152,7 @@ def frequency_grid(spec: SweepSpec) -> np.ndarray:
     Cached per spec, so every sweep of one spec shares the array: it is
     read-only.
     """
-    if spec.n_points == 1:
-        grid = np.array([spec.f_min])
-    elif spec.spacing == "logarithmic":
+    if spec.spacing == "logarithmic":
         grid = np.geomspace(spec.f_min, spec.f_max, spec.n_points)
     else:
         grid = np.linspace(spec.f_min, spec.f_max, spec.n_points)

@@ -16,6 +16,7 @@ from eddyplate import (
     dodd_deeds,
     fit_sigma_d,
     sweep,
+    thin_plate,
 )
 from eddyplate.analysis import _linear_start, _thin_slope
 from eddyplate.thin_plate import _thin_response
@@ -240,14 +241,30 @@ def test_fit_noiseless_recovers_sigma_d():
         assert fit.residual_norm < 1e-9
 
 
-def test_fit_noisy_one_percent_over_seeds():
+def _count_misfits(monkeypatch):
+    """A list that grows by one at each misfit evaluation of the fit."""
+    calls = []
+    response = thin_plate._thin_response
+
+    def counted(*args):
+        calls.append(None)
+        return response(*args)
+
+    monkeypatch.setattr(thin_plate, "_thin_response", counted)
+    return calls
+
+
+def test_fit_noisy_one_percent_over_seeds(monkeypatch):
     freqs = np.geomspace(10.0, 1e6, 50)
     sigma_d = 33488.0
     fits = []
+    calls = _count_misfits(monkeypatch)
     for seed in range(100):
         s = synthetic_spectrum(sigma_d, A0, freqs, noise=0.01, seed=seed)
+        calls.clear()
         fit = fit_sigma_d(s, A0)
         assert fit.converged
+        assert len(calls) <= 8, seed  # no line search runs out its halvings
         fits.append(fit)
     fitted = np.array([f.sigma_d for f in fits])
     assert np.max(np.abs(fitted - sigma_d)) / sigma_d < 0.01
@@ -303,17 +320,20 @@ def test_fit_stalled_out_of_reach_is_not_converged():
     assert fit.sigma_d == 1.0 and fit.sigma_d_std < np.inf
 
 
-def test_fit_stalled_by_round_off_is_converged():
+def test_fit_stalled_by_round_off_is_converged(monkeypatch):
     # A plate and noise (1e-3 per part) of the CLI benchmark's round trip.
     # After one step no step lowers the cost, though the full step is
     # 1.1e-9 of sigma*D, over the step tolerance: round-off in the cost
-    # hides that last digit, and the fit is at its optimum.
+    # hides that last digit, and the fit is at its optimum. The predicted
+    # drop stops it there, before a line search.
     plate = Plate(55223501.766835175, 0.00020837952763270504)
     clean = sweep("thin_plate", COIL, plate, SweepSpec(10.0, 1e6, 50))
     noise = np.random.default_rng([1006, 2, 719]).normal(0.0, 1e-3, (2, 50))
     noisy = InductanceSpectrum(clean.frequencies, clean.delta_L + noise[0] + 1j * noise[1], True, "synthetic")
+    calls = _count_misfits(monkeypatch)
     fit = fit_sigma_d(noisy, A0)
-    assert fit.iterations == len(fit.history) == 2  # the second iteration found no lower cost
+    assert len(calls) <= 2  # the start and one step, no futile halvings
+    assert fit.iterations == len(fit.history) == 2  # the second iteration judged its step negligible
     assert 1e-9 < abs(_relative_full_step(noisy, A0, fit.sigma_d)) < 2e-9
     assert fit.converged
 

@@ -392,8 +392,9 @@ def test_invert_round_trip(tmp_path, copper_brass, capsys):
     assert payload["converged"] is True
     assert abs(payload["sigma_d_S"] - 33488.0) / 33488.0 < 1e-6
     # The spectrum is noiseless, so the closed-form start is already the
-    # optimum: no step lowers the cost, and the (near) zero residual gives a
-    # finite standard error, so the fit converges in its first iteration.
+    # optimum: its first full step is negligible, and the (near) zero
+    # residual gives a finite standard error, so the fit converges in its
+    # first iteration.
     assert payload["iterations"] == 1
     assert 0.0 <= payload["sigma_d_std_S"] < 1e-6 * 33488.0
     assert "sigma_d=" in capsys.readouterr().out

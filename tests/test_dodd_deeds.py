@@ -672,7 +672,7 @@ def test_default_rule_against_uniform_trapezoid():
             exact = uniform_trapezoid(
                 coil, alpha_max, path, lambda nodes: generalized_reflection(nodes, omegas[:, None], plate)
             )
-            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
+            assert np.all(np.abs(value - exact) <= 1e-13 * np.abs(exact)), (liftoff, plate)
     for gap in (0.5e-3, 2e-3, 5e-3):
         coil = dataclasses.replace(COIL, gap=gap)
         exact = uniform_trapezoid(coil, 40.0 / gap, gap, lambda nodes: np.ones((1, nodes.size)))[0]
@@ -699,7 +699,7 @@ def test_default_rule_on_extreme_plates_against_uniform_trapezoid():
             exact = uniform_trapezoid(
                 coil, alpha_max, path, lambda nodes: generalized_reflection(nodes, omegas[:, None], plate)
             )
-            assert np.all(np.abs(value - exact) <= 1e-12 * np.abs(exact)), (liftoff, plate)
+            assert np.all(np.abs(value - exact) <= 1e-13 * np.abs(exact)), (liftoff, plate)
 
 
 def test_delta_L_air_same_bits_at_every_liftoff():

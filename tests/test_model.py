@@ -73,6 +73,9 @@ def test_frequency_grid_logarithmic_three_points():
 def test_frequency_grid_degenerate():
     grid = frequency_grid(SweepSpec(100.0, 100.0, 1, spacing="linear"))
     assert grid.tolist() == [100.0]
+    for spacing in ("logarithmic", "linear"):  # bitwise the one frequency given
+        grid = frequency_grid(SweepSpec(12345.678, 12345.678, 1, spacing=spacing))
+        assert grid.tolist() == [12345.678], spacing
 
 
 def test_frequency_grid_geometric_ratios():
