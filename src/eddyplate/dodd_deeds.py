@@ -81,15 +81,15 @@ _KAPPA = 0.02
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
-# call overhead (about 35 us) while the kernel's five complex buffers (80
-# bytes an element, about 656 kB at 100 x 82) stay in cache. delta_L splits
-# F rows of N nodes into max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal
-# size, so a block holds at most about 1.5 x _BLOCK_ELEMENTS elements and a
-# 400 x 82 sweep makes 4 blocks of 100 rows. The output bits do not depend
-# on it. With the one-division kernel, 12,288 and 16,384 took 1% and 3% off
-# delta_L's thread time on the benchmark grid, faster in only 59% and 61% of
-# 80 interleaved rounds, for up to twice the buffers: no clear gain.
-_BLOCK_ELEMENTS = 8192
+# call overhead (about 35 us); the kernel's five complex buffers take 80
+# bytes an element, about 1.3 MB at 200 x 82. delta_L splits F rows of N
+# nodes into max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal size, so a
+# block holds at most about 1.5 x _BLOCK_ELEMENTS elements and a 400 x 82
+# sweep makes 2 blocks of 200 rows. The output bits do not depend on it.
+# With the three-product kernel, 16,384 took 4.6% off delta_L's thread time
+# on dd_wideband's 400 x 82 grid against 8,192, faster in 89 of 120
+# interleaved rounds (with the one-division kernel, 3% in 61% of 80).
+_BLOCK_ELEMENTS = 16384
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
@@ -135,7 +135,7 @@ class QuadratureSpec:
     at the default 18: on the benchmark's plates, 10 Hz - 1 MHz and
     lift-offs of 0.5 - 3 mm the estimate is <= 2.61e-9 and the value within
     7.8e-15 of the same rule at 512 steps per decade, and over lift-offs of
-    0.1 - 10 mm within 5.3e-15 of a uniform step in ln(alpha) at 256 steps
+    0.1 - 10 mm within 5.1e-15 of a uniform step in ln(alpha) at 256 steps
     per decade. Over f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um -
     10 cm, mu_r up to 1000 and lift-offs of 0.1 - 10 mm, 1,019 of 1,035
     frequencies stop there too (estimate <= 3.1e-8). The other 16, all on

@@ -490,10 +490,10 @@ def test_delta_L_array_matches_scalar_calls(monkeypatch):
 
 
 def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
-    # The default sweep of 400 x 82 elements goes to the kernel in 4 blocks
-    # of 100 rows. Blocks of one row, an uneven split of 1 - 2 rows, and one
-    # block of the whole grid, past numpy's 256 KiB temporary elision, give
-    # the same bits.
+    # The default sweep of 400 x 82 elements goes to the kernel in 2 blocks
+    # of 200 rows. Blocks of one row, an uneven split of 1 - 2 rows, 4 blocks
+    # of 100 rows, and one block of the whole grid, past numpy's 256 KiB
+    # temporary elision, give the same bits.
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
     reflection = dodd_deeds.generalized_reflection
     shapes = []
@@ -504,10 +504,10 @@ def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
 
     monkeypatch.setattr(dodd_deeds, "generalized_reflection", recording)
     delta_L(COIL, PLATES[0], omegas, QUAD)
-    assert shapes == [(100, first_level_nodes(COIL))] * 4
+    assert shapes == [(200, first_level_nodes(COIL))] * 2
     monkeypatch.undo()
     blocked = [delta_L(COIL, plate, omegas, QUAD) for plate in PLATES]
-    for elements in (1, 97, 8192, 1 << 16):
+    for elements in (1, 97, 8192, 16384, 1 << 16):
         monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", elements)
         for plate, value in zip(PLATES, blocked):
             other = delta_L(COIL, plate, omegas, QUAD)
@@ -764,36 +764,37 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
-# plates (numpy 2.4, x86-64), frozen from the solver after the grid's stretch
-# widened to 5 h below about 0.02 / outer_radius (82 nodes). They agree to
-# 1.9e-15 of |delta_L| with the values frozen before on the 93-node grid,
-# which agreed to 3.0e-16 with those of the reflection kernel with hypot, and
-# those to 3.6e-16 with those of _j1's power series.
+# plates (numpy 2.4, x86-64), frozen from the solver after the reflection
+# kernel took the three-product fraction. They agree to 3.6e-16 of |delta_L|
+# with the values frozen before from the one-division kernel on the same
+# 82-node grid, which agreed to 1.9e-15 with those on the 93-node grid, those
+# to 3.0e-16 with those of the reflection kernel with hypot, and those to
+# 3.6e-16 with those of _j1's power series.
 FROZEN_DELTA_L = (
     (
-        (-7.03120334762257e-11-2.6066902056236237e-09j), (-1.3234719970067276e-08-3.867036469571214e-08j),
-        (-1.6416859635900704e-07-5.14356348913086e-08j), (-1.872442933372315e-07-6.6382489297484774e-09j),
-        (-1.9282231611300323e-07-1.7112523289472509e-09j),
+        (-7.031203347622573e-11-2.6066902056236237e-09j), (-1.3234719970067278e-08-3.867036469571213e-08j),
+        (-1.6416859635900704e-07-5.143563489130858e-08j), (-1.8724429333723151e-07-6.638248929748477e-09j),
+        (-1.9282231611300326e-07-1.7112523289472506e-09j),
     ),
     (
-        (-6.4438482369452e-11-2.309110945857678e-09j), (-1.179337141216581e-08-3.398699918079809e-08j),
-        (-1.4412129289928286e-07-4.877250939039619e-08j), (-1.8079881266421823e-07-1.2575949686443764e-08j),
-        (-1.912822976992422e-07-3.2007172682651604e-09j),
+        (-6.443848236945202e-11-2.309110945857678e-09j), (-1.1793371412165808e-08-3.398699918079809e-08j),
+        (-1.4412129289928283e-07-4.8772509390396183e-08j), (-1.8079881266421823e-07-1.2575949686443764e-08j),
+        (-1.9128229769924224e-07-3.2007172682651724e-09j),
     ),
     (
-        (-3.6787123577370345e-14-6.048963319845181e-11j), (-1.1456591280914678e-11-1.07518430857609e-09j),
+        (-3.678712357737017e-14-6.048963319845181e-11j), (-1.1456591280914672e-11-1.07518430857609e-09j),
         (-2.880289676202157e-09-1.819428724472048e-08j), (-1.210228700349794e-07-8.245889107563603e-08j),
-        (-1.9364731481234236e-07-9.080797438480547e-09j),
+        (-1.9364731481234238e-07-9.080797438480555e-09j),
     ),
     (
-        (-3.670515750190983e-14-6.02925907752212e-11j), (-1.1430688374899323e-11-1.0716806870625676e-09j),
-        (-2.872636210699367e-09-1.8133453805042963e-08j), (-1.205811368691013e-07-8.2181332193387e-08j),
-        (-1.9303057858170547e-07-9.07974124546337e-09j),
+        (-3.670515750190975e-14-6.029259077522119e-11j), (-1.1430688374899341e-11-1.0716806870625678e-09j),
+        (-2.872636210699367e-09-1.813345380504297e-08j), (-1.2058113686910128e-07-8.2181332193387e-08j),
+        (-1.930305785817055e-07-9.079741245463373e-09j),
     ),
     (
-        (1.7668902938228723e-07-5.109970428702479e-10j), (1.7535333857320107e-07-8.786709202245892e-09j),
-        (1.2945125173630885e-07-4.422936905421373e-08j), (1.1303333481733772e-08-7.330247250574366e-08j),
-        (-1.1792421910892156e-07-5.080399510394753e-08j),
+        (1.7668902938228723e-07-5.109970428702528e-10j), (1.7535333857320107e-07-8.786709202245894e-09j),
+        (1.2945125173630885e-07-4.4229369054213735e-08j), (1.1303333481733775e-08-7.330247250574365e-08j),
+        (-1.1792421910892155e-07-5.080399510394754e-08j),
     ),
 )
 

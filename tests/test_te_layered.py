@@ -217,14 +217,15 @@ def test_reflection_magnitude_nondecreasing_in_thickness():
 
 
 # generalized_reflection against the complex-sqrt form, relative to |R~|: in
-# range, the kernel takes k2 without hypot and R~ with one division (5.0 eps
-# measured on the grid below); out of range, the form's own bits.
+# range, the kernel takes k2 without hypot and R~ by three products and one
+# division (4.6 eps measured on the grid below); out of range, the form's own
+# bits.
 ULP_BOUND = 8 * np.finfo(float).eps
 
 
 def in_range(alpha0, omega, plate):
     """The elements that the docstring of generalized_reflection puts in the
-    range of its one-division form."""
+    range of its three-product form."""
     mu_r = plate.relative_permeability
     k1 = np.abs(alpha0)
     c = np.abs(omega * plate.conductivity * (MU_0 * mu_r))
@@ -289,7 +290,7 @@ def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
 
 
 def test_generalized_reflection_range_guard_bits_per_element():
-    # One call mixes elements in and out of the one-division form's range.
+    # One call mixes elements in and out of the three-product form's range.
     # Each has the bits of its scalar call; an element out of range has the
     # bits of the hypot, two-division form, which the complex-sqrt form
     # shares wherever alpha0^2 does not underflow to 0 (k1 = |alpha0| in
@@ -313,7 +314,7 @@ def test_generalized_reflection_range_guard_bits_per_element():
                 assert_matches_complex_sqrt_form(values[comparable], alphas[comparable], omegas, plate)
                 inside += np.count_nonzero(mask)
             # at the guard's edge, mu_r |alpha0| = 1e75 and c = 1e150, the
-            # one-division form stays finite and accurate; 100 and 1000
+            # three-product form stays finite and accurate; 100 and 1000
             # times beyond it, where its terms would overflow, the other form
             # takes over
             plate = Plate(5e6, 1e-3, mu_r)
@@ -347,9 +348,9 @@ def test_generalized_reflection_bits_do_not_depend_on_call_size():
 def test_generalized_reflection_memory_of_a_delta_L_block(monkeypatch):
     # The largest block of delta_L, (frequencies x nodes) of the default
     # sensor: a sweep makes one block while its size rounds to one
-    # _BLOCK_ELEMENTS, about 1.5 x 8,192 elements. The kernel's five buffers
-    # and numpy's iteration buffers come to about 6 complex arrays of the
-    # block's size; a chain of temporaries, to 11.5.
+    # _BLOCK_ELEMENTS, about 1.5 x 16,384 elements. The kernel's five buffers
+    # and numpy's iteration buffers come to 5.4 complex arrays of the block's
+    # size; one more temporary of the block's size would pass 6.
     coil = default_sensor()
     quad = QuadratureSpec()
     nodes = _kernel_table(coil, quad.resolve_alpha_max(coil), quad.n_panels)[0]
@@ -372,7 +373,7 @@ def test_generalized_reflection_memory_of_a_delta_L_block(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * omegas.size * nodes.size * np.dtype(complex).itemsize
+    assert peak <= 6 * omegas.size * nodes.size * np.dtype(complex).itemsize
 
 
 def mp_reflection(alpha0, omega, plate):
