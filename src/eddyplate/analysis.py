@@ -71,6 +71,9 @@ def sweep(
     first frequency that did not converge). ``alpha0`` must be positive and
     finite, and a normalized model must be finite at every frequency at it:
     otherwise ValueError names alpha0 and the first frequency that is not.
+    "thin_plate_exact" also needs alpha0 in generalized_reflection's domain
+    over the grid, which a finite value would not show: outside it the
+    reflection can be finite and wrong. A ValueError names the input.
     """
     if alpha0 is not None and not 0.0 < alpha0 < np.inf:
         raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
@@ -85,6 +88,7 @@ def sweep(
         if model == "thin_plate":
             response = thin_plate.normalized_response_thin
         else:
+            te_layered._require_domain(plate, (a0, a0), (omegas[0], omegas[-1]))
             response = te_layered.generalized_reflection
         with np.errstate(all="ignore"):  # checked below
             values = response(a0, omegas, plate)

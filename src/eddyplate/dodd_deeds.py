@@ -44,7 +44,7 @@ from numbers import Integral
 import numpy as np
 
 from .model import MU_0, CoilPair, Plate
-from .te_layered import generalized_reflection
+from .te_layered import _ROOT_MIN, _require_domain, generalized_reflection
 
 # 10-point Gauss-Legendre rule on [-1, 1] of radial_integral.
 _GAUSS_NODES = np.array([
@@ -94,9 +94,13 @@ _BLOCK_ELEMENTS = 16384
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
 _BUDGET = 1 << 20
-# Below this alpha_max [1/m], alpha_max^6 of the truncation check underflows;
-# above it no node^5 does, the lowest node being at least 4e-10 alpha_max.
-_ALPHA_MAX_FLOOR = np.finfo(float).tiny ** (1.0 / 6.0)
+# The range of alpha_max [1/m]: below the ceiling alpha_max^6 is finite, and
+# above the floor every node is in the reflection's domain. The lowest node is
+# nine decades and at most one step (5/8 of a decade) below alpha_max: at least
+# 2.3e-10 alpha_max at the floor for 8 - 199 steps per decade and coils up to
+# 1e42 m, the largest whose derived alpha_max is in range (3.6e-10 at 9 steps).
+_ALPHA_MAX_FLOOR = _ROOT_MIN / 2e-10
+_ALPHA_MAX_CEILING = np.finfo(float).max ** (1.0 / 6.0)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -145,9 +149,12 @@ class QuadratureSpec:
     geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
     2.2e-12 of the 512-step rule.
 
-    A level of the rule with more than 2^20 nodes, or sub-panels of
-    radial_integral, is refused before it is built: a ValueError naming
-    alpha_max or n_panels at level 0, a QuadratureConvergenceError later.
+    alpha_max, set or derived, must be from 5e-41 to 2.4e51 1/m: delta_L
+    and delta_L_air refuse any other with a ValueError that names it and the
+    coil's dimensions. A level of the rule with more than 2^20 nodes, or
+    sub-panels of radial_integral, is refused before it is built: a
+    ValueError naming alpha_max or n_panels at level 0, a
+    QuadratureConvergenceError later.
 
     The estimate overstates the error. The trapezoid rule converges
     exponentially in 1 / h, so where the step and not round-off sets the
@@ -162,8 +169,8 @@ class QuadratureSpec:
     rel_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha_max is not None and not _ALPHA_MAX_FLOOR <= self.alpha_max < np.inf:
-            raise ValueError(f"alpha_max must be finite and at least {_ALPHA_MAX_FLOOR:.3g} 1/m")
+        if self.alpha_max is not None and not 0.0 < self.alpha_max < np.inf:
+            raise ValueError("alpha_max must be positive and finite")
         if not (isinstance(self.n_panels, Integral) and self.n_panels >= 8):
             raise ValueError("n_panels must be an integer >= 8")
         if self.rule not in ("adaptive", "fixed"):
@@ -370,6 +377,18 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     exp(-a d) and as a^-5 (P^2 = O(a)), of min(1 / d, alpha_max / 4) times
     its value there, and one per integral below the lowest node.
     """
+    r1, h, dr = coil.inner_radius, coil.coil_height, coil.outer_radius - coil.inner_radius
+    if not _ALPHA_MAX_FLOOR <= alpha_max <= _ALPHA_MAX_CEILING:
+        raise ValueError(
+            f"alpha_max must be from {_ALPHA_MAX_FLOOR:.2g} to {_ALPHA_MAX_CEILING:.2g} 1/m, got "
+            f"{alpha_max:.6g} 1/m (inner_radius {r1:.6g} m, coil_height {h:.6g} m, "
+            f"gap {coil.gap:.6g} m)"
+        )
+    if not dr * dr * h * h >= np.finfo(float).tiny:  # kernel_prefactor's divisor
+        raise ValueError(
+            f"the coil's cross-section is too small: outer_radius - inner_radius = {dr:.6g} m, "
+            f"coil_height = {h:.6g} m"
+        )
     cross = _cross_section(coil)
     prefactor = kernel_prefactor(coil)
     rows = np.arange(1 if omegas is None else omegas.size)
@@ -430,9 +449,14 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     them (gives a complex array, each element bitwise the scalar call's).
     """
     omegas = np.asarray(omega, dtype=float)
-    if omegas.ndim > 1 or not np.all(np.isfinite(omegas) & (omegas > 0.0)):
-        raise ValueError("omega must be a positive finite scalar or 1-D array")
     w = np.atleast_1d(omegas)
+    # the extremes check omega, and then the reflection's domain up to alpha_max
+    w_low, w_high = np.minimum.reduce(w, axis=None), np.maximum.reduce(w, axis=None)
+    if omegas.ndim > 1 or not 0.0 < w_low <= w_high < np.inf:
+        raise ValueError("omega must be a positive finite scalar or 1-D array")
+    alpha_max = quad.resolve_alpha_max(coil)
+    # the low side holds: _integrate refuses an alpha_max below _ALPHA_MAX_FLOOR
+    _require_domain(plate, (_ROOT_MIN, alpha_max), (w_low, w_high), "alpha_max")
 
     def row_sums(rows, nodes, weight):
         alpha0 = nodes[None, :]
@@ -452,7 +476,7 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
 
     # the image path: the lower faces of the transmitter and the receiver
     d = coil.liftoff + (coil.liftoff + coil.coil_height + coil.gap)
-    values, above, below = _integrate(coil, quad, quad.resolve_alpha_max(coil), d, row_sums, w)
+    values, above, below = _integrate(coil, quad, alpha_max, d, row_sums, w)
     # a plate that reflects nothing (sigma = 0, mu_r = 1) has delta_L = 0 and no tail
     if plate.conductivity > 0.0 or plate.relative_permeability != 1.0:
         _check_tail(quad, values, above, below)

@@ -4,9 +4,9 @@ The generalized reflection coefficient of a finite-thickness layer including
 all internal multiples, the solver's inner loop. It is pure and accepts numpy
 arrays in alpha0 and omega, broadcasting as usual. It forms k1 = |alpha0| and
 k2 in real arithmetic, and R~ as one fraction of three complex products with
-a single complex division. k2 takes the squares of the inputs' scale; where
-they could over- or underflow, an element takes a form with hypot and two
-divisions instead (see generalized_reflection).
+a single complex division. k2 takes the squares of the inputs' scale, so the
+form has a domain, which the solver's boundaries check (see
+generalized_reflection).
 
 Every element of a call has the bits of its own scalar call, whatever the
 size of the call. Real arithmetic is correctly rounded however numpy runs
@@ -38,12 +38,8 @@ import numpy as np
 
 from .model import MU_0, Plate
 
-# The three-product form takes k2 from the squares (alpha0^2 / 2)^2 and
-# (c / 2)^2; its products are of the scale of mu_r^2 alpha0^2 + |c|, as |1 - E|
-# and |1 + E| are at most 2. It runs where mu_r and mu_r |alpha0| are at most
-# _ROOT_MAX and |c| at most _ROOT_MAX^2, so that no square overflows, and where
-# |alpha0| >= _ROOT_MIN or |c| >= _ROOT_MIN^2, so that its terms stay normal
-# numbers with (1 - E) down to about 1e-90.
+# The bounds of generalized_reflection's domain, which its docstring states
+# and _require_domain checks.
 _ROOT_MAX = 1e75
 _ROOT_MIN = 1e-50
 
@@ -83,55 +79,23 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     1e5 1/m, f 1e-2 - 1e8 Hz, log-uniform) the error is at most 2.8 eps |R~|,
     and |R~| <= 1 + 4 eps.
 
-    Range: alpha0^4 and c^2 are squares of the inputs' scale. An element
-    takes the form above where mu_r <= 1e75, mu_r |alpha0| <= 1e75 and |c|
-    <= 1e150, and where |alpha0| >= 1e-50 or |c| >= 1e-100: no term then
-    overflows, and none that matters underflows. Any other element (huge,
-    tiny or non-finite inputs) takes t^2 = (hypot(alpha0^2, c) + alpha0^2) /
-    2, s = (c / t) / 2 and R~ = num X / (q + num (num / A^2 X)) with two
-    divisions, whose terms stay near the scale of r. That form rounds as the
-    same algebra with numpy's complex sqrt for k2 wherever alpha0^2 does not
-    underflow. A call that holds such an element runs with numpy's
-    floating-point warnings off and gives each element the form its own
-    scalar call takes; a non-finite result is the caller's to check.
+    Domain: k2 comes from the squares (alpha0^2 / 2)^2 and (c / 2)^2, and
+    the products are of the scale of mu_r^2 alpha0^2 + |c| (|1 - E| and |1 +
+    E| are at most 2). The form holds where mu_r and mu_r |alpha0| are at
+    most _ROOT_MAX = 1e75 and |c| at most 1e150, so that no square
+    overflows, and where |alpha0| >= _ROOT_MIN = 1e-50 or |c| >= 1e-100, so
+    that its terms stay normal numbers with 1 - E down to about 1e-90.
+    Outside it a result can be non-finite, or finite and wrong. The kernel
+    does not check it: a caller checks a call's range once with
+    _require_domain.
     """
     alpha0, omega = np.asarray(alpha0), np.asarray(omega)
     scalar = alpha0.ndim == omega.ndim == 0
     if scalar:
         alpha0, omega = alpha0.reshape(1), omega.reshape(1)
-    mu_r = plate.relative_permeability
+    mu_r, thickness = plate.relative_permeability, plate.thickness
     k1 = np.abs(alpha0)
     c = omega * plate.conductivity * (MU_0 * mu_r)
-    k1_max, c_max, c_min = _ROOT_MAX / mu_r, _ROOT_MAX * _ROOT_MAX, _ROOT_MIN * _ROOT_MIN
-    # every element in range, by one reduction per bound and axis (the ufunc
-    # reductions skip the wrappers of .min() and .max()); otherwise the
-    # element-wise test decides
-    if (
-        mu_r <= _ROOT_MAX
-        and _ROOT_MIN <= np.minimum.reduce(k1, axis=None)
-        and np.maximum.reduce(k1, axis=None) <= k1_max
-        and np.maximum.reduce(abs(c), axis=None) <= c_max
-    ):
-        phi = _reflection(alpha0, k1, c, plate, three_products=True)
-    else:
-        with np.errstate(all="ignore"):
-            abs_c = abs(c)
-            in_range = (
-                (mu_r <= _ROOT_MAX)
-                & (k1 <= k1_max)
-                & (abs_c <= c_max)
-                & ((_ROOT_MIN <= k1) | (c_min <= abs_c))
-            )
-            phi = _reflection(alpha0, k1, c, plate, three_products=True)
-            if not in_range.all():
-                phi = np.where(in_range, phi, _reflection(alpha0, k1, c, plate, three_products=False))
-    return phi[0] if scalar else phi
-
-
-def _reflection(alpha0, k1, c, plate, three_products):
-    """R~ on the broadcast of the node axis (alpha0, k1) and the frequency
-    axis (c): by the three-product form, or by hypot and two divisions."""
-    mu_r, thickness = plate.relative_permeability, plate.thickness
     a2 = alpha0 * alpha0
     shape = np.broadcast(a2, c).shape
     phi = np.empty(shape, dtype=complex)
@@ -140,28 +104,16 @@ def _reflection(alpha0, k1, c, plate, three_products):
     # real scratch in the memory of num and p, until they are built; a
     # scratch array takes a new value once its last one is spent
     t, s, tau, sin_b = work[:2].view(float).reshape(4, *shape)
-    # k2 = t + j s
-    if three_products:
-        # t^2 = sqrt((a2 / 2)^2 + (c / 2)^2) + a2 / 2, s = (c / 2) / t: the
-        # halves are exact, and each square is taken on its own axis
-        half_a2, half_c = 0.5 * a2, 0.5 * c
-        np.add(half_a2 * half_a2, half_c * half_c, out=t)
-        np.sqrt(t, out=t)
-        np.add(t, half_a2, out=t)
-        np.sqrt(t, out=t)
-        np.divide(half_c, t, out=s)
-    else:
-        np.hypot(a2, c, out=t)
-        np.add(t, a2, out=t)
-        np.multiply(0.5, t, out=t)
-        np.sqrt(t, out=t)
-        np.divide(c, t, out=s)
-        np.multiply(0.5, s, out=s)
-        # A = mu_r k1 + k2, in the result's buffer until its last use
-        np.add(mu_r * k1, t, out=phi.real)
-        phi.imag = s
-    # q / 2 = 2 mu_r k1 k2 for three products, q = 4 mu_r k1 k2 otherwise
-    q_k1 = (2.0 if three_products else 4.0) * mu_r * k1
+    # k2 = t + j s: t^2 = sqrt((a2 / 2)^2 + (c / 2)^2) + a2 / 2, s = (c / 2) /
+    # t; the halves are exact, and each square is taken on its own axis
+    half_a2, half_c = 0.5 * a2, 0.5 * c
+    np.add(half_a2 * half_a2, half_c * half_c, out=t)
+    np.sqrt(t, out=t)
+    np.add(t, half_a2, out=t)
+    np.sqrt(t, out=t)
+    np.divide(half_c, t, out=s)
+    # q / 2 = 2 mu_r k1 k2
+    q_k1 = 2.0 * mu_r * k1
     np.multiply(q_k1, t, out=q.real)
     np.multiply(q_k1, s, out=q.imag)
     # 1 - E from x = -a = -2 D t and tau = tan(b / 2) = tan(D s)
@@ -176,26 +128,40 @@ def _reflection(alpha0, k1, c, plate, three_products):
     np.multiply(ea_sin_b, tau, out=sin_b)
     np.expm1(x, out=x)
     np.subtract(sin_b, x, out=one_minus_E.real)
+    # R~ = num X / (num2 X + (q / 2) Y), Y = 2 - X: each complex product and
+    # quotient written over none of its operands
     num.real = (mu_r - 1.0) * (mu_r + 1.0) * a2
     num.imag = 0.0 - c
-    # each complex product and quotient written over none of its operands
-    if three_products:
-        # R~ = num X / (num2 X + (q / 2) Y), Y = 2 - X
-        np.multiply(num, one_minus_E, out=p)
-        num.real = (mu_r * mu_r + 1.0) * a2
-        num.imag = c
-        np.multiply(num, one_minus_E, out=phi)
-        y = np.subtract(2.0, one_minus_E, out=one_minus_E)
-        np.multiply(q, y, out=num)
-        np.add(phi, num, out=num)
-        np.divide(p, num, out=phi)
-        return phi
-    # R~ = num X / (q + num (num / A^2 X))
-    np.multiply(phi, phi, out=p)
-    np.divide(num, p, out=phi)
-    np.multiply(phi, one_minus_E, out=p)
-    np.multiply(num, p, out=phi)
-    np.add(q, phi, out=q)
     np.multiply(num, one_minus_E, out=p)
-    np.divide(p, q, out=phi)
-    return phi
+    num.real = (mu_r * mu_r + 1.0) * a2
+    num.imag = c
+    np.multiply(num, one_minus_E, out=phi)
+    y = np.subtract(2.0, one_minus_E, out=one_minus_E)
+    np.multiply(q, y, out=num)
+    np.add(phi, num, out=num)
+    np.divide(p, num, out=phi)
+    return phi[0] if scalar else phi
+
+
+def _require_domain(plate, alpha0, omega, name="alpha0"):
+    """Raise ValueError, naming the input, unless generalized_reflection's
+    domain holds every |alpha0| in ``alpha0`` = (lowest, highest) at every
+    angular frequency in ``omega`` = (lowest, highest) on ``plate``."""
+    (a_low, a_high), (w_low, w_high) = alpha0, omega
+    mu_r, sigma = plate.relative_permeability, plate.conductivity
+    if not mu_r <= _ROOT_MAX:
+        bad = f"relative_permeability = {mu_r:.6g}"
+    elif not mu_r * a_high <= _ROOT_MAX:
+        bad = f"{name} = {a_high:.6g} 1/m at relative_permeability = {mu_r:.6g}"
+    elif not w_high * sigma * (MU_0 * mu_r) <= _ROOT_MAX * _ROOT_MAX:
+        bad = f"sigma = {sigma:.6g} S/m at f = {w_high / (2.0 * np.pi):.6g} Hz"
+    elif not (a_low >= _ROOT_MIN or w_low * sigma * (MU_0 * mu_r) >= _ROOT_MIN * _ROOT_MIN):
+        bad = f"{name} = {a_low:.6g} 1/m at sigma = {sigma:.6g} S/m and f = "
+        bad += f"{w_low / (2.0 * np.pi):.6g} Hz"
+    else:
+        return
+    raise ValueError(
+        f"{bad} is outside the reflection's domain: mu_r at most {_ROOT_MAX:g}, mu_r alpha0 at most "
+        f"{_ROOT_MAX:g} 1/m and omega sigma mu0 mu_r at most {_ROOT_MAX**2:g} 1/m^2, and alpha0 at "
+        f"least {_ROOT_MIN:g} 1/m or omega sigma mu0 mu_r at least {_ROOT_MIN**2:g} 1/m^2"
+    )

@@ -96,13 +96,57 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
     "entry, message",
     [
         ("alpha_max_per_m = 1e12", "alpha_max = 1e+12 1/m asks for"),
-        ("alpha_max_per_m = 1e-100", "alpha_max must be finite and at least 5.3e-52 1/m"),
+        ("alpha_max_per_m = 1e-100", "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 1e-100 1/m"),
         ("n_panels = 1e9", "n_panels = 1000000000 asks for"),
+        # (old line, new line) pairs: coils of 1e60 and 1e-70 m, whose derived
+        # alpha_max is out of range, a cross-section whose squared area
+        # underflows, and plates outside the reflection's domain
+        pytest.param(
+            [
+                ("inner_radius_mm = 6.0", "inner_radius = 1e60"),
+                ("outer_radius_mm = 6.315", "outer_radius = 2e60"),
+                ("height_mm = 8", "height = 1e60"),
+            ],
+            "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 4e-59 1/m (inner_radius 1e+60 m",
+            id="coil-1e60",
+        ),
+        pytest.param(
+            [("inner_radius_mm = 6.0", "inner_radius = 1e-70")],
+            "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 4e+71 1/m (inner_radius 1e-70 m",
+            id="coil-1e-70",
+        ),
+        pytest.param(
+            [("height_mm = 8", "height = 1e-160")],
+            "the coil's cross-section is too small: outer_radius - inner_radius = 0.000315 m, "
+            "coil_height = 1e-160 m",
+            id="height-1e-160",
+        ),
+        pytest.param(
+            [("thickness_mm = 0.56", "thickness_mm = 0.56\nrelative_permeability = 1e80")],
+            "relative_permeability = 1e+80 is outside the reflection's domain: mu_r at most 1e+75,",
+            id="mu_r-1e80",
+        ),
+        pytest.param(
+            [
+                ("conductivity_MSm = 59.8", "conductivity = 1e100"),
+                ("f_max_Hz = 500e3", f"f_max = {1e60 / (2 * np.pi)!r}"),
+            ],
+            "sigma = 1e+100 S/m at f = 1.59155e+59 Hz is outside the reflection's domain: mu_r at most "
+            "1e+75, mu_r alpha0 at most 1e+75 1/m and omega sigma mu0 mu_r at most 1e+150 1/m^2",
+            id="sigma-1e100-omega-1e60",
+        ),
     ],
 )
 def test_spectrum_quadrature_out_of_range_exits_1(tmp_path, copper_brass, capsys, entry, message):
+    body = open(copper_brass).read()
+    if isinstance(entry, str):
+        body += "\n[quadrature]\n" + entry + "\n"
+    else:
+        for old, new in entry:
+            assert f"\n{old}\n" in body
+            body = body.replace(f"\n{old}\n", f"\n{new}\n", 1)
     bad = tmp_path / "huge.ini"
-    bad.write_text(open(copper_brass).read() + "\n[quadrature]\n" + entry + "\n")
+    bad.write_text(body)
     out = tmp_path / "x.csv"
     tracemalloc.start()
     try:
@@ -521,21 +565,26 @@ def run_cli(argv, code=None):
     )
 
 
-def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass):
-    # Every thin_plate_exact value is nan at alpha0 = 1e160: the sweep says so
-    # before the model's numpy warnings or the writer's refusal are reached.
+def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass, capsys):
+    # thin_plate_exact is the reflection, whose domain ends at mu_r alpha0 =
+    # 1e75: the sweep refuses alpha0 beyond it before the model runs, so no
+    # numpy warning or writer's refusal is reached.
     override = tmp_path / "huge.ini"
-    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e160\n")
     out = tmp_path / "cu.csv"
-    done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)])
-    assert done.returncode == EXIT_INVALID
-    assert done.stderr == (
-        "error: alpha0 = 1e+160 1/m: the thin_plate_exact response is not finite at f = 1000 Hz\n"
-    )
-    assert not out.exists()
-    # 1e152 keeps every row finite
-    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e152\n")
     args = ["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)]
+    domain = " 1/m at relative_permeability = 1 is outside the reflection's domain: "
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e160\n")
+    done = run_cli(args)
+    assert done.returncode == EXIT_INVALID
+    assert done.stderr.startswith("error: alpha0 = 1e+160" + domain) and done.stderr.count("\n") == 1
+    for alpha0 in ("1e152", "1e76"):
+        override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
+        assert main(args) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: alpha0 = {float(alpha0):.6g}" + domain) and err.count("\n") == 1
+    assert not out.exists()
+    # 1e75 keeps every row finite
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e75\n")
     assert main(args) == EXIT_OK
     assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
 
@@ -572,16 +621,16 @@ def test_invert_alpha0_out_of_range_exits_1(tmp_path, copper_brass, alpha0):
 
 
 def test_zero_integral_warns_once(tmp_path, copper_brass):
-    # At alpha_max = 5.4e-52 1/m every delta_L underflows to 0, and the tail
-    # check says so in one line.
+    # At the lowest alpha_max, 5e-41 1/m, every delta_L is near 1e-134 H with
+    # all of the integral in the tail, and the tail check says so in one line.
     scenario = tmp_path / "tiny.ini"
-    scenario.write_text(
-        open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 5.4e-52\nn_panels = 8\n"
-    )
+    quadrature = "\n[quadrature]\nalpha_max_per_m = 5e-41\nn_panels = 8\nrule = fixed\n"
+    scenario.write_text(open(copper_brass).read() + quadrature)
     done = run_cli(["spectrum", str(scenario), "copper", "--model", "dodd_deeds", "-o", str(tmp_path / "cu.csv")])
     assert done.returncode == EXIT_OK, done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert re.match(r"warning: tail estimate .* of the integral 0; increase alpha_max$", done.stderr)
+    message = r"warning: tail estimate .* of the integral \S+e-13\d; increase alpha_max$"
+    assert re.match(message, done.stderr)
 
 
 def test_import_loads_no_scipy():

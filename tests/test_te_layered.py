@@ -216,16 +216,15 @@ def test_reflection_magnitude_nondecreasing_in_thickness():
     assert np.all(np.diff(mags) >= -1e-12)
 
 
-# generalized_reflection against the complex-sqrt form, relative to |R~|: in
-# range, the kernel takes k2 without hypot and R~ by three products and one
-# division (4.6 eps measured on the grid below); out of range, the form's own
-# bits.
+# generalized_reflection against the complex-sqrt form, relative to |R~|: the
+# kernel takes k2 without hypot and R~ by three products and one division
+# (4.6 eps measured on the grid below).
 ULP_BOUND = 8 * np.finfo(float).eps
 
 
-def in_range(alpha0, omega, plate):
+def in_domain(alpha0, omega, plate):
     """The elements that the docstring of generalized_reflection puts in the
-    range of its three-product form."""
+    domain of its three-product form."""
     mu_r = plate.relative_permeability
     k1 = np.abs(alpha0)
     c = np.abs(omega * plate.conductivity * (MU_0 * mu_r))
@@ -233,14 +232,10 @@ def in_range(alpha0, omega, plate):
 
 
 def assert_matches_complex_sqrt_form(value, alpha0, omega, plate):
-    """Within ULP_BOUND of complex_sqrt_reflection in range, bitwise out of it."""
+    """Within ULP_BOUND of complex_sqrt_reflection."""
     value = np.atleast_1d(value)
-    with np.errstate(all="ignore"):
-        oracle = np.atleast_1d(complex_sqrt_reflection(alpha0, omega, plate))
-        inside = np.broadcast_to(in_range(alpha0, omega, plate), value.shape)
-    assert_bitwise_equal(value[~inside], oracle[~inside])
-    error = np.abs(value[inside] - oracle[inside])
-    assert np.all(error <= ULP_BOUND * np.abs(oracle[inside]))
+    oracle = np.atleast_1d(complex_sqrt_reflection(alpha0, omega, plate))
+    assert np.all(np.abs(value - oracle) <= ULP_BOUND * np.abs(oracle))
 
 
 def test_generalized_reflection_matches_complex_sqrt_form():
@@ -252,7 +247,7 @@ def test_generalized_reflection_matches_complex_sqrt_form():
         for start in range(0, omegas.size, 50):
             w = omegas[start : start + 50, None]
             grid = np.broadcast_to(nodes, (w.size, nodes.size))
-            assert np.all(in_range(grid, w, plate))
+            assert np.all(in_domain(grid, w, plate))
             # one row per oracle call: below numpy's 256 KiB temporary
             # elision, whose in-place products would change the oracle's bits
             values = generalized_reflection(grid, w, plate)
@@ -265,13 +260,11 @@ def test_generalized_reflection_matches_complex_sqrt_form():
 
 
 def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
-    # A scalar call rounds as the same element of an array call, and as the
-    # complex-sqrt form on a 1-element array: within ULP_BOUND in range, and
-    # bitwise out of it (1e80 everywhere, 1e-60 on the vacuum slab).
+    # A scalar call rounds as the same element of an array call, and within
+    # ULP_BOUND of the complex-sqrt form on a 1-element array.
     omega = 2 * np.pi * 1e5
     alphas = np.geomspace(1e-3, 1e5, 50)
-    scalars = (166.67, -166.67, np.float64(3e4), np.array(1e-3), 1e-60, 1e80, *map(float, alphas))
-    out_of_range = 0
+    scalars = (166.67, -166.67, np.float64(3e4), np.array(1e-3), *map(float, alphas))
     for plate in BITWISE_PLATES + (Plate(1.0, 1e-6),):
         row = generalized_reflection(np.array(scalars), omega, plate)
         for a0, element in zip(scalars, row):
@@ -279,59 +272,66 @@ def test_generalized_reflection_bitwise_scalar_and_negative_alpha():
             assert type(value) is np.complex128
             assert_bitwise_equal(value, element)
             assert_matches_complex_sqrt_form(value, np.array([a0]), omega, plate)
-            out_of_range += not in_range(a0, omega, plate)
         # k1 = sqrt(alpha0^2): the sign of alpha0 never matters
         assert_matches_complex_sqrt_form(generalized_reflection(-alphas, omega, plate), -alphas, omega, plate)
         assert_bitwise_equal(
             generalized_reflection(-alphas, omega, plate),
             generalized_reflection(alphas, omega, plate),
         )
-    assert out_of_range == len(BITWISE_PLATES) + 2
 
 
-def test_generalized_reflection_range_guard_bits_per_element():
-    # One call mixes elements in and out of the three-product form's range.
-    # Each has the bits of its scalar call; an element out of range has the
-    # bits of the hypot, two-division form, which the complex-sqrt form
-    # shares wherever alpha0^2 does not underflow to 0 (k1 = |alpha0| in
-    # the kernel, sqrt(alpha0^2) = 0 in the oracle). No call warns.
-    alphas = np.array([1e-320, 1e-160, 1.0, 1e3, 1e140, 1e152, 1e300, np.inf, np.nan])[:, None]
-    omegas = np.geomspace(1e-3, 1e10, 14)
-    inside = 0
+def _largest(omega, below, plate):
+    """The largest angular frequency up to ``omega`` whose c = omega sigma mu2,
+    formed as the kernel forms it, is at most ``below``."""
+    while omega * plate.conductivity * (MU_0 * plate.relative_permeability) > below:
+        omega = np.nextafter(omega, 0.0)
+    return omega
+
+
+def test_generalized_reflection_at_the_edges_of_its_domain():
+    # The domain's edges: mu_r |alpha0| = 1e75 and c = 1e150, where no square
+    # overflows, and |alpha0| = 1e-50 with c below 1e-100 (0 on the vacuum
+    # slab), or c = 1e-100 with alpha0 down to 1e-300, where the terms stay
+    # normal. Every element is within ULP_BOUND of 150-digit mpmath (1 - E
+    # cancels some 53 digits of it at the bottom) and no call warns.
+    # _require_domain accepts each range and refuses it stretched by 1e-12
+    # past the edge.
+    stretch = 1.0 + 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mu_r in (1.0, 200.0, 1e4):
-            # c from 1e-104 to 1e-87 on the second plate: tiny alpha0 is out
-            # of range at the low frequencies only
-            for plate in (Plate(5e6, 1e-3, mu_r), Plate(1e-95, 1e-3, mu_r)):
-                values = generalized_reflection(alphas, omegas, plate)
-                for (i, j), value in np.ndenumerate(values):
-                    assert_bitwise_equal(generalized_reflection(alphas[i, 0], omegas[j], plate), value)
-                mask = in_range(alphas, omegas, plate)
-                assert not np.any(mask[4:])  # 1e140 and up, inf and nan
-                with np.errstate(over="ignore"):
-                    comparable = alphas[:, 0] * alphas[:, 0] != 0.0
-                assert_matches_complex_sqrt_form(values[comparable], alphas[comparable], omegas, plate)
-                inside += np.count_nonzero(mask)
-            # at the guard's edge, mu_r |alpha0| = 1e75 and c = 1e150, the
-            # three-product form stays finite and accurate; 100 and 1000
-            # times beyond it, where its terms would overflow, the other form
-            # takes over
-            plate = Plate(5e6, 1e-3, mu_r)
+            top, bottom = Plate(5e6, 1e-3, mu_r), Plate(1e-100, 1e-3, mu_r)
             edge = 1e75 / mu_r
-            omega = 1e150 / (plate.conductivity * (MU_0 * mu_r))
-            while omega * plate.conductivity * (MU_0 * mu_r) > 1e150:
-                omega = np.nextafter(omega, 0.0)
-            a0s, ws = np.array([[1.0], [edge], [100.0 * edge]]), np.array([1.0, omega, 1000.0 * omega])
-            values = generalized_reflection(a0s, ws, plate)
-            assert_matches_complex_sqrt_form(values, a0s, ws, plate)
-            mask = in_range(a0s, ws, plate)
-            assert np.array_equal(mask, [[True, True, False], [True, True, False], [False, False, False]])
-            for (i, j), value in np.ndenumerate(values):
-                assert_bitwise_equal(generalized_reflection(a0s[i, 0], ws[j], plate), value)
-                if mask[i, j]:
-                    assert abs(value - mp_reflection(a0s[i, 0], ws[j], plate)) <= ULP_BOUND * abs(value)
-    assert 0 < inside < 2 * 3 * alphas.size * omegas.size
+            while mu_r * edge > 1e75:
+                edge = np.nextafter(edge, 0.0)
+            # c = _ROOT_MAX^2, which rounds two ulp below the literal 1e150
+            c_max = te_layered._ROOT_MAX * te_layered._ROOT_MAX
+            omega_top = _largest(c_max / (top.conductivity * MU_0 * mu_r), c_max, top)
+            # the smallest omega whose c is at least 1e-100
+            omega_bottom = _largest(1e-100 / (bottom.conductivity * MU_0 * mu_r), 1e-100, bottom)
+            omega_bottom = np.nextafter(omega_bottom, np.inf)
+            cases = (
+                (top, (1.0, edge), (1.0, omega_top)),
+                (bottom, (1e-50, 1.0), (1e-3, 1.0)),
+                (Plate(0.0, 1e-3, mu_r), (1e-50, 1.0), (1.0, 1e3)),
+                (bottom, (1e-300, 1e-60), (omega_bottom, 1.0)),
+            )
+            for plate, alphas, omegas in cases:
+                te_layered._require_domain(plate, alphas, omegas)
+                values = generalized_reflection(np.array(alphas)[:, None], np.array(omegas), plate)
+                for (i, j), value in np.ndenumerate(values):
+                    exact = mp_reflection(alphas[i], omegas[j], plate, digits=150)
+                    assert abs(value - exact) <= ULP_BOUND * abs(exact), (mu_r, alphas[i], omegas[j])
+            for plate, alphas, omegas in (
+                (top, (1.0, edge * stretch), (1.0, omega_top)),
+                (top, (1.0, edge), (1.0, omega_top * stretch)),
+                (bottom, (1e-50 / stretch, 1.0), (1e-3, 1.0)),
+                (bottom, (1e-300, 1e-60), (omega_bottom / stretch, 1.0)),
+            ):
+                with pytest.raises(ValueError, match="outside the reflection's domain"):
+                    te_layered._require_domain(plate, alphas, omegas)
+        with pytest.raises(ValueError, match=r"relative_permeability = 1e\+80 is outside"):
+            te_layered._require_domain(Plate(5e6, 1e-3, 1e80), (1e-3, 1e-3), (1.0, 1.0))
 
 
 def test_generalized_reflection_bits_do_not_depend_on_call_size():
@@ -376,10 +376,10 @@ def test_generalized_reflection_memory_of_a_delta_L_block(monkeypatch):
     assert peak <= 6 * omegas.size * nodes.size * np.dtype(complex).itemsize
 
 
-def mp_reflection(alpha0, omega, plate):
+def mp_reflection(alpha0, omega, plate, digits=60):
     """Oracle: R~ = r (1 - E) / (1 - r^2 E) straight from its definition at 60 digits."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
+    with mpmath.workdps(digits):
         mu1 = mpmath.mpf(MU_0)
         mu2 = mu1 * mpmath.mpf(plate.relative_permeability)
         k1 = mpmath.mpf(alpha0)
