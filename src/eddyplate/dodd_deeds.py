@@ -44,7 +44,7 @@ from numbers import Integral
 import numpy as np
 
 from .model import MU_0, CoilPair, Plate
-from .te_layered import _ROOT_MIN, _require_domain, generalized_reflection
+from .te_layered import _require_domain, generalized_reflection
 
 # 10-point Gauss-Legendre rule on [-1, 1] of radial_integral.
 _GAUSS_NODES = np.array([
@@ -94,12 +94,11 @@ _BLOCK_ELEMENTS = 16384
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
 _BUDGET = 1 << 20
-# The range of alpha_max [1/m]: below the ceiling alpha_max^6 is finite, and
-# above the floor every node is in the reflection's domain. The lowest node is
-# nine decades and at most one step (5/8 of a decade) below alpha_max: at least
-# 2.3e-10 alpha_max at the floor for 8 - 199 steps per decade and coils up to
-# 1e42 m, the largest whose derived alpha_max is in range (3.6e-10 at 9 steps).
-_ALPHA_MAX_FLOOR = _ROOT_MIN / 2e-10
+# The range of alpha_max [1/m]: alpha_max^6 is a finite normal number. The
+# nodes need more, and delta_L checks them: the lowest is 2.1e-10 alpha_max or
+# more over 8 - 199 steps per decade and coils of 1e-40 - 7.5e52 m at the floor
+# or their own alpha_max, but lower where alpha_max outer_radius is larger.
+_ALPHA_MAX_FLOOR = np.finfo(float).tiny ** (1.0 / 6.0)
 _ALPHA_MAX_CEILING = np.finfo(float).max ** (1.0 / 6.0)
 
 
@@ -149,12 +148,12 @@ class QuadratureSpec:
     geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
     2.2e-12 of the 512-step rule.
 
-    alpha_max, set or derived, must be from 5e-41 to 2.4e51 1/m: delta_L
-    and delta_L_air refuse any other with a ValueError that names it and the
-    coil's dimensions. A level of the rule with more than 2^20 nodes, or
-    sub-panels of radial_integral, is refused before it is built: a
-    ValueError naming alpha_max or n_panels at level 0, a
-    QuadratureConvergenceError later.
+    alpha_max, set or derived, must be from 5.3e-52 to 2.4e51 1/m (alpha_max^6
+    normal), and delta_L's nodes in the reflection's domain: a ValueError
+    names alpha_max and the coil's dimensions, or the node. A level of the
+    rule with more than 2^20 nodes, or sub-panels of radial_integral, is
+    refused before it is built: a ValueError naming alpha_max or n_panels at
+    level 0, a QuadratureConvergenceError later.
 
     The estimate overstates the error. The trapezoid rule converges
     exponentially in 1 / h, so where the step and not round-off sets the
@@ -323,7 +322,7 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
     alpha_j on even j (T_2h), both halved at alpha_max, and alpha_j / 2 on
     the lowest node (a bound on the part of the integral below it, where
     alpha times the integrand falls at least as alpha^2 in u = ln(alpha)),
-    each times P^2 / alpha^6. ``tail`` bounds P^2 / alpha^6 at alpha_max,
+    each times P^2 / alpha^6. ``tail`` bounds P^2 / alpha^5 at alpha_max,
     for the truncation check. A later level returns (nodes, base) for its
     new nodes, the midpoints in v of the level before, with the one column h
     psi'(v_j) alpha_j P^2 / alpha^6. An integral multiplies ``base`` by the
@@ -358,7 +357,7 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
     base[-1, 2] = 0.5 * kernel[-1]
     # P oscillates and may have a node at alpha_max: take at least its envelope
     envelope = 2.0 * alpha_max / np.pi * (coil.inner_radius**0.5 + coil.outer_radius**0.5) ** 2
-    tail = max(p_radial[0] ** 2, envelope) / alpha_max**6
+    tail = max(p_radial[0] ** 2, envelope) / alpha_max**5
     return nodes, base, tail
 
 
@@ -384,13 +383,13 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
             f"{alpha_max:.6g} 1/m (inner_radius {r1:.6g} m, coil_height {h:.6g} m, "
             f"gap {coil.gap:.6g} m)"
         )
-    if not dr * dr * h * h >= np.finfo(float).tiny:  # kernel_prefactor's divisor
+    divisor = dr * dr * h * h  # kernel_prefactor's: a normal number before it divides
+    if not (divisor >= np.finfo(float).tiny and (prefactor := kernel_prefactor(coil)) < np.inf):
         raise ValueError(
-            f"the coil's cross-section is too small: outer_radius - inner_radius = {dr:.6g} m, "
-            f"coil_height = {h:.6g} m"
+            f"the coil's kernel prefactor overflows: turns_tx = {coil.turns_tx:.6g}, turns_rx = "
+            f"{coil.turns_rx:.6g}, outer_radius - inner_radius = {dr:.6g} m, coil_height = {h:.6g} m"
         )
     cross = _cross_section(coil)
-    prefactor = kernel_prefactor(coil)
     rows = np.arange(1 if omegas is None else omegas.size)
 
     def evaluate(rows, nodes, base):
@@ -398,8 +397,8 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
         return row_sums(rows, nodes, weight)
 
     nodes, base, tail = _kernel_table(cross, alpha_max, quad.n_panels)
-    envelope = prefactor * tail * axial_factor(coil, alpha_max, distance)
-    above = envelope / max(distance, 4.0 / alpha_max)
+    envelope = prefactor * axial_factor(coil, alpha_max, distance) * tail  # ordered not to overflow
+    above = envelope / max(distance * alpha_max, 4.0)
     value, coarse, below = evaluate(rows, nodes, base).T
     if quad.rule == "fixed":
         return value, above, below
@@ -450,15 +449,15 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     """
     omegas = np.asarray(omega, dtype=float)
     w = np.atleast_1d(omegas)
-    # the extremes check omega, and then the reflection's domain up to alpha_max
+    # the extremes check omega, and then the reflection's domain on each level
     w_low, w_high = np.minimum.reduce(w, axis=None), np.maximum.reduce(w, axis=None)
     if omegas.ndim > 1 or not 0.0 < w_low <= w_high < np.inf:
         raise ValueError("omega must be a positive finite scalar or 1-D array")
     alpha_max = quad.resolve_alpha_max(coil)
-    # the low side holds: _integrate refuses an alpha_max below _ALPHA_MAX_FLOOR
-    _require_domain(plate, (_ROOT_MIN, alpha_max), (w_low, w_high), "alpha_max")
+    label = f"alpha_max = {alpha_max:.6g} 1/m: its node alpha0"
 
     def row_sums(rows, nodes, weight):
+        _require_domain(plate, (nodes[-1], nodes[0]), (w_low, w_high), label)  # nodes descend
         alpha0 = nodes[None, :]
         out = np.empty((rows.size, weight.shape[1]), dtype=complex)
         # blocks of equal size, as near _BLOCK_ELEMENTS as whole rows allow

@@ -97,13 +97,13 @@ class InductanceSpectrum:
 
     ``normalized`` is True for dimensionless delta-L / L_air values
     (single-alpha0 models) and False for absolute henries (full integral
-    solver).
+    solver). A spectrum read back from a CSV keeps the file's model_tag.
     """
 
     frequencies: np.ndarray        # [Hz], one or more, finite, > 0, strictly increasing
     delta_L: np.ndarray            # complex, same length
     normalized: bool
-    model_tag: str                 # "thin_plate" | "dodd_deeds"
+    model_tag: str                 # "thin_plate" | "thin_plate_exact" | "dodd_deeds"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):

@@ -96,30 +96,38 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
     "entry, message",
     [
         ("alpha_max_per_m = 1e12", "alpha_max = 1e+12 1/m asks for"),
-        ("alpha_max_per_m = 1e-100", "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 1e-100 1/m"),
+        ("alpha_max_per_m = 1e-100", "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 1e-100 1/m"),
         ("n_panels = 1e9", "n_panels = 1000000000 asks for"),
         # (old line, new line) pairs: coils of 1e60 and 1e-70 m, whose derived
         # alpha_max is out of range, a cross-section whose squared area
-        # underflows, and plates outside the reflection's domain
+        # underflows, turns whose product overflows, plates outside the
+        # reflection's domain, and a coil of 3.16e46 m whose lowest node is
+        # outside it on a plate with sigma = 0 and mu_r = 2
         pytest.param(
             [
                 ("inner_radius_mm = 6.0", "inner_radius = 1e60"),
                 ("outer_radius_mm = 6.315", "outer_radius = 2e60"),
                 ("height_mm = 8", "height = 1e60"),
             ],
-            "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 4e-59 1/m (inner_radius 1e+60 m",
+            "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 4e-59 1/m (inner_radius 1e+60 m",
             id="coil-1e60",
         ),
         pytest.param(
             [("inner_radius_mm = 6.0", "inner_radius = 1e-70")],
-            "alpha_max must be from 5e-41 to 2.4e+51 1/m, got 4e+71 1/m (inner_radius 1e-70 m",
+            "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 4e+71 1/m (inner_radius 1e-70 m",
             id="coil-1e-70",
         ),
         pytest.param(
             [("height_mm = 8", "height = 1e-160")],
-            "the coil's cross-section is too small: outer_radius - inner_radius = 0.000315 m, "
-            "coil_height = 1e-160 m",
+            "the coil's kernel prefactor overflows: turns_tx = 25, turns_rx = 25, "
+            "outer_radius - inner_radius = 0.000315 m, coil_height = 1e-160 m",
             id="height-1e-160",
+        ),
+        pytest.param(
+            [("turns_tx = 25", "turns_tx = 1e200"), ("turns_rx = 25", "turns_rx = 1e200")],
+            "the coil's kernel prefactor overflows: turns_tx = 1e+200, turns_rx = 1e+200, "
+            "outer_radius - inner_radius = 0.000315 m, coil_height = 0.008 m",
+            id="turns-1e200",
         ),
         pytest.param(
             [("thickness_mm = 0.56", "thickness_mm = 0.56\nrelative_permeability = 1e80")],
@@ -134,6 +142,24 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
             "sigma = 1e+100 S/m at f = 1.59155e+59 Hz is outside the reflection's domain: mu_r at most "
             "1e+75, mu_r alpha0 at most 1e+75 1/m and omega sigma mu0 mu_r at most 1e+150 1/m^2",
             id="sigma-1e100-omega-1e60",
+        ),
+        pytest.param(
+            [
+                ("inner_radius_mm = 6.0", "inner_radius = 3.16e46"),
+                ("outer_radius_mm = 6.315", "outer_radius = 3.16316e46"),
+                ("height_mm = 8", "height = 3.16e46"),
+                ("gap_mm = 2", "gap = 3.16e46"),
+                ("liftoff_mm = 1", "liftoff = 3.16e46"),
+                ("conductivity_MSm = 59.8", "conductivity = 0"),
+                ("thickness_mm = 0.56", "thickness_mm = 0.56\nrelative_permeability = 2"),
+                ("f_min_Hz = 1e3", f"f_min = {1 / (2 * np.pi)!r}"),
+                ("f_max_Hz = 500e3", f"f_max = {1 / (2 * np.pi)!r}"),
+                ("n_points = 50", "n_points = 1"),
+                ("spacing = logarithmic", "spacing = logarithmic\n\n[quadrature]\nalpha_max_per_m = 5e-41"),
+            ],
+            "alpha_max = 5e-41 1/m: its node alpha0 = 5.11916e-51 1/m at sigma = 0 S/m and f = 0.159155 Hz "
+            "is outside the reflection's domain",
+            id="coil-3.16e46-lowest-node",
         ),
     ],
 )
@@ -621,16 +647,16 @@ def test_invert_alpha0_out_of_range_exits_1(tmp_path, copper_brass, alpha0):
 
 
 def test_zero_integral_warns_once(tmp_path, copper_brass):
-    # At the lowest alpha_max, 5e-41 1/m, every delta_L is near 1e-134 H with
-    # all of the integral in the tail, and the tail check says so in one line.
+    # At alpha_max = 5.4e-52 1/m every delta_L underflows to 0, and the tail
+    # check says so in one line.
     scenario = tmp_path / "tiny.ini"
-    quadrature = "\n[quadrature]\nalpha_max_per_m = 5e-41\nn_panels = 8\nrule = fixed\n"
-    scenario.write_text(open(copper_brass).read() + quadrature)
+    scenario.write_text(
+        open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 5.4e-52\nn_panels = 8\n"
+    )
     done = run_cli(["spectrum", str(scenario), "copper", "--model", "dodd_deeds", "-o", str(tmp_path / "cu.csv")])
     assert done.returncode == EXIT_OK, done.stderr
     assert len(done.stderr.splitlines()) == 1
-    message = r"warning: tail estimate .* of the integral \S+e-13\d; increase alpha_max$"
-    assert re.match(message, done.stderr)
+    assert re.match(r"warning: tail estimate .* of the integral 0; increase alpha_max$", done.stderr)
 
 
 def test_import_loads_no_scipy():

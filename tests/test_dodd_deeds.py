@@ -180,18 +180,18 @@ def test_radial_integral_memory(alphas, lo, hi, before):
 
 
 def test_zero_integral_is_not_exempt_from_the_tail_check():
-    # At the lowest alpha_max, 5e-41 1/m, L_air and the copper plate's
-    # delta_L come out near 8e-134 H while the tail beyond alpha_max holds
-    # all of the integral. (The adaptive rule does not converge there.)
-    quad = QuadratureSpec(alpha_max=dodd_deeds._ALPHA_MAX_FLOOR, n_panels=8, rule="fixed")
+    # At alpha_max = 5.4e-52 1/m, P^2 underflows to 0 on every node, so L_air
+    # and the copper plate's delta_L come out 0 while the tail beyond
+    # alpha_max holds all of the integral.
+    quad = QuadratureSpec(alpha_max=5.4e-52, n_panels=8)
     with pytest.warns(TruncationWarning, match="increase alpha_max"):
-        assert 0.0 < delta_L_air(COIL, quad) < 1e-130
+        assert delta_L_air(COIL, quad) == 0.0
     with pytest.warns(TruncationWarning, match="increase alpha_max"):
-        assert 0.0 < -delta_L(COIL, PLATES[0], 1e4, quad).real < 1e-130
-    # A plate that reflects nothing has delta_L = 0 and no tail at all.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert delta_L(COIL, Plate(0.0, 1e-3), 1e4, quad) == 0.0
+        assert delta_L(COIL, PLATES[0], 1e4, quad) == 0.0
+    # A plate that reflects nothing has c = 0, and these nodes, down to about
+    # 2e-61 1/m, are outside the reflection's domain.
+    with pytest.raises(ValueError, match=r"alpha_max = 5\.4e-52 1/m: its node alpha0 = \S+e-61 1/m at sigma = 0"):
+        delta_L(COIL, Plate(0.0, 1e-3), 1e4, quad)
 
 
 def test_radial_integral_vectorized_matches_scalar():
@@ -456,16 +456,15 @@ def test_quadrature_spec_rejects_non_finite():
     ):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             QuadratureSpec(**kwargs)
-    # Below the floor a node leaves the reflection's domain, and alpha_max^6
-    # of the truncation check underflows at 5.3e-52; above the ceiling it
-    # overflows.
+    # Below the floor alpha_max^6 is not a normal number; above the ceiling
+    # it overflows.
     floor, ceiling = dodd_deeds._ALPHA_MAX_FLOOR, dodd_deeds._ALPHA_MAX_CEILING
     for alpha_max in (1e-100, 0.99 * floor, np.nextafter(ceiling, np.inf), 1e60):
         quad = QuadratureSpec(alpha_max=alpha_max)
         for solve in (lambda: delta_L_air(COIL, quad), lambda: delta_L(COIL, PLATES[0], 1e4, quad)):
             with pytest.raises(ValueError) as refused:
                 solve()
-            message = f"alpha_max must be from 5e-41 to 2.4e+51 1/m, got {alpha_max:.6g} 1/m"
+            message = f"alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got {alpha_max:.6g} 1/m"
             assert message in str(refused.value)
 
 
