@@ -15,6 +15,7 @@ from .model import (
     SweepSpec,
     derive_alpha0,
     frequency_grid,
+    require_range,
 )
 
 # Frequencies where the reference magnitude drops below this fraction of its
@@ -68,15 +69,13 @@ def sweep(
     reflection at k1 = alpha0), both for non-magnetic plates only, or
     "dodd_deeds" (absolute henries, the whole grid in one batched
     ``dodd_deeds.delta_L`` call, whose QuadratureConvergenceError names the
-    first frequency that did not converge). ``alpha0`` must be positive and
-    finite, and a normalized model must be finite at every frequency at it:
-    otherwise ValueError names alpha0 and the first frequency that is not.
-    "thin_plate_exact" also needs alpha0 in generalized_reflection's domain
-    over the grid, which a finite value would not show: outside it the
-    reflection can be finite and wrong. A ValueError names the input.
+    first frequency that did not converge). ``alpha0``, given or derived
+    from the coil, is a spatial frequency in model.RANGES, and over the
+    ranges of its inputs each model is finite and, for "thin_plate_exact",
+    in generalized_reflection's domain.
     """
-    if alpha0 is not None and not 0.0 < alpha0 < np.inf:
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    if alpha0 is not None:
+        require_range("alpha0", alpha0, "spatial_frequency")
     freqs = frequency_grid(spec)
     omegas = 2.0 * np.pi * freqs
 
@@ -88,18 +87,10 @@ def sweep(
         if model == "thin_plate":
             response = thin_plate.normalized_response_thin
         else:
-            te_layered._require_domain(plate, (a0, a0), (omegas[0], omegas[-1]))
             response = te_layered.generalized_reflection
-        with np.errstate(all="ignore"):  # checked below
-            values = response(a0, omegas, plate)
-        if not np.all(np.isfinite(values)):
-            raise ValueError(
-                f"alpha0 = {a0:.6g} 1/m: the {model} response is not finite "
-                f"at f = {freqs[np.isfinite(values).argmin()]:.6g} Hz"
-            )
         return InductanceSpectrum(
             frequencies=freqs,
-            delta_L=values,
+            delta_L=response(a0, omegas, plate),
             normalized=True,
             model_tag=model,
             metadata={"alpha0": a0},

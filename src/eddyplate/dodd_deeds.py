@@ -43,8 +43,8 @@ from numbers import Integral
 
 import numpy as np
 
-from .model import MU_0, CoilPair, Plate
-from .te_layered import _require_domain, generalized_reflection
+from .model import MU_0, RANGES, CoilPair, Plate, require_range
+from .te_layered import generalized_reflection
 
 # 10-point Gauss-Legendre rule on [-1, 1] of radial_integral.
 _GAUSS_NODES = np.array([
@@ -94,12 +94,6 @@ _BLOCK_ELEMENTS = 16384
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
 _BUDGET = 1 << 20
-# The range of alpha_max [1/m]: alpha_max^6 is a finite normal number. The
-# nodes need more, and delta_L checks them: the lowest is 2.1e-10 alpha_max or
-# more over 8 - 199 steps per decade and coils of 1e-40 - 7.5e52 m at the floor
-# or their own alpha_max, but lower where alpha_max outer_radius is larger.
-_ALPHA_MAX_FLOOR = np.finfo(float).tiny ** (1.0 / 6.0)
-_ALPHA_MAX_CEILING = np.finfo(float).max ** (1.0 / 6.0)
 
 
 class QuadratureConvergenceError(RuntimeError):
@@ -148,9 +142,10 @@ class QuadratureSpec:
     geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
     2.2e-12 of the 512-step rule.
 
-    alpha_max, set or derived, must be from 5.3e-52 to 2.4e51 1/m (alpha_max^6
-    normal), and delta_L's nodes in the reflection's domain: a ValueError
-    names alpha_max and the coil's dimensions, or the node. A level of the
+    A set alpha_max must lie in model.RANGES, 1e-9 to 1e15 1/m; one derived
+    from a coil in its ranges lies from 4e-5 to 4e13 1/m (4e14 for L_air).
+    Over those ranges the rule's nodes stay inside the reflection's domain,
+    and the kernel prefactor and P^2 / alpha^5 finite. A level of the
     rule with more than 2^20 nodes, or sub-panels of radial_integral, is
     refused before it is built: a ValueError naming alpha_max or n_panels at
     level 0, a QuadratureConvergenceError later.
@@ -168,8 +163,8 @@ class QuadratureSpec:
     rel_tolerance: float = 1e-8
 
     def __post_init__(self):
-        if self.alpha_max is not None and not 0.0 < self.alpha_max < np.inf:
-            raise ValueError("alpha_max must be positive and finite")
+        if self.alpha_max is not None:
+            require_range("alpha_max", self.alpha_max, "spatial_frequency")
         if not (isinstance(self.n_panels, Integral) and self.n_panels >= 8):
             raise ValueError("n_panels must be an integer >= 8")
         if self.rule not in ("adaptive", "fixed"):
@@ -376,19 +371,7 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     exp(-a d) and as a^-5 (P^2 = O(a)), of min(1 / d, alpha_max / 4) times
     its value there, and one per integral below the lowest node.
     """
-    r1, h, dr = coil.inner_radius, coil.coil_height, coil.outer_radius - coil.inner_radius
-    if not _ALPHA_MAX_FLOOR <= alpha_max <= _ALPHA_MAX_CEILING:
-        raise ValueError(
-            f"alpha_max must be from {_ALPHA_MAX_FLOOR:.2g} to {_ALPHA_MAX_CEILING:.2g} 1/m, got "
-            f"{alpha_max:.6g} 1/m (inner_radius {r1:.6g} m, coil_height {h:.6g} m, "
-            f"gap {coil.gap:.6g} m)"
-        )
-    divisor = dr * dr * h * h  # kernel_prefactor's: a normal number before it divides
-    if not (divisor >= np.finfo(float).tiny and (prefactor := kernel_prefactor(coil)) < np.inf):
-        raise ValueError(
-            f"the coil's kernel prefactor overflows: turns_tx = {coil.turns_tx:.6g}, turns_rx = "
-            f"{coil.turns_rx:.6g}, outer_radius - inner_radius = {dr:.6g} m, coil_height = {h:.6g} m"
-        )
+    prefactor = kernel_prefactor(coil)
     cross = _cross_section(coil)
     rows = np.arange(1 if omegas is None else omegas.size)
 
@@ -445,19 +428,18 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     """Plate-induced change of the transmitter-receiver mutual inductance [H].
 
     ``omega`` is one angular frequency (gives a complex) or a 1-D array of
-    them (gives a complex array, each element bitwise the scalar call's).
+    them (gives a complex array, each element bitwise the scalar call's),
+    each 2 pi times a frequency in model.RANGES.
     """
     omegas = np.asarray(omega, dtype=float)
     w = np.atleast_1d(omegas)
-    # the extremes check omega, and then the reflection's domain on each level
+    f_low, f_high, _ = RANGES["frequency"]
     w_low, w_high = np.minimum.reduce(w, axis=None), np.maximum.reduce(w, axis=None)
-    if omegas.ndim > 1 or not 0.0 < w_low <= w_high < np.inf:
-        raise ValueError("omega must be a positive finite scalar or 1-D array")
+    if omegas.ndim > 1 or not 2.0 * np.pi * f_low <= w_low <= w_high <= 2.0 * np.pi * f_high:
+        raise ValueError(f"omega must be a scalar or 1-D array, each 2 pi x {f_low:g} to {f_high:g} Hz")
     alpha_max = quad.resolve_alpha_max(coil)
-    label = f"alpha_max = {alpha_max:.6g} 1/m: its node alpha0"
 
     def row_sums(rows, nodes, weight):
-        _require_domain(plate, (nodes[-1], nodes[0]), (w_low, w_high), label)  # nodes descend
         alpha0 = nodes[None, :]
         out = np.empty((rows.size, weight.shape[1]), dtype=complex)
         # blocks of equal size, as near _BLOCK_ELEMENTS as whole rows allow
@@ -502,8 +484,13 @@ def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
     integrand does not read, so it is bitwise the same at every lift-off. The
     integrand decays as exp(-alpha gap), and the default alpha_max is 40 /
     min(gap, inner_radius). A gap under a tenth of inner_radius counts as
-    touching: alpha_max stops at 400 / inner_radius, the alpha^-5 tail sets
-    the error, and a TruncationWarning reports it on every call.
+    touching: alpha_max stops at 400 / inner_radius and the alpha^-5 tail
+    sets the error. For the default sensor's windings at gap 0, a
+    TruncationWarning reports it on every call. On a thin flat winding (r2
+    = 1.001 r1, coil height = gap = 1e-3 r1) P^2 oscillates faster than the
+    step in ln(alpha) resolves: the fixed rule's value moves by 3%
+    from 18 to 1,152 steps per decade, and the adaptive rule raises
+    QuadratureConvergenceError, at 100 and 1,000 times alpha_max too.
     """
     value, above, below = _air_integral(_cross_section(coil), quad)
     _check_tail(quad, value, above, below)

@@ -14,6 +14,33 @@ import numpy as np
 
 MU_0 = 4e-7 * np.pi  # vacuum permeability [H/m], exact by definition here
 
+# The range of each physical input, (lowest, highest, unit), both ends
+# included, checked where the input enters: CoilPair, Plate, SweepSpec,
+# QuadratureSpec, analysis.sweep (alpha0) and dodd_deeds.delta_L (omega, as
+# 2 pi times a frequency). Millimetre coils over plates from micrometres to
+# centimetres, at hertz to megahertz, lie decades inside. Within it the
+# solvers' arithmetic holds: the reflection's domain (te_layered), a finite
+# normal alpha_max^6 and kernel prefactor, and a finite thin-plate c = j
+# omega mu0 sigma D / (2 alpha0), with margins of tens of decades.
+RANGES = {
+    "length": (1e-12, 1e6, "m"),  # radii, coil height, lift-off, plate thickness
+    "gap": (0.0, 1e6, "m"),
+    "conductivity": (0.0, 1e40, "S/m"),
+    "relative_permeability": (1.0, 1e10, ""),
+    "frequency": (1e-9, 1e15, "Hz"),
+    "turns": (1, 1e12, ""),
+    "spatial_frequency": (1e-9, 1e15, "1/m"),  # a set alpha_max, sweep's alpha0
+}
+
+
+def require_range(name, value, quantity):
+    """Raise ValueError naming ``name`` and the range unless ``value`` lies in
+    RANGES[quantity]; NaN never does."""
+    low, high, unit = RANGES[quantity]
+    if not low <= value <= high:
+        unit = f" {unit}" if unit else ""
+        raise ValueError(f"{name} must be from {low:g} to {high:g}{unit}, got {float(value)!r}{unit}")
+
 
 @dataclass(frozen=True)
 class CoilPair:
@@ -34,18 +61,14 @@ class CoilPair:
     drive_current: float  # [A]
 
     def __post_init__(self):
-        # Each check is written so that NaN fails it; the upper bound rejects inf.
-        if not 0.0 < self.inner_radius < self.outer_radius < np.inf:
-            raise ValueError("need 0 < inner_radius < outer_radius < inf")
-        if not 0.0 < self.coil_height < np.inf:
-            raise ValueError("coil_height must be positive and finite")
-        if not 0.0 <= self.gap < np.inf:
-            raise ValueError("gap must be non-negative and finite")
-        if not 0.0 < self.liftoff < np.inf:
-            raise ValueError("liftoff must be positive and finite")
-        if not (1 <= self.turns_tx < np.inf and 1 <= self.turns_rx < np.inf):
-            raise ValueError("turns_tx and turns_rx must be finite and at least 1")
-        if not 0.0 < self.drive_current < np.inf:
+        for name in ("inner_radius", "outer_radius", "coil_height", "liftoff"):
+            require_range(name, getattr(self, name), "length")
+        require_range("gap", self.gap, "gap")
+        require_range("turns_tx", self.turns_tx, "turns")
+        require_range("turns_rx", self.turns_rx, "turns")
+        if not self.inner_radius < self.outer_radius:
+            raise ValueError("need inner_radius < outer_radius")
+        if not 0.0 < self.drive_current < np.inf:  # NaN fails it
             raise ValueError("drive_current must be positive and finite")
 
 
@@ -58,12 +81,9 @@ class Plate:
     relative_permeability: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 <= self.conductivity < np.inf:
-            raise ValueError("conductivity must be non-negative and finite")
-        if not 0.0 < self.thickness < np.inf:
-            raise ValueError("thickness must be positive and finite")
-        if not 1.0 <= self.relative_permeability < np.inf:
-            raise ValueError("relative_permeability must be finite and >= 1")
+        require_range("conductivity", self.conductivity, "conductivity")
+        require_range("thickness", self.thickness, "length")
+        require_range("relative_permeability", self.relative_permeability, "relative_permeability")
 
     @property
     def sigma_thickness_product(self) -> float:
@@ -81,8 +101,10 @@ class SweepSpec:
     spacing: str = "logarithmic"  # "logarithmic" | "linear"
 
     def __post_init__(self):
-        if not 0.0 < self.f_min <= self.f_max < np.inf:
-            raise ValueError("need 0 < f_min <= f_max < inf")
+        require_range("f_min", self.f_min, "frequency")
+        require_range("f_max", self.f_max, "frequency")
+        if not self.f_min <= self.f_max:
+            raise ValueError("need f_min <= f_max")
         if not (isinstance(self.n_points, Integral) and self.n_points >= 1):
             raise ValueError("n_points must be an integer >= 1")
         if self.n_points == 1 and self.f_min != self.f_max:

@@ -5,8 +5,8 @@ all internal multiples, the solver's inner loop. It is pure and accepts numpy
 arrays in alpha0 and omega, broadcasting as usual. It forms k1 = |alpha0| and
 k2 in real arithmetic, and R~ as one fraction of three complex products with
 a single complex division. k2 takes the squares of the inputs' scale, so the
-form has a domain, which the solver's boundaries check (see
-generalized_reflection).
+form has a domain (see generalized_reflection), which the input ranges of
+model.RANGES keep every call of the package inside.
 
 Every element of a call has the bits of its own scalar call, whatever the
 size of the call. Real arithmetic is correctly rounded however numpy runs
@@ -37,11 +37,6 @@ from __future__ import annotations
 import numpy as np
 
 from .model import MU_0, Plate
-
-# The bounds of generalized_reflection's domain, which its docstring states
-# and _require_domain checks.
-_ROOT_MAX = 1e75
-_ROOT_MIN = 1e-50
 
 
 def generalized_reflection(alpha0, omega, plate: Plate):
@@ -82,12 +77,13 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     Domain: k2 comes from the squares (alpha0^2 / 2)^2 and (c / 2)^2, and
     the products are of the scale of mu_r^2 alpha0^2 + |c| (|1 - E| and |1 +
     E| are at most 2). The form holds where mu_r and mu_r |alpha0| are at
-    most _ROOT_MAX = 1e75 and |c| at most 1e150, so that no square
-    overflows, and where |alpha0| >= _ROOT_MIN = 1e-50 or |c| >= 1e-100, so
-    that its terms stay normal numbers with 1 - E down to about 1e-90.
-    Outside it a result can be non-finite, or finite and wrong. The kernel
-    does not check it: a caller checks a call's range once with
-    _require_domain.
+    most 1e75 and |c| at most 1e150, so that no square overflows, and where
+    |alpha0| >= 1e-50 or |c| >= 1e-100, so that its terms stay normal
+    numbers with 1 - E down to about 1e-90. Outside it a result can be
+    non-finite, or finite and wrong. The kernel does not check it. The
+    ranges of model.RANGES keep the solvers' calls inside it by tens of
+    decades: mu_r alpha0 at most 1e25 1/m, |c| at most about 8e59 1/m^2,
+    and |alpha0| at least 1e-19 1/m.
     """
     alpha0, omega = np.asarray(alpha0), np.asarray(omega)
     scalar = alpha0.ndim == omega.ndim == 0
@@ -141,27 +137,3 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     np.add(phi, num, out=num)
     np.divide(p, num, out=phi)
     return phi[0] if scalar else phi
-
-
-def _require_domain(plate, alpha0, omega, name="alpha0"):
-    """Raise ValueError, naming the input, unless generalized_reflection's
-    domain holds every |alpha0| in ``alpha0`` = (lowest, highest) at every
-    angular frequency in ``omega`` = (lowest, highest) on ``plate``."""
-    (a_low, a_high), (w_low, w_high) = alpha0, omega
-    mu_r, sigma = plate.relative_permeability, plate.conductivity
-    if not mu_r <= _ROOT_MAX:
-        bad = f"relative_permeability = {mu_r:.6g}"
-    elif not mu_r * a_high <= _ROOT_MAX:
-        bad = f"{name} = {a_high:.6g} 1/m at relative_permeability = {mu_r:.6g}"
-    elif not w_high * sigma * (MU_0 * mu_r) <= _ROOT_MAX * _ROOT_MAX:
-        bad = f"sigma = {sigma:.6g} S/m at f = {w_high / (2.0 * np.pi):.6g} Hz"
-    elif not (a_low >= _ROOT_MIN or w_low * sigma * (MU_0 * mu_r) >= _ROOT_MIN * _ROOT_MIN):
-        bad = f"{name} = {a_low:.6g} 1/m at sigma = {sigma:.6g} S/m and f = "
-        bad += f"{w_low / (2.0 * np.pi):.6g} Hz"
-    else:
-        return
-    raise ValueError(
-        f"{bad} is outside the reflection's domain: mu_r at most {_ROOT_MAX:g}, mu_r alpha0 at most "
-        f"{_ROOT_MAX:g} 1/m and omega sigma mu0 mu_r at most {_ROOT_MAX**2:g} 1/m^2, and alpha0 at "
-        f"least {_ROOT_MIN:g} 1/m or omega sigma mu0 mu_r at least {_ROOT_MIN**2:g} 1/m^2"
-    )

@@ -21,6 +21,7 @@ import eddyplate
 from eddyplate import MU_0, QuadratureSpec, dodd_deeds
 from eddyplate.cli import EXIT_INVALID, EXIT_NO_CONVERGENCE, EXIT_OK, build_parser, main
 from eddyplate.fileio import read_spectrum_csv
+from eddyplate.model import RANGES
 from eddyplate.scenario import ScenarioError, load_scenario
 from eddyplate.thin_plate import ThinRegimeWarning
 
@@ -96,42 +97,39 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
     "entry, message",
     [
         ("alpha_max_per_m = 1e12", "alpha_max = 1e+12 1/m asks for"),
-        ("alpha_max_per_m = 1e-100", "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 1e-100 1/m"),
+        ("alpha_max_per_m = 1e-100", "alpha_max must be from 1e-09 to 1e+15 1/m, got 1e-100 1/m"),
         ("n_panels = 1e9", "n_panels = 1000000000 asks for"),
-        # (old line, new line) pairs: coils of 1e60 and 1e-70 m, whose derived
-        # alpha_max is out of range, a cross-section whose squared area
-        # underflows, turns whose product overflows, plates outside the
-        # reflection's domain, and a coil of 3.16e46 m whose lowest node is
-        # outside it on a plate with sigma = 0 and mu_r = 2
+        # (old line, new line) pairs, each outside the input ranges: coils of
+        # 1e60 and 1e-70 m, a height of 1e-160 m, turns of 1e200, and plates
+        # of mu_r = 1e80 or sigma = 1e100 S/m (with f_max = 1.6e59 Hz), and
+        # a coil of 3.16e46 m
         pytest.param(
             [
                 ("inner_radius_mm = 6.0", "inner_radius = 1e60"),
                 ("outer_radius_mm = 6.315", "outer_radius = 2e60"),
                 ("height_mm = 8", "height = 1e60"),
             ],
-            "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 4e-59 1/m (inner_radius 1e+60 m",
+            "inner_radius must be from 1e-12 to 1e+06 m, got 1e+60 m",
             id="coil-1e60",
         ),
         pytest.param(
             [("inner_radius_mm = 6.0", "inner_radius = 1e-70")],
-            "alpha_max must be from 5.3e-52 to 2.4e+51 1/m, got 4e+71 1/m (inner_radius 1e-70 m",
+            "inner_radius must be from 1e-12 to 1e+06 m, got 1e-70 m",
             id="coil-1e-70",
         ),
         pytest.param(
             [("height_mm = 8", "height = 1e-160")],
-            "the coil's kernel prefactor overflows: turns_tx = 25, turns_rx = 25, "
-            "outer_radius - inner_radius = 0.000315 m, coil_height = 1e-160 m",
+            "coil_height must be from 1e-12 to 1e+06 m, got 1e-160 m",
             id="height-1e-160",
         ),
         pytest.param(
             [("turns_tx = 25", "turns_tx = 1e200"), ("turns_rx = 25", "turns_rx = 1e200")],
-            "the coil's kernel prefactor overflows: turns_tx = 1e+200, turns_rx = 1e+200, "
-            "outer_radius - inner_radius = 0.000315 m, coil_height = 0.008 m",
+            "turns_tx must be from 1 to 1e+12, got 1e+200",
             id="turns-1e200",
         ),
         pytest.param(
             [("thickness_mm = 0.56", "thickness_mm = 0.56\nrelative_permeability = 1e80")],
-            "relative_permeability = 1e+80 is outside the reflection's domain: mu_r at most 1e+75,",
+            "relative_permeability must be from 1 to 1e+10, got 1e+80",
             id="mu_r-1e80",
         ),
         pytest.param(
@@ -139,8 +137,7 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
                 ("conductivity_MSm = 59.8", "conductivity = 1e100"),
                 ("f_max_Hz = 500e3", f"f_max = {1e60 / (2 * np.pi)!r}"),
             ],
-            "sigma = 1e+100 S/m at f = 1.59155e+59 Hz is outside the reflection's domain: mu_r at most "
-            "1e+75, mu_r alpha0 at most 1e+75 1/m and omega sigma mu0 mu_r at most 1e+150 1/m^2",
+            "conductivity must be from 0 to 1e+40 S/m, got 1e+100 S/m",
             id="sigma-1e100-omega-1e60",
         ),
         pytest.param(
@@ -157,8 +154,7 @@ def test_scenario_quadrature_defaults_from_spec(tmp_path, copper_brass):
                 ("n_points = 50", "n_points = 1"),
                 ("spacing = logarithmic", "spacing = logarithmic\n\n[quadrature]\nalpha_max_per_m = 5e-41"),
             ],
-            "alpha_max = 5e-41 1/m: its node alpha0 = 5.11916e-51 1/m at sigma = 0 S/m and f = 0.159155 Hz "
-            "is outside the reflection's domain",
+            "inner_radius must be from 1e-12 to 1e+06 m, got 3.16e+46 m",
             id="coil-3.16e46-lowest-node",
         ),
     ],
@@ -184,6 +180,71 @@ def test_spectrum_quadrature_out_of_range_exits_1(tmp_path, copper_brass, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err and err.count("\n") == 1
     assert peak < 2_000_000
+    assert not out.exists()
+
+
+def _beyond(value, direction):
+    """The next float after ``value`` towards ``direction``, as a Python float."""
+    return float(np.nextafter(value, direction))
+
+
+# (old line of copper_brass.ini, the key its new line sets, the name the
+# refusal gives, the quantity): each key of a ranged input, and each end of
+# each range at least once
+RANGED_KEYS = [
+    ("inner_radius_mm = 6.0", "inner_radius", "inner_radius", "length"),
+    ("outer_radius_mm = 6.315", "outer_radius", "outer_radius", "length"),
+    ("height_mm = 8", "height", "coil_height", "length"),
+    ("liftoff_mm = 1", "liftoff", "liftoff", "length"),
+    ("thickness_mm = 0.56", "thickness", "thickness", "length"),
+    ("gap_mm = 2", "gap", "gap", "gap"),
+    ("turns_tx = 25", "turns_tx", "turns_tx", "turns"),
+    ("turns_rx = 25", "turns_rx", "turns_rx", "turns"),
+    ("conductivity_MSm = 59.8", "conductivity", "conductivity", "conductivity"),
+    ("thickness_mm = 0.56", "thickness_mm = 0.56\nrelative_permeability", "relative_permeability",
+     "relative_permeability"),
+    ("f_min_Hz = 1e3", "f_min", "f_min", "frequency"),
+    ("f_max_Hz = 500e3", "f_max", "f_max", "frequency"),
+    ("spacing = logarithmic", "spacing = logarithmic\n[quadrature]\nalpha_max_per_m", "alpha_max",
+     "spatial_frequency"),
+    ("spacing = logarithmic", "spacing = logarithmic\n[alpha0]\noverride_per_m", "alpha0",
+     "spatial_frequency"),
+]
+
+
+@pytest.mark.filterwarnings("ignore::eddyplate.thin_plate.ThinRegimeWarning")
+@pytest.mark.parametrize("old, key, name, quantity", RANGED_KEYS, ids=[k[2] for k in RANGED_KEYS])
+def test_one_float_beyond_a_range_exits_1(tmp_path, copper_brass, capsys, old, key, name, quantity):
+    low, high, unit = RANGES[quantity]
+    unit = f" {unit}" if unit else ""
+    body = open(copper_brass).read()
+    scenario, out = tmp_path / "range.ini", tmp_path / "x.csv"
+    args = ["spectrum", str(scenario), "copper", "--model", "thin_plate", "-o", str(out)]
+    # a count's next whole number, a float's next float
+    beyond = (low - 1, high + 1) if quantity == "turns" else (_beyond(low, -np.inf), _beyond(high, np.inf))
+    for value in beyond:
+        scenario.write_text(body.replace(f"\n{old}\n", f"\n{key} = {value!r}\n", 1))
+        assert main(args) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert f"{name} must be from {low:g} to {high:g}{unit}, got {float(value)!r}{unit}\n" in err, err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+    # the ends themselves pass the range (a magnetic plate, which the thin
+    # model refuses, exits 1 for that)
+    for value in (low, high):
+        scenario.write_text(body.replace(f"\n{old}\n", f"\n{key} = {value!r}\n", 1))
+        assert main(args) in (EXIT_OK, EXIT_INVALID)
+        assert "must be from" not in capsys.readouterr().err
+
+
+def test_subnormal_inner_radius_exits_1(tmp_path, copper_brass, capsys):
+    # 1 / inner_radius overflowed to alpha0 = inf, and thin_plate wrote 50
+    # rows of zeros with exit 0: the length range refuses the coil.
+    scenario, out = tmp_path / "tiny.ini", tmp_path / "x.csv"
+    scenario.write_text(open(copper_brass).read().replace("inner_radius_mm = 6.0", "inner_radius = 5e-324"))
+    assert main(["spectrum", str(scenario), "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.endswith(": inner_radius must be from 1e-12 to 1e+06 m, got 5e-324 m\n")
     assert not out.exists()
 
 
@@ -592,44 +653,42 @@ def run_cli(argv, code=None):
 
 
 def test_spectrum_non_finite_values_exit_1(tmp_path, copper_brass, capsys):
-    # thin_plate_exact is the reflection, whose domain ends at mu_r alpha0 =
-    # 1e75: the sweep refuses alpha0 beyond it before the model runs, so no
-    # numpy warning or writer's refusal is reached.
+    # alpha0 above its range's top, 1e15 1/m, is refused before any model
+    # runs, so no numpy warning or writer's refusal is reached; up to the top
+    # every row is finite.
     override = tmp_path / "huge.ini"
     out = tmp_path / "cu.csv"
     args = ["spectrum", str(override), "copper", "--model", "thin_plate_exact", "-o", str(out)]
-    domain = " 1/m at relative_permeability = 1 is outside the reflection's domain: "
     override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e160\n")
     done = run_cli(args)
     assert done.returncode == EXIT_INVALID
-    assert done.stderr.startswith("error: alpha0 = 1e+160" + domain) and done.stderr.count("\n") == 1
-    for alpha0 in ("1e152", "1e76"):
-        override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
+    assert done.stderr.endswith(": alpha0 must be from 1e-09 to 1e+15 1/m, got 1e+160 1/m\n")
+    assert done.stderr.count("\n") == 1
+    for alpha0 in (1e152, 1e76, float(np.nextafter(1e15, np.inf))):
+        override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0!r}\n")
         assert main(args) == EXIT_INVALID
         err = capsys.readouterr().err
-        assert err.startswith(f"error: alpha0 = {float(alpha0):.6g}" + domain) and err.count("\n") == 1
+        assert err == f"error: alpha0 must be from 1e-09 to 1e+15 1/m, got {alpha0!r} 1/m\n"
     assert not out.exists()
-    # 1e75 keeps every row finite
-    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e75\n")
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e15\n")
     assert main(args) == EXIT_OK
     assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
 
 
-@pytest.mark.parametrize("alpha0, freq", [("1e-320", "1000"), ("1e-306", "1463")], ids=["1e-320", "1e-306"])
-def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0, freq):
-    # c = j omega mu0 sigma D / (2 alpha0) overflows from f = freq on: the
-    # sweep rejects alpha0 before the model's numpy warnings are printed.
+@pytest.mark.parametrize("alpha0", ["1e-320", "1e-306"], ids=["1e-320", "1e-306"])
+def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0):
+    # c = j omega mu0 sigma D / (2 alpha0) overflowed at these alpha0: the
+    # range, from 1e-9 1/m, refuses them before the model runs, in one line.
     override = tmp_path / "tiny.ini"
     override.write_text(open(copper_brass).read() + f"\n[alpha0]\noverride_per_m = {alpha0}\n")
     out = tmp_path / "cu.csv"
     done = run_cli(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)])
     assert done.returncode == EXIT_INVALID
     assert len(done.stderr.splitlines()) == 1
-    message = rf"error: alpha0 = \S+ 1/m: the thin_plate response is not finite at f = {freq} Hz$"
-    assert re.match(message, done.stderr)
+    assert done.stderr.endswith(f": alpha0 must be from 1e-09 to 1e+15 1/m, got {alpha0} 1/m\n")
     assert not out.exists()
-    # 1e-300 keeps c finite, and so every row
-    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-300\n")
+    # the bottom of the range keeps every row finite
+    override.write_text(open(copper_brass).read() + "\n[alpha0]\noverride_per_m = 1e-9\n")
     assert main(["spectrum", str(override), "copper", "--model", "thin_plate", "-o", str(out)]) == EXIT_OK
     assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
 
@@ -647,16 +706,26 @@ def test_invert_alpha0_out_of_range_exits_1(tmp_path, copper_brass, alpha0):
 
 
 def test_zero_integral_warns_once(tmp_path, copper_brass):
-    # At alpha_max = 5.4e-52 1/m every delta_L underflows to 0, and the tail
-    # check says so in one line.
+    # At alpha_max = 5.4e-52 1/m every delta_L underflowed to 0: that is
+    # below alpha_max's range, and refused in one line. At the bottom of the
+    # range, 1e-9 1/m, the integral is far below its tail beyond alpha_max,
+    # and the tail check says so in one line.
     scenario = tmp_path / "tiny.ini"
+    args = ["spectrum", str(scenario), "copper", "--model", "dodd_deeds", "-o", str(tmp_path / "cu.csv")]
     scenario.write_text(
         open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 5.4e-52\nn_panels = 8\n"
     )
-    done = run_cli(["spectrum", str(scenario), "copper", "--model", "dodd_deeds", "-o", str(tmp_path / "cu.csv")])
+    done = run_cli(args)
+    assert done.returncode == EXIT_INVALID
+    assert done.stderr.endswith(": alpha_max must be from 1e-09 to 1e+15 1/m, got 5.4e-52 1/m\n")
+    assert len(done.stderr.splitlines()) == 1
+    scenario.write_text(
+        open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 1e-9\nrule = fixed\n"
+    )
+    done = run_cli(args)
     assert done.returncode == EXIT_OK, done.stderr
     assert len(done.stderr.splitlines()) == 1
-    assert re.match(r"warning: tail estimate .* of the integral 0; increase alpha_max$", done.stderr)
+    assert re.match(r"warning: tail estimate .* of the integral \S+; increase alpha_max$", done.stderr)
 
 
 def test_import_loads_no_scipy():
