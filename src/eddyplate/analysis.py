@@ -179,14 +179,14 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     is at most 1e-9 of sigma*D, or smaller than sigma*D with a predicted drop
     ||J||^2 step^2 of at most 1e-12 of the cost. A line search that finds no
     lower cost ends the fit as not converged: the model cannot reach the
-    data from there. An alpha0 at which (omega mu0 / (2 alpha0))^2 is not a
-    normal double on the spectrum's band, or a spectrum whose misfit
-    overflows, is rejected: the fit could not tell convergence. A fit whose
+    data from there. alpha0 is a spatial frequency in model.RANGES; with the
+    spectrum's frequencies in theirs, (omega mu0 / (2 alpha0))^2 lies from
+    about 1.6e-59 to 1.6e37, a normal double. A spectrum whose misfit
+    overflows is rejected: the fit could not tell convergence. A fit whose
     standard error is not finite, so that the data do not pin sigma*D down,
     is reported as not converged.
     """
-    if not 0.0 < alpha0 < np.inf:
-        raise ValueError(f"alpha0 must be positive and finite, got {alpha0}")
+    require_range("alpha0", alpha0, "spatial_frequency")
     if not spectrum.normalized:
         raise ValueError("fit_sigma_d needs a normalized (thin-plate form) spectrum")
     if spectrum.frequencies.size < 3:
@@ -195,13 +195,6 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
         raise ValueError("spectrum is identically zero")
 
     omegas = 2.0 * np.pi * spectrum.frequencies
-    with np.errstate(over="ignore", under="ignore"):
-        u_sq = (omegas * MU_0 / (2.0 * alpha0)) ** 2
-    if not (u_sq.max() < np.inf and u_sq.min() >= np.finfo(float).tiny):
-        raise ValueError(
-            f"alpha0 = {alpha0:.6g} 1/m: (omega mu0 / (2 alpha0))^2 is not a normal number on "
-            f"{spectrum.frequencies.min():.6g}..{spectrum.frequencies.max():.6g} Hz"
-        )
     u = 1j * omegas * MU_0 / (2.0 * alpha0)
     data = spectrum.delta_L
 

@@ -369,7 +369,8 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     midpoint sum. The fixed rule returns T_h at ``n_panels``. Returns the
     integrals, a bound beyond alpha_max, where the envelope decays as
     exp(-a d) and as a^-5 (P^2 = O(a)), of min(1 / d, alpha_max / 4) times
-    its value there, and one per integral below the lowest node.
+    its value there, and one per integral below the lowest node. Where that
+    bound exceeds rel_tolerance, no convergence says "increase alpha_max".
     """
     prefactor = kernel_prefactor(coil)
     cross = _cross_section(coil)
@@ -397,11 +398,17 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
         if rows.size == 0:
             return result, above, below
     where = "" if omegas is None else f" at f = {omegas[rows[0]] / (2.0 * np.pi):.6g} Hz"
+    cut = abs(above) > quad.rel_tolerance * abs(value[0])
+    remedy = f"; {_tail_message(abs(above), abs(value[0]), 'increase alpha_max')}" if cut else ""
     raise QuadratureConvergenceError(
         f"no convergence{where} to rel_tolerance={quad.rel_tolerance} after "
         f"{_MAX_REFINEMENTS} step halvings ({quad.n_panels << _MAX_REFINEMENTS} steps per decade "
-        "at alpha_max)"
+        f"at alpha_max){remedy}"
     )
+
+
+def _tail_message(tail, mag, remedy):
+    return f"tail estimate {tail:.3g} exceeds rel_tolerance of the integral {mag:.3g}; {remedy}"
 
 
 def _check_tail(quad, values, above, below):
@@ -416,12 +423,8 @@ def _check_tail(quad, values, above, below):
         tail = np.abs(bound)
         flagged = tail > limit
         if flagged.any():
-            warnings.warn(
-                f"tail estimate {np.max(np.where(flagged, tail, 0.0)):.3g} exceeds rel_tolerance "
-                f"of the integral {np.min(np.where(flagged, mag, np.inf)):.3g}; {remedy}",
-                TruncationWarning,
-                stacklevel=3,
-            )
+            worst = np.max(np.where(flagged, tail, 0.0)), np.min(np.where(flagged, mag, np.inf))
+            warnings.warn(_tail_message(*worst, remedy), TruncationWarning, stacklevel=3)
 
 
 def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):

@@ -18,11 +18,8 @@ from .model import InductanceSpectrum
 FORMAT_VERSION = "1"
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict | None = None):
+    """Write ``spectrum`` to ``path``; a spectrum holds no row the reader refuses."""
     meta = dict(spectrum.metadata)
     if metadata:
         meta.update(metadata)
@@ -35,15 +32,6 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
         lines.append(f"# {key}={meta[key]}")
     lines.append("freq_hz,dL_re,dL_im\n")
     freqs, values = spectrum.frequencies, spectrum.delta_L
-    finite = np.isfinite(freqs) & np.isfinite(values)
-    good = finite & (freqs > 0.0)
-    if not good.all():
-        # the reader rejects such a row: refuse the first before the file is opened
-        row = good.argmin()
-        f = freqs[row]
-        if not finite[row]:
-            raise ValueError(f"{path}: non-finite value at freq_hz = {_fmt(f)}; nothing written")
-        raise ValueError(f"{path}: freq_hz = {_fmt(f)} is not > 0; nothing written")
     # Python floats format to the same .17g bytes as numpy scalars, and faster.
     numbers = np.column_stack((freqs, values.real, values.imag)).ravel().tolist()
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -53,12 +41,13 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
 def read_spectrum_csv(path: str) -> InductanceSpectrum:
     """Parse a spectrum file.
 
-    A malformed data row (not three finite numbers, or freq_hz not > 0), or a
-    format line naming another version than FORMAT_VERSION, raises ValueError
-    naming its line; a file with no data row raises ValueError naming the file.
+    A data row that is not three numbers, or a format line naming another
+    version than FORMAT_VERSION, raises ValueError naming its line. No data
+    row, or rows InductanceSpectrum refuses (its message names the first bad
+    freq_hz), raise ValueError naming the file.
     """
     meta: dict[str, str] = {}
-    freqs, re, im = [], [], []
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -82,23 +71,23 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
                 f, dl_re, dl_im = map(float, line.split(","))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: expected 3 numbers, got {line!r}") from None
-            if not (0.0 < f < math.inf and math.isfinite(dl_re) and math.isfinite(dl_im)):
-                raise ValueError(f"{path}:{lineno}: non-finite value or freq_hz <= 0 in {line!r}")
-            freqs.append(f)
-            re.append(dl_re)
-            im.append(dl_im)
-    if not freqs:
+            rows.append((f, dl_re, dl_im))
+    if not rows:
         raise ValueError(f"{path}: no data rows")
+    freqs, re, im = zip(*rows)
     # assembled part by part: re + 1j * im would turn -0.0 parts into +0.0
     delta = np.empty(len(re), dtype=complex)
     delta.real, delta.imag = re, im
-    return InductanceSpectrum(
-        frequencies=np.array(freqs),
-        delta_L=delta,
-        normalized=meta.get("normalized", "false") == "true",
-        model_tag=meta.get("model", "unknown"),
-        metadata=meta,
-    )
+    try:
+        return InductanceSpectrum(
+            frequencies=np.array(freqs),
+            delta_L=delta,
+            normalized=meta.get("normalized", "false") == "true",
+            model_tag=meta.get("model", "unknown"),
+            metadata=meta,
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _json_value(value):

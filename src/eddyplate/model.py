@@ -16,12 +16,13 @@ MU_0 = 4e-7 * np.pi  # vacuum permeability [H/m], exact by definition here
 
 # The range of each physical input, (lowest, highest, unit), both ends
 # included, checked where the input enters: CoilPair, Plate, SweepSpec,
-# QuadratureSpec, analysis.sweep (alpha0) and dodd_deeds.delta_L (omega, as
-# 2 pi times a frequency). Millimetre coils over plates from micrometres to
-# centimetres, at hertz to megahertz, lie decades inside. Within it the
-# solvers' arithmetic holds: the reflection's domain (te_layered), a finite
-# normal alpha_max^6 and kernel prefactor, and a finite thin-plate c = j
-# omega mu0 sigma D / (2 alpha0), with margins of tens of decades.
+# InductanceSpectrum, QuadratureSpec, analysis.sweep and fit_sigma_d
+# (alpha0) and dodd_deeds.delta_L (omega, as 2 pi times a frequency).
+# Millimetre coils over plates from micrometres to centimetres, at hertz to
+# megahertz, lie decades inside. Within it the solvers' arithmetic holds:
+# the reflection's domain (te_layered), a finite normal alpha_max^6 and
+# kernel prefactor, a finite thin-plate c = j omega mu0 sigma D / (2 alpha0)
+# and the fit's normal (omega mu0 / (2 alpha0))^2, by tens of decades.
 RANGES = {
     "length": (1e-12, 1e6, "m"),  # radii, coil height, lift-off, plate thickness
     "gap": (0.0, 1e6, "m"),
@@ -113,30 +114,43 @@ class SweepSpec:
             raise ValueError(f"unknown spacing {self.spacing!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InductanceSpectrum:
     """Per-frequency complex delta-L values plus provenance metadata.
 
     ``normalized`` is True for dimensionless delta-L / L_air values
     (single-alpha0 models) and False for absolute henries (full integral
     solver). A spectrum read back from a CSV keeps the file's model_tag.
+
+    Valid by construction: one or more frequencies, strictly increasing and
+    in RANGES, each with a finite delta-L, or a ValueError naming the first
+    bad freq_hz. The arrays are read-only; a writeable one is copied first.
     """
 
-    frequencies: np.ndarray        # [Hz], one or more, finite, > 0, strictly increasing
+    frequencies: np.ndarray        # [Hz]
     delta_L: np.ndarray            # complex, same length
     normalized: bool
     model_tag: str                 # "thin_plate" | "thin_plate_exact" | "dodd_deeds"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.frequencies = np.asarray(self.frequencies, dtype=float)
-        self.delta_L = np.asarray(self.delta_L, dtype=complex)
-        if self.frequencies.shape != self.delta_L.shape:
+        for name, dtype in (("frequencies", float), ("delta_L", complex)):
+            array = np.asarray(getattr(self, name), dtype=dtype)
+            if array.flags.writeable:
+                array = array.copy()
+                array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        f, values = self.frequencies, self.delta_L
+        if f.shape != values.shape:
             raise ValueError("frequencies and delta_L must have equal length")
-        f = self.frequencies
-        # NaN fails every comparison, so each frequency is finite and > 0 too
-        if not (f.size and f[0] > 0.0 and f[-1] < np.inf and np.all(np.diff(f) > 0)):
-            raise ValueError("need at least one frequency, each finite and > 0, strictly increasing")
+        # with both ends in range, so is every row: NaN fails the increase
+        if not (f.ndim == 1 and f.size and (f[1:] > f[:-1]).all()):
+            raise ValueError("need at least one frequency in a 1-D array, strictly increasing")
+        require_range("freq_hz", f[0], "frequency")
+        require_range("freq_hz", f[-1], "frequency")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise ValueError(f"non-finite delta_L at freq_hz = {f[finite.argmin()]:.17g}")
 
 
 def default_sensor() -> CoilPair:

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import warnings
 
@@ -19,9 +20,11 @@ from eddyplate import (
     thin_plate,
 )
 from eddyplate.analysis import _linear_start, _thin_slope
+from eddyplate.model import RANGES
 from eddyplate.thin_plate import _thin_response
 
 COIL = default_sensor()
+ALPHA_MIN, ALPHA_MAX, _ = RANGES["spatial_frequency"]
 A0 = derive_alpha0(COIL)
 
 pytestmark = pytest.mark.filterwarnings("ignore::eddyplate.thin_plate.ThinRegimeWarning")
@@ -181,8 +184,7 @@ def test_compare_rejects_grid_mismatch():
 def test_compare_rejects_flag_mismatch():
     freqs = np.geomspace(1e3, 1e5, 10)
     a = synthetic_spectrum(1e3, A0, freqs)
-    b = synthetic_spectrum(1e3, A0, freqs)
-    b.normalized = False
+    b = dataclasses.replace(synthetic_spectrum(1e3, A0, freqs), normalized=False)
     with pytest.raises(ValueError, match="normalized"):
         compare(a, b)
 
@@ -203,10 +205,11 @@ def test_compare_rejects_bad_band(band):
 
 def test_compare_near_zero_guard_counts_exclusions():
     freqs = np.geomspace(1e3, 1e5, 10)
-    a = synthetic_spectrum(1e3, A0, freqs)
     b = synthetic_spectrum(1e3, A0, freqs)
     # force the two lowest reference magnitudes below the 1e-3 peak fraction
-    a.delta_L[:2] = 1e-9 * np.max(np.abs(a.delta_L))
+    values = b.delta_L.copy()
+    values[:2] = 1e-9 * np.max(np.abs(values))
+    a = dataclasses.replace(b, delta_L=values)
     report = compare(a, b)
     assert report.n_excluded == 2
     assert np.isnan(report.per_frequency_rel_error[0])
@@ -280,8 +283,7 @@ def test_fit_jacobian_matches_finite_differences():
 def test_fit_residual_increases_for_corrupted_data():
     freqs = np.geomspace(1e3, 5e5, 40)
     clean = synthetic_spectrum(33488.0, A0, freqs)
-    corrupted = synthetic_spectrum(33488.0, A0, freqs)
-    corrupted.delta_L = corrupted.delta_L * np.exp(0.2j)  # phase no model reaches
+    corrupted = dataclasses.replace(clean, delta_L=clean.delta_L * np.exp(0.2j))  # phase no model reaches
     fit_clean = fit_sigma_d(clean, A0)
     fit_bad = fit_sigma_d(corrupted, A0)
     assert fit_bad.residual_norm > 100 * max(fit_clean.residual_norm, 1e-12)
@@ -335,8 +337,7 @@ def test_fit_stalled_by_round_off_is_converged(monkeypatch):
 
 def test_fit_rejects_bad_inputs():
     freqs = np.geomspace(1e3, 5e5, 10)
-    absolute = synthetic_spectrum(33488.0, A0, freqs)
-    absolute.normalized = False
+    absolute = dataclasses.replace(synthetic_spectrum(33488.0, A0, freqs), normalized=False)
     with pytest.raises(ValueError):
         fit_sigma_d(absolute, A0)
 
@@ -344,8 +345,7 @@ def test_fit_rejects_bad_inputs():
     with pytest.raises(ValueError):
         fit_sigma_d(short, A0)
 
-    zero = synthetic_spectrum(33488.0, A0, freqs)
-    zero.delta_L = np.zeros_like(zero.delta_L)
+    zero = dataclasses.replace(synthetic_spectrum(33488.0, A0, freqs), delta_L=np.zeros(freqs.size))
     with pytest.raises(ValueError):
         fit_sigma_d(zero, A0)
 
@@ -366,10 +366,11 @@ COPPER_THIN = sweep("thin_plate", COIL, Plate(59.8e6, 0.56e-3), SweepSpec(1e3, 5
 
 @pytest.mark.parametrize("alpha0", [1e-306, 1e-200, 1e-160, 1e160, 1e200])
 def test_fit_rejects_alpha0_out_of_range(alpha0):
-    # (omega mu0 / (2 alpha0))^2 overflows at 500 kHz below about 1.5e-154 1/m
-    # and is subnormal at 1 kHz above about 2.6e151 1/m
-    alpha0_text = re.escape(f"{alpha0:.6g}")
-    with pytest.raises(ValueError, match=rf"^alpha0 = {alpha0_text} 1/m: .* not a normal number"):
+    # alpha0's range in model.RANGES, 1e-9 to 1e15 1/m, refuses these; the
+    # fit once refused them only where (omega mu0 / (2 alpha0))^2 was not a
+    # normal number, below about 1.5e-154 or above about 2.6e151 1/m here
+    message = rf"^alpha0 must be from 1e-09 to 1e\+15 1/m, got {re.escape(repr(alpha0))} 1/m$"
+    with pytest.raises(ValueError, match=message):
         fit_sigma_d(COPPER_THIN, alpha0)
 
 
@@ -377,7 +378,7 @@ def test_fit_rejects_alpha0_out_of_range(alpha0):
 def test_fit_spectrum_rejects_frequencies_not_above_zero(freq):
     # The copper spectrum with one row prepended: the spectrum refuses the
     # row, so the fit neither uses it nor blames alpha0 for it.
-    with pytest.raises(ValueError, match="each finite and > 0"):
+    with pytest.raises(ValueError, match=rf"^freq_hz must be from .* got {freq!r} Hz$"):
         InductanceSpectrum(
             np.insert(COPPER_THIN.frequencies, 0, freq),
             np.insert(COPPER_THIN.delta_L, 0, COPPER_THIN.delta_L[0]),
@@ -391,7 +392,7 @@ def test_fit_sigma_d_scales_with_alpha0():
     ratios = []
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for alpha0 in (1e-150, 1e-100, 1.0, 1e100, 1e150):
+        for alpha0 in (ALPHA_MIN, 1e-3, 1.0, 1e8, ALPHA_MAX):
             fit = fit_sigma_d(COPPER_THIN, alpha0)
             assert fit.converged
             ratios.append(fit.sigma_d / alpha0)

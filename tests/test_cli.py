@@ -604,19 +604,47 @@ def test_invert_absolute_spectrum_exits_1(tmp_path, copper_brass, capsys):
     assert "normalized" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "bad_row", ["1,2", "1e3,0.5,1,2", "1e3,x,0.1", "1e3,nan,0.1", "1e3,0.5,inf", "-5,-0.5,0.1", "0,-0.5,0.1"]
-)
+# A first data row and the error after the file's name: a row that is not
+# three numbers is named by its line, one the spectrum refuses by its freq_hz.
+MALFORMED_ROWS = {
+    "1,2": ":{line}: expected 3 numbers, got '1,2'",
+    "1e3,0.5,1,2": ":{line}: expected 3 numbers, got '1e3,0.5,1,2'",
+    "1e3,x,0.1": ":{line}: expected 3 numbers, got '1e3,x,0.1'",
+    "1e3,nan,0.1": ": non-finite delta_L at freq_hz = 1000",
+    "1e3,0.5,inf": ": non-finite delta_L at freq_hz = 1000",
+    "-5,-0.5,0.1": ": freq_hz must be from 1e-09 to 1e+15 Hz, got -5.0 Hz",
+    "0,-0.5,0.1": ": freq_hz must be from 1e-09 to 1e+15 Hz, got 0.0 Hz",
+}
+
+
+@pytest.mark.parametrize("bad_row", list(MALFORMED_ROWS))
 def test_invert_malformed_row_exits_1(tmp_path, copper_brass, capsys, bad_row):
     out = tmp_path / "cu.csv"
     main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
     lines = out.read_text().splitlines()
-    lineno = lines.index(next(line for line in lines if line.startswith("freq_hz"))) + 3
+    lineno = lines.index(next(line for line in lines if line.startswith("freq_hz"))) + 2
+    assert lines[lineno - 1].startswith("1000,")  # the grid's first row, so 1e3 keeps the increase
     lines[lineno - 1] = bad_row
     out.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["invert", str(out)]) == EXIT_INVALID
-    assert f"{out}:{lineno}:" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {out}{MALFORMED_ROWS[bad_row].format(line=lineno)}\n"
+
+
+def test_frequencies_out_of_range_in_a_file_exit_1(tmp_path, copper_brass, capsys):
+    # Rows at 1e-300 to 1e-298 Hz, below the frequency range: compare read
+    # them and exited 0, and invert blamed alpha0 = 166.67 1/m for them.
+    spectrum = tmp_path / "cu.csv"
+    assert main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(spectrum)]) == EXIT_OK
+    header = spectrum.read_text().partition("freq_hz,dL_re,dL_im\n")[0]
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text(header + "freq_hz,dL_re,dL_im\n1e-300,-0.5,0.1\n1e-299,-0.5,0.1\n1e-298,-0.5,0.1\n")
+    capsys.readouterr()
+    for argv in (["compare", str(tiny), str(spectrum)], ["invert", str(tiny)]):
+        assert main(argv) == EXIT_INVALID
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {tiny}: freq_hz must be from 1e-09 to 1e+15 Hz, got 1e-300 Hz\n"
 
 
 @pytest.mark.parametrize("alpha0", ["nan", "inf", "0", "-1"])
@@ -693,15 +721,15 @@ def test_tiny_alpha0_override_exits_1(tmp_path, copper_brass, alpha0):
     assert np.all(np.isfinite(read_spectrum_csv(str(out)).delta_L))
 
 
-@pytest.mark.parametrize("alpha0", ["1e-306", "1e200"])
+@pytest.mark.parametrize("alpha0", ["1e-306", "1e200", "1e-100", "1e100"])
 def test_invert_alpha0_out_of_range_exits_1(tmp_path, copper_brass, alpha0):
-    # (omega mu0 / (2 alpha0))^2 over- or underflows on the spectrum's band
+    # alpha0's range, 1e-9 to 1e15 1/m, as for spectrum: at 1e-100 and 1e100
+    # 1/m the fit once converged, to sigma*D = 2.0e-98 and 2.0e102 S
     spectrum = tmp_path / "cu.csv"
     assert main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(spectrum)]) == EXIT_OK
     done = run_cli(["invert", str(spectrum), "--alpha0", alpha0])
     assert done.returncode == EXIT_INVALID
-    assert len(done.stderr.splitlines()) == 1
-    assert re.match(r"error: alpha0 = \S+ 1/m: .* not a normal number on 1000\.\.500000 Hz$", done.stderr)
+    assert done.stderr == f"error: alpha0 must be from 1e-09 to 1e+15 1/m, got {float(alpha0)!r} 1/m\n"
     assert done.stdout == ""
 
 
@@ -726,6 +754,23 @@ def test_zero_integral_warns_once(tmp_path, copper_brass):
     assert done.returncode == EXIT_OK, done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert re.match(r"warning: tail estimate .* of the integral \S+; increase alpha_max$", done.stderr)
+
+
+def test_unconverged_integral_cut_too_low_names_the_remedy(tmp_path, copper_brass):
+    # At alpha_max = 1 1/m the integrand still rises where it is cut, and the
+    # adaptive rule cannot converge; the fixed rule's tail check names the
+    # remedy, and so does the no-convergence error.
+    scenario = tmp_path / "low.ini"
+    scenario.write_text(open(copper_brass).read() + "\n[quadrature]\nalpha_max_per_m = 1\n")
+    done = run_cli(["spectrum", str(scenario), "copper", "-o", str(tmp_path / "cu.csv")])
+    assert done.returncode == EXIT_NO_CONVERGENCE
+    assert len(done.stderr.splitlines()) == 1
+    assert re.match(
+        r"error: no convergence at f = 1000 Hz .* after 8 step halvings .*; "
+        r"tail estimate \S+ exceeds rel_tolerance of the integral \S+; increase alpha_max$",
+        done.stderr,
+    )
+    assert not (tmp_path / "cu.csv").exists()
 
 
 def test_import_loads_no_scipy():

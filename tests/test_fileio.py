@@ -5,13 +5,15 @@ from hypothesis import strategies as st
 
 from eddyplate import InductanceSpectrum
 from eddyplate.fileio import read_spectrum_csv, write_spectrum_csv
+from eddyplate.model import RANGES
 
+F_MIN, F_MAX, _ = RANGES["frequency"]
 # Every finite double: hypothesis favours the edges (subnormals, -0.0, the
 # largest and smallest exponents) besides ordinary values.
 finite = st.floats(allow_nan=False, allow_infinity=False)
-frequencies = st.lists(
-    st.floats(min_value=0.0, exclude_min=True, allow_infinity=False), min_size=1, max_size=20, unique=True
-).map(sorted)
+frequencies = st.lists(st.floats(min_value=F_MIN, max_value=F_MAX), min_size=1, max_size=20, unique=True).map(
+    sorted
+)
 
 
 @st.composite
@@ -23,24 +25,32 @@ def spectra(draw):
     return InductanceSpectrum(freqs, delta, normalized=draw(st.booleans()), model_tag="dodd_deeds")
 
 
+def _complex(re, im):
+    """re + 1j im part by part, keeping -0.0 in either."""
+    values = np.empty(np.size(re), dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
+
 # The edges once each, whatever the draws: a signed zero in either part next
 # to both signs of the other, subnormals and the extreme exponents.
 EDGES = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1.0, -1.7976931348623157e308]
 EDGE_RE, EDGE_IM = np.meshgrid(EDGES, EDGES)
 EDGE_SPECTRUM = InductanceSpectrum(
-    np.concatenate([[5e-324], np.arange(1.0, EDGE_RE.size - 1), [1.7976931348623157e308]]),
-    np.empty(EDGE_RE.size, dtype=complex),
+    np.concatenate([[F_MIN], np.arange(1.0, EDGE_RE.size - 1), [F_MAX]]),
+    _complex(EDGE_RE.ravel(), EDGE_IM.ravel()),
     normalized=True,
     model_tag="dodd_deeds",
 )
-EDGE_SPECTRUM.delta_L.real, EDGE_SPECTRUM.delta_L.imag = EDGE_RE.ravel(), EDGE_IM.ravel()
-# The smallest subnormal and normal and the largest double, with -0.0 in each part of delta_L.
+# The ends of the frequency range and their neighbours inside it; in delta_L
+# the smallest subnormal and normal and the largest double, with -0.0 in each part.
 EXTREMES = [5e-324, 2.2250738585072014e-308, 1.0, 1.7976931348623157e308]
 EXTREME_SPECTRUM = InductanceSpectrum(
-    EXTREMES, np.empty(4, dtype=complex), normalized=False, model_tag="dodd_deeds"
+    [F_MIN, np.nextafter(F_MIN, 1.0), np.nextafter(F_MAX, 0.0), F_MAX],
+    _complex([-0.0, *EXTREMES[1:]], [*EXTREMES[:3], -0.0]),
+    normalized=False,
+    model_tag="dodd_deeds",
 )
-EXTREME_SPECTRUM.delta_L.real = [-0.0, *EXTREMES[1:]]
-EXTREME_SPECTRUM.delta_L.imag = [*EXTREMES[:3], -0.0]
 
 
 def _reference_rows(spectrum):
@@ -81,51 +91,61 @@ def test_spectrum_csv_without_rows_is_rejected(tmp_path):
 
 
 def test_spectrum_csv_writer_refuses_non_finite_values(tmp_path):
+    # A spectrum holds no non-finite value, so the writer never meets one;
+    # the reader refuses such a row through the same rule.
     delta = np.array([1.0 + 1.0j, complex(np.nan, 0.0), complex(0.0, np.inf)])
-    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], delta, normalized=False, model_tag="dodd_deeds")
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match=f"{path}: non-finite value at freq_hz = 20;"):
-        write_spectrum_csv(str(path), spectrum)
+    with pytest.raises(ValueError, match="^non-finite delta_L at freq_hz = 20$"):
+        write_spectrum_csv(str(path), InductanceSpectrum([10.0, 20.0, 30.0], delta, False, "dodd_deeds"))
     assert not path.exists()
+
+    path.write_text("# normalized=false\nfreq_hz,dL_re,dL_im\n10,1,1\n20,nan,0\n30,0,inf\n")
+    with pytest.raises(ValueError, match=f"^{path}: non-finite delta_L at freq_hz = 20$"):
+        read_spectrum_csv(str(path))
 
 
 @pytest.mark.parametrize(
     "freqs, values, message",
     [
-        ({2: 0.0}, {1: np.nan}, "non-finite value at freq_hz = 20;"),
-        ({0: -5.0}, {2: np.inf}, "freq_hz = -5 is not > 0;"),
-        ({1: 0.0}, {1: complex(0.0, np.nan)}, "non-finite value at freq_hz = 0;"),
-        ({1: np.nan}, {}, "non-finite value at freq_hz = nan;"),
+        ({}, {1: np.nan, 2: np.inf}, "non-finite delta_L at freq_hz = 20$"),
+        ({0: -5.0}, {2: np.inf}, r"freq_hz must be from 1e-09 to 1e\+15 Hz, got -5.0 Hz$"),
+        ({1: 0.0}, {1: complex(0.0, np.nan)}, "strictly increasing$"),
+        ({1: np.nan}, {}, "strictly increasing$"),
     ],
     ids=["non-finite-first", "not-above-zero-first", "both-in-one-row", "nan-freq"],
 )
 def test_spectrum_csv_writer_names_the_first_bad_row(tmp_path, freqs, values, message):
-    # Rows are judged in file order; within a row, a non-finite value comes
-    # before f <= 0. A spectrum is built valid, but its arrays can be changed.
-    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
+    # The spectrum refuses a bad row when it is built, before a file is
+    # opened: its frequencies first, then the first non-finite value.
+    f, delta = np.array([10.0, 20.0, 30.0]), np.ones(3, dtype=complex)
     for row, freq in freqs.items():
-        spectrum.frequencies[row] = freq
+        f[row] = freq
     for row, value in values.items():
-        spectrum.delta_L[row] = value
+        delta[row] = value
     path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match=f"{path}: {message} nothing written"):
-        write_spectrum_csv(str(path), spectrum)
+    with pytest.raises(ValueError, match=message):
+        write_spectrum_csv(str(path), InductanceSpectrum(f, delta, True, "thin_plate"))
     assert not path.exists()
 
 
 @pytest.mark.parametrize("freq", [-5.0, 0.0, -0.0])
 def test_spectrum_csv_rejects_frequencies_not_above_zero(tmp_path, freq):
-    # SweepSpec's rule f_min > 0, on both sides of the file. A spectrum is
-    # built with f > 0, but its arrays can be changed afterwards.
-    spectrum = InductanceSpectrum([10.0, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
-    spectrum.frequencies[0] = freq
-    path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match=f"{path}: freq_hz = {freq:g} is not > 0; nothing written"):
-        write_spectrum_csv(str(path), spectrum)
-    assert not path.exists()
+    # model.RANGES' frequency range, on both sides of the file: the spectrum
+    # refuses the row, and the reader names the file and the row's freq_hz.
+    message = rf"freq_hz must be from 1e-09 to 1e\+15 Hz, got {freq!r} Hz$"
+    with pytest.raises(ValueError, match=f"^{message}"):
+        InductanceSpectrum([freq, 20.0, 30.0], np.ones(3, dtype=complex), True, "thin_plate")
 
-    path.write_text(f"# normalized=true\nfreq_hz,dL_re,dL_im\n10,-0.5,0.1\n{freq!r},-0.5,0.1\n")
-    with pytest.raises(ValueError, match=f"{path}:4: non-finite value or freq_hz <= 0 in"):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"# normalized=true\nfreq_hz,dL_re,dL_im\n{freq!r},-0.5,0.1\n10,-0.5,0.1\n")
+    with pytest.raises(ValueError, match=f"^{path}: {message}"):
+        read_spectrum_csv(str(path))
+
+
+def test_spectrum_csv_reader_names_the_line_of_a_malformed_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# normalized=true\nfreq_hz,dL_re,dL_im\n10,-0.5,0.1\n20,-0.5\n")
+    with pytest.raises(ValueError, match=f"^{path}:4: expected 3 numbers, got '20,-0.5'$"):
         read_spectrum_csv(str(path))
 
 

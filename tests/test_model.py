@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ from eddyplate import (
     sweep,
 )
 from eddyplate.fileio import write_spectrum_csv
+from eddyplate.model import RANGES
+
+F_MIN, F_MAX, _ = RANGES["frequency"]
 
 
 def test_default_sensor_geometry():
@@ -177,8 +182,19 @@ def test_sweep_spec_rejects_non_finite():
             SweepSpec(*args)
 
 
+# The refusal of each defect of test_spectrum_validation: a frequency out of
+# model.RANGES is named with the range, and NaN or inf between two in range
+# breaks the strict increase.
+REFUSALS = {
+    "equal length": "equal length",
+    "strictly increasing": "strictly increasing$",
+    "> 0": r"^freq_hz must be from 1e-09 to 1e\+15 Hz, got (-5\.0|-?0\.0) Hz$",
+    "finite": r"strictly increasing$|^freq_hz must be from 1e-09 to 1e\+15 Hz, got (nan|inf) Hz$",
+}
+
+
 @pytest.mark.parametrize(
-    "frequencies, delta_L, message",
+    "frequencies, delta_L, defect",
     [
         ([10.0, 20.0], [1.0], "equal length"),
         ([10.0, 20.0, 30.0], [1.0, 1.0], "equal length"),
@@ -190,8 +206,70 @@ def test_sweep_spec_rejects_non_finite():
         ([10.0, np.nan, 20.0], [1.0, 1.0, 1.0], "finite"),
         ([10.0, 20.0, np.inf], [1.0, 1.0, 1.0], "finite"),
         ([np.nan], [1.0], "finite"),
+        (10.0, 1.0, "strictly increasing"),
+        ([[10.0, 20.0]], [[1.0, 1.0]], "strictly increasing"),
     ],
 )
-def test_spectrum_validation(frequencies, delta_L, message):
-    with pytest.raises(ValueError, match=message):
+def test_spectrum_validation(frequencies, delta_L, defect):
+    with pytest.raises(ValueError, match=REFUSALS[defect]):
         InductanceSpectrum(frequencies, delta_L, normalized=True, model_tag="synthetic")
+
+
+@pytest.mark.parametrize("freq", [np.nextafter(F_MIN, 0.0), 1e-300, np.nextafter(F_MAX, np.inf)])
+def test_spectrum_refuses_frequencies_out_of_range(freq):
+    # the lowest or highest row beyond model.RANGES; the ends themselves pass
+    freqs = [freq, 1.0] if freq < 1.0 else [1.0, freq]
+    with pytest.raises(ValueError, match=rf"^freq_hz must be from 1e-09 to 1e\+15 Hz, got {float(freq)!r} Hz$"):
+        InductanceSpectrum(freqs, [1.0, 1.0], normalized=True, model_tag="synthetic")
+    InductanceSpectrum([F_MIN, F_MAX], [1.0, 1.0], normalized=True, model_tag="synthetic")
+
+
+@pytest.mark.parametrize("value", [np.nan, complex(0.0, np.inf), complex(-np.inf, 1.0)])
+def test_spectrum_refuses_non_finite_delta_L(value):
+    # the first bad row is named, at the writer's 17 digits
+    delta = [1.0, value, value]
+    with pytest.raises(ValueError, match=r"^non-finite delta_L at freq_hz = 0\.10000000000000001$"):
+        InductanceSpectrum([0.05, 0.1, 0.2], delta, normalized=True, model_tag="synthetic")
+
+
+def test_spectrum_is_read_only():
+    freqs, delta = np.array([10.0, 20.0, 30.0]), np.ones(3, dtype=complex)
+    spectrum = InductanceSpectrum(freqs, delta, normalized=True, model_tag="synthetic")
+    for name in ("frequencies", "delta_L", "normalized", "model_tag", "metadata"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(spectrum, name, getattr(spectrum, name))
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.frequencies[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        spectrum.delta_L[0] = np.nan
+    # the caller's arrays were copied and stay writeable; a read-only one is kept
+    assert spectrum.frequencies is not freqs and spectrum.delta_L is not delta
+    freqs[0], delta[0] = 1.0, np.nan
+    assert spectrum.frequencies[0] == 10.0 and spectrum.delta_L[0] == 1.0
+    grid = frequency_grid(SweepSpec(10.0, 1e3, 3))
+    assert InductanceSpectrum(grid, np.ones(3), normalized=True, model_tag="synthetic").frequencies is grid
+
+
+# The first words of the README ranges table's row for each RANGES entry.
+README_ROWS = {
+    "length": "Lengths",
+    "gap": "Gap between the coils",
+    "conductivity": "Conductivity",
+    "relative_permeability": "Relative permeability",
+    "frequency": "Frequency",
+    "turns": "Turns of each coil",
+    "spatial_frequency": "A set `alpha_max`",
+}
+
+
+def test_readme_ranges_table_states_model_ranges():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.partition("| Quantity | Range | Checked in |\n")[2].partition("\n\n")[0]
+    rows = [line.strip().strip("|").split("|") for line in table.splitlines()[1:]]
+    assert len(rows) == len(RANGES) == len(README_ROWS)
+    stated = {}
+    for quantity, range_, _ in rows:
+        low, high, unit = re.fullmatch(r"(\S+) to (\S+) ?(.*)", range_.strip()).groups()
+        key = next(k for k, label in README_ROWS.items() if quantity.strip().startswith(label))
+        stated[key] = (float(low), float(high), unit)
+    assert stated == RANGES

@@ -1,4 +1,4 @@
-"""The solvers at the corners of the input ranges of model.RANGES.
+"""The solvers and the fit at the corners of the input ranges of model.RANGES.
 
 Over those ranges no solver checks its floating-point arithmetic: every call
 must give a finite value (with or without a TruncationWarning), refuse an
@@ -6,6 +6,7 @@ input over the work budget, or fail to converge, and warn nothing else.
 """
 
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from eddyplate import (
     delta_L,
     delta_L_air,
     dodd_deeds,
+    fit_sigma_d,
     sweep,
 )
 from eddyplate.model import RANGES
@@ -139,3 +141,29 @@ def test_normalized_models_at_the_corners(model):
     for plate in (THIN_STRONGEST, Plate(SIGMA_MAX, LENGTH_MIN), FAINTEST, Plate(0.0, LENGTH_MAX)):
         for alpha0 in (ALPHA_MIN, 1.0, ALPHA_MAX):
             assert outcome(lambda: sweep(model, SENSOR, plate, spec, alpha0=alpha0)) == "value"
+
+
+def test_fit_at_the_corners():
+    # fit_sigma_d checks alpha0 against its range and nothing of its own
+    # arithmetic: over the frequency and alpha0 ranges, (omega mu0 / (2
+    # alpha0))^2 lies from about 1.6e-59 to 1.6e37. Thin-model spectra at the
+    # corners of both, fitted at each end of alpha0's range, give a finite
+    # fit or a refusal of the data.
+    specs = [SweepSpec(F_MIN, F_MAX, 25), SweepSpec(F_MIN, 3 * F_MIN, 3), SweepSpec(F_MAX / 3, F_MAX, 3)]
+    plates = [THIN_STRONGEST, Plate(SIGMA_MAX, LENGTH_MIN), Plate(59.8e6, 0.56e-3), FAINTEST]
+    ends = (ALPHA_MIN, ALPHA_MAX)
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ThinRegimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec, plate, alpha0, fit_alpha0 in product(specs, plates, (ALPHA_MIN, 1.0, ALPHA_MAX), ends):
+            spectrum = sweep("thin_plate", SENSOR, plate, spec, alpha0=alpha0)
+            try:
+                fit = fit_sigma_d(spectrum, fit_alpha0)
+            except ValueError as exc:
+                assert "identically zero" in str(exc) or "misfit overflows" in str(exc), exc
+                continue
+            assert np.isfinite(fit.sigma_d) and np.isfinite(fit.residual_norm), fit
+            seen.add(fit.converged)
+    # the corners reach the fit's arithmetic, not just its refusals
+    assert True in seen
