@@ -81,18 +81,22 @@ _KAPPA = 0.02
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
 # (frequency x node) elements per reflection call in delta_L: amortizes the
-# call overhead (about 35 us); the kernel's five complex buffers take 80
+# kernel's call overhead (about 30 us); its five complex buffers take 80
 # bytes an element, about 1.3 MB at 200 x 82. delta_L splits F rows of N
 # nodes into max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal size, so a
 # block holds at most about 1.5 x _BLOCK_ELEMENTS elements and a 400 x 82
-# sweep makes 2 blocks of 200 rows. The output bits do not depend on it.
-# With the three-product kernel, 16,384 took 4.6% off delta_L's thread time
-# on dd_wideband's 400 x 82 grid against 8,192, faster in 89 of 120
-# interleaved rounds (with the one-division kernel, 3% in 61% of 80).
+# sweep makes 2 blocks of 200 rows. A block's sums are one matrix product
+# whose rows have the same bits at every block height, so the output does
+# not depend on this constant. Against 16,384, delta_L's thread time on
+# dd_wideband's 400 x 82 grid is 4.7 - 7.0% longer at 8,192, and within
+# -0.9 - +0.5% at 32,768 and -1.3 - +0.5% at 65,536 (medians of 60
+# interleaved rounds, two sessions).
 _BLOCK_ELEMENTS = 16384
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300
 # bytes at the peak of a table build, so a build stays below about 330 MB.
+# delta_L's sums of one frequency take about 240 bytes a node, about 250 MB
+# at 2^20.
 _BUDGET = 1 << 20
 
 
@@ -362,8 +366,11 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     pref int P^2 / a^6 axial_factor(a, d) phi da along the path d =
     ``distance`` (2 liftoff + coil_height + gap for delta_L, the gap for
     L_air), one per angular frequency in ``omegas``, or one when it is None.
-    ``row_sums(rows, nodes, weight)`` sums phi times each column of
-    ``weight`` for integrals ``rows``. An integral is accepted when |T_h -
+    ``row_sums(rows, nodes, weight)`` returns, per integral in ``rows``, the
+    sums over ``nodes`` of phi times each column of ``weight`` (3 columns at
+    the first level, 1 at a halving), a row's bits not depending on the
+    other rows of the call: an array call gives each integral the bits of
+    its scalar call. An integral is accepted when |T_h -
     T_2h| <= rel_tolerance |T_h|, and T_h returned; only the others are
     evaluated on the midpoints that halve the step, T_h/2 = T_h / 2 + the
     midpoint sum. The fixed rule returns T_h at ``n_panels``. Returns the
@@ -444,18 +451,28 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
 
     def row_sums(rows, nodes, weight):
         alpha0 = nodes[None, :]
-        out = np.empty((rows.size, weight.shape[1]), dtype=complex)
+        columns = weight.shape[1]
+        out = np.empty((rows.size, columns), dtype=complex)
+        # phi's (Re, Im) pairs against the weights, interleaved so that a
+        # block's Re sums fill the first ``columns`` columns of one real
+        # matrix product and its Im sums the others
+        parts = np.zeros((2 * nodes.size, 2 * columns))
+        parts[0::2, :columns] = weight
+        parts[1::2, columns:] = weight
         # blocks of equal size, as near _BLOCK_ELEMENTS as whole rows allow
         n_blocks = max(1, min(rows.size, round(rows.size * nodes.size / _BLOCK_ELEMENTS)))
         for k in range(n_blocks):
             start, stop = rows.size * k // n_blocks, rows.size * (k + 1) // n_blocks
-            block = rows[start:stop]
-            phi = generalized_reflection(alpha0, w[block, None], plate)
-            # (Re, Im) x weight columns as one real matrix product per
-            # frequency, so a row's bits do not depend on its block's size
-            sums = phi.view(float).reshape(block.size, -1, 2).transpose(0, 2, 1) @ weight
-            out[start:stop].real = sums[:, 0]
-            out[start:stop].imag = sums[:, 1]
+            phi = generalized_reflection(alpha0, w[rows[start:stop], None], plate).view(float)
+            if stop - start == 1:  # numpy gives one row to gemv, which rounds otherwise
+                phi = phi.repeat(2, axis=0)
+            # As (parts^T phi^T)^T, OpenBLAS 0.3.31's gemm gives a row the same
+            # bits at every block height (the block-size and scalar-call tests
+            # check it). phi @ parts does not with 2 columns, and it maps 64 KB
+            # more of the library's code into memory.
+            sums = (parts.T @ phi.T).T
+            out[start:stop].real = sums[: stop - start, :columns]
+            out[start:stop].imag = sums[: stop - start, columns:]
         return out
 
     # the image path: the lower faces of the transmitter and the receiver

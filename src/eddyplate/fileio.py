@@ -47,40 +47,57 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
     freq_hz), raise ValueError naming the file.
     """
     meta: dict[str, str] = {}
-    rows = []
+    rows, fields = [], []  # (lineno, line) of each data row, and its fields
+    problem = None  # the message naming the first line that is refused
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key, value = key.strip(), value.strip()
-                    if key == "eddyplate_spectrum_format" and value != FORMAT_VERSION:
-                        raise ValueError(
-                            f"{path}:{lineno}: unsupported eddyplate_spectrum_format "
-                            f"{value!r}, expected {FORMAT_VERSION!r}"
-                        )
-                    meta[key] = value
-                continue
-            if line.startswith("freq_hz"):
-                continue
+        text = fh.read()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            body = line[1:].strip()
+            if "=" in body:
+                key, _, value = body.partition("=")
+                key, value = key.strip(), value.strip()
+                if key == "eddyplate_spectrum_format" and value != FORMAT_VERSION:
+                    problem = (
+                        f"{path}:{lineno}: unsupported eddyplate_spectrum_format "
+                        f"{value!r}, expected {FORMAT_VERSION!r}"
+                    )
+                    break
+                meta[key] = value
+            continue
+        if line.startswith("freq_hz"):
+            continue
+        row = line.split(",")
+        if len(row) != 3:  # per line: rows of 2 and 4 fields must not pair up
+            problem = f"{path}:{lineno}: expected 3 numbers, got {line!r}"
+            break
+        rows.append((lineno, line))
+        fields += row
+    try:
+        # numpy parses each field as float() does, to the same bits
+        table = np.array(fields, dtype=float).reshape(-1, 3)
+    except ValueError:  # a row before any other problem is not three numbers
+        for lineno, line in rows:
             try:
-                f, dl_re, dl_im = map(float, line.split(","))
+                np.array(line.split(","), dtype=float)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 3 numbers, got {line!r}") from None
-            rows.append((f, dl_re, dl_im))
+                problem = f"{path}:{lineno}: expected 3 numbers, got {line!r}"
+                break
+        else:
+            raise
+    if problem:
+        raise ValueError(problem)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    freqs, re, im = zip(*rows)
     # assembled part by part: re + 1j * im would turn -0.0 parts into +0.0
-    delta = np.empty(len(re), dtype=complex)
-    delta.real, delta.imag = re, im
+    delta = np.empty(len(table), dtype=complex)
+    delta.real, delta.imag = table[:, 1], table[:, 2]
     try:
         return InductanceSpectrum(
-            frequencies=np.array(freqs),
+            frequencies=table[:, 0],
             delta_L=delta,
             normalized=meta.get("normalized", "false") == "true",
             model_tag=meta.get("model", "unknown"),
@@ -102,8 +119,7 @@ def _write_json(path: str, payload: dict, extra: dict | None):
         payload.update(extra)
     payload = {key: _json_value(value) for key, value in payload.items()}
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_report_json(path: str, report: EquivalenceReport, extra: dict | None = None):

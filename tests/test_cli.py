@@ -587,6 +587,25 @@ def test_invert_without_alpha0_exits_1(tmp_path, copper_brass, capsys):
     assert main(["invert", str(out), "--alpha0", "166.66666666666666"]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("1e-300", "alpha0 must be from 1e-09 to 1e+15 1/m, got 1e-300 1/m"),
+    ],
+)
+def test_invert_bad_alpha0_metadata_exits_1(tmp_path, copper_brass, capsys, text, message):
+    # The message names the file and the metadata line: "abc" gave Python's
+    # float() message alone, and 1e-300 the range without the file.
+    out = tmp_path / "cu.csv"
+    main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
+    lines = out.read_text().splitlines(keepends=True)
+    out.write_text("".join(f"# alpha0={text}\n" if line.startswith("# alpha0=") else line for line in lines))
+    capsys.readouterr()
+    assert main(["invert", str(out)]) == EXIT_INVALID
+    assert capsys.readouterr() == ("", f"error: {out}: # alpha0={text}: {message}\n")
+
+
 def test_scenario_without_plate_exits_1(tmp_path, copper_brass, capsys):
     text = open(copper_brass).read()
     bad = tmp_path / "no_plate.ini"

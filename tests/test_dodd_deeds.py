@@ -68,6 +68,16 @@ def uniform_trapezoid(coil, alpha_max, distance, phi):
     return phi(nodes) @ weight
 
 
+def blas():
+    """numpy's BLAS, named in the failure messages of the bitwise tests:
+    delta_L's row sums are its gemm kernel's, so their bits rest on it."""
+    try:
+        config = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its configuration
+        return "numpy's BLAS: unknown"
+    return f"numpy's BLAS: {config.get('name')} {config.get('version')}"
+
+
 def first_level_nodes(coil, quad=QUAD):
     """Nodes per frequency of the rule's first level, from the closed-form
     bound on its step count: with u = ln(alpha_max / alpha) = psi(v) and
@@ -509,14 +519,19 @@ def test_delta_L_array_matches_scalar_calls(monkeypatch):
         assert len(set(levels)) > 1, "every frequency stopped at the same level"
         assert all(type(v) is complex for v in scalar)
         assert batched.dtype == complex and batched.shape == omegas.shape
-        assert np.array_equal(batched, np.array(scalar))
+        # a pair whose halving refines exactly one row
+        pair = [levels.index(1), levels.index(2)]
+        assert np.array_equal(delta_L(COIL, plate, omegas[pair], quad), batched[pair]), (plate, blas())
+        assert np.array_equal(batched, np.array(scalar)), (plate, blas())
 
 
 def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
     # The default sweep of 400 x 82 elements goes to the kernel in 2 blocks
-    # of 200 rows. Blocks of one row, an uneven split of 1 - 2 rows, 4 blocks
-    # of 100 rows, and one block of the whole grid, past numpy's 256 KiB
-    # temporary elision, give the same bits.
+    # of 200 rows. Blocks of one row, an uneven split of 1 - 2 rows, blocks
+    # of 2, 3 and 5 rows, 4 blocks of 100 rows, and one block of the whole
+    # grid, past numpy's 256 KiB temporary elision, give the same bits. So
+    # they do at a tolerance of 3e-10, where one halving refines 123 - 400
+    # rows of each plate and sums a single weight column.
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 400)
     reflection = dodd_deeds.generalized_reflection
     shapes = []
@@ -528,13 +543,16 @@ def test_delta_L_bits_do_not_depend_on_block_size(monkeypatch):
     monkeypatch.setattr(dodd_deeds, "generalized_reflection", recording)
     delta_L(COIL, PLATES[0], omegas, QUAD)
     assert shapes == [(200, first_level_nodes(COIL))] * 2
-    monkeypatch.undo()
-    blocked = [delta_L(COIL, plate, omegas, QUAD) for plate in PLATES]
-    for elements in (1, 97, 8192, 16384, 1 << 16):
-        monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", elements)
-        for plate, value in zip(PLATES, blocked):
-            other = delta_L(COIL, plate, omegas, QUAD)
-            assert np.array_equal(other.view(np.uint64), value.view(np.uint64)), (elements, plate)
+    for quad in (QUAD, QuadratureSpec(rel_tolerance=3e-10)):
+        monkeypatch.undo()
+        blocked = [delta_L(COIL, plate, omegas, quad) for plate in PLATES]
+        for elements in (1, 97, 164, 246, 410, 8192, 16384, 1 << 16):
+            monkeypatch.setattr(dodd_deeds, "_BLOCK_ELEMENTS", elements)
+            for plate, value in zip(PLATES, blocked):
+                other = delta_L(COIL, plate, omegas, quad)
+                assert np.array_equal(other.view(np.uint64), value.view(np.uint64)), (
+                    elements, quad, plate, blas()
+                )
 
 
 def test_delta_L_array_validation():
@@ -828,7 +846,7 @@ def test_delta_L_frozen_bits():
     omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 5)
     for plate, frozen in zip(PLATES, FROZEN_DELTA_L):
         value = delta_L(COIL, plate, omegas, QUAD)
-        assert value.tobytes() == np.array(frozen).tobytes(), plate
+        assert value.tobytes() == np.array(frozen).tobytes(), (plate, blas())
 
 
 def test_default_rule_raises_no_truncation_warning():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -142,10 +144,40 @@ def test_spectrum_csv_rejects_frequencies_not_above_zero(tmp_path, freq):
         read_spectrum_csv(str(path))
 
 
+# The ten metadata lines of a thin_plate spectrum that cli.main writes.
+THIN_PLATE_HEADER = "".join(
+    f"# {line}\n"
+    for line in (
+        "eddyplate_spectrum_format=1", "model=thin_plate", "normalized=true", "alpha0=166.66666666666666",
+        "coil=r=0.006:0.006315 h=0.008 gap=0.002 liftoff=0.001 turns=25/25", "conductivity_Sm=59800000.0",
+        "plate=copper", "scenario_sha256=0", "thickness_m=0.00056", "tool_version=0.1.0",
+    )
+)
+
+
 def test_spectrum_csv_reader_names_the_line_of_a_malformed_row(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# normalized=true\nfreq_hz,dL_re,dL_im\n10,-0.5,0.1\n20,-0.5\n")
     with pytest.raises(ValueError, match=f"^{path}:4: expected 3 numbers, got '20,-0.5'$"):
+        read_spectrum_csv(str(path))
+
+
+@pytest.mark.parametrize(
+    "header, rows, message",
+    [
+        # rows of 2 and 4 fields hold two rows' numbers, but neither is a row
+        (THIN_PLATE_HEADER, "1000,-0.5,0.1\n10,1\n20,2,3,4\n", ":13: expected 3 numbers, got '10,1'"),
+        # the first line refused is named, whatever a later one's problem
+        ("", "10,x,0.1\n20,-0.5\n", ":2: expected 3 numbers, got '10,x,0.1'"),
+        ("", "10,x,0.1\n# eddyplate_spectrum_format=2\n", ":2: expected 3 numbers, got '10,x,0.1'"),
+        ("", "10,-0.5,0.1\n# eddyplate_spectrum_format=2\n20,x\n", ":3: unsupported eddyplate_spectrum_format '2'"),
+    ],
+    ids=["rows-of-2-and-4", "number-before-count", "number-before-format", "format-before-count"],
+)
+def test_spectrum_csv_reader_names_the_first_refused_line(tmp_path, header, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(header + "freq_hz,dL_re,dL_im\n" + rows)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path) + message)}"):
         read_spectrum_csv(str(path))
 
 
