@@ -88,9 +88,8 @@ _MAX_REFINEMENTS = 8
 # sweep makes 2 blocks of 200 rows. A block's sums are one matrix product
 # whose rows have the same bits at every block height, so the output does
 # not depend on this constant. Against 16,384, delta_L's thread time on
-# dd_wideband's 400 x 82 grid is 4.7 - 7.0% longer at 8,192, and within
-# -0.9 - +0.5% at 32,768 and -1.3 - +0.5% at 65,536 (medians of 60
-# interleaved rounds, two sessions).
+# dd_wideband's 400 x 82 grid is 7.5 - 10.0% longer at 8,192 and 2.5 - 5.4%
+# longer at 32,768 (medians of 60 interleaved rounds, two sessions).
 _BLOCK_ELEMENTS = 16384
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300

@@ -23,8 +23,8 @@ it, but numpy can round the same complex product three ways:
   complex elements) as the output, so a * (b * c) becomes an in-place product
   with its operands swapped. The kernel makes no temporary complex array: each
   complex result goes with ``out=`` into one of five buffers of the call's
-  shape, the result and four work buffers (num, num2, X and q / 2 in turn,
-  and the products that replace them).
+  shape: X; Y, then num2 X, then R~ in the result's; q / 2, num2 and num in
+  turn; (q / 2) Y, then the denominator; and num X.
 
 Terms of one axis (|alpha0|, alpha0^2 and their multiples per node, c =
 omega sigma mu2 and its multiples per frequency) are formed on that axis
@@ -55,35 +55,38 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     the squared wavenumbers, not their roots (k2^2 - k1^2 = j c exactly, c =
     omega sigma mu2): A B = num = (mu_r^2 - 1) alpha0^2 - j c, (A^2 + B^2) / 2
     = num2 = (mu_r^2 + 1) alpha0^2 + j c and (A^2 - B^2) / 2 = q / 2 = 2 mu_r
-    k1 k2. With X = 1 - E and Y = 2 - X = 1 + E, R~ is one fraction,
+    k1 k2. With X = 1 - E and Y = 1 + E, R~ is one fraction,
 
         R~ = num X / (num2 X + (q / 2) Y),
 
-    three complex products and one complex division. With 2 k2 D = a + j b,
-    X = (e^-a tau sin b - expm1(-a)) + j e^-a sin b takes one tangent, tau =
-    tan(b / 2), as sin b = 2 tau / (1 + tau^2). Otherwise r (weakly
-    conducting plate, large alpha), 1 - E (small a and b) and 1 - r^2 E
-    (r -> -1 and E -> 1: small alpha, electrically thin plate) would lose
-    all significant digits. Only decaying exponentials appear: at large a, X
-    rounds to 1 and the half-space limit r comes out. k1 = sqrt(alpha0^2) is
-    |alpha0| to the last bit (a correctly rounded square has the operand as
-    its root), whatever the sign of alpha0. For alpha0 != 0 the principal
-    root k2 = t + j s is free of cancellation: t^2 = (sqrt(alpha0^4 + c^2) +
-    alpha0^2) / 2, s = c / (2 t). Against 60-digit mpmath at 3,000 random
-    points (sigma 1e-2 - 1e9 S/m, D 1e-8 - 1 m, mu_r 1 - 1e3, alpha0 1e-5 -
-    1e5 1/m, f 1e-2 - 1e8 Hz, log-uniform) the error is at most 2.8 eps |R~|,
-    and |R~| <= 1 + 4 eps.
+    three complex products and one complex division. With 2 k2 D = a + j b and
+    tau = tan(b / 2), e^-jb = (1 - j tau) / (1 + j tau); so with m = expm1(-a)
+    and G = -2 - m, -(1 + j tau) X = m + j tau G and -(1 + j tau) Y = G + j
+    tau m. The factor cancels in the fraction, and the kernel takes these two
+    for X and Y: one expm1, one tangent and three real steps. Otherwise r
+    (weakly conducting plate, large alpha), 1 - E (small a and b) and 1 - r^2
+    E (r -> -1 and E -> 1: small alpha, electrically thin plate) would lose
+    all significant digits. The only exponential is m, of -a <= 0: at large a,
+    m rounds to -1, X = Y, and the half-space limit r comes out. k1 =
+    sqrt(alpha0^2) is |alpha0| to the last bit (a correctly rounded square has
+    the operand as its root), whatever the sign of alpha0. For alpha0 != 0 the
+    principal root k2 = t + j s is free of cancellation: t^2 = (sqrt(alpha0^4
+    + c^2) + alpha0^2) / 2, s = c / (2 t). Against 60-digit mpmath at 3,000
+    random points (sigma 1e-2 - 1e9 S/m, D 1e-8 - 1 m, mu_r 1 - 1e3, alpha0
+    1e-5 - 1e5 1/m, f 1e-2 - 1e8 Hz, log-uniform) the error is at most 3.0 eps
+    |R~| in five seeded draws, and |R~| <= 1 + 4 eps.
 
-    Domain: k2 comes from the squares (alpha0^2 / 2)^2 and (c / 2)^2, and
-    the products are of the scale of mu_r^2 alpha0^2 + |c| (|1 - E| and |1 +
-    E| are at most 2). The form holds where mu_r and mu_r |alpha0| are at
-    most 1e75 and |c| at most 1e150, so that no square overflows, and where
-    |alpha0| >= 1e-50 or |c| >= 1e-100, so that its terms stay normal
-    numbers with 1 - E down to about 1e-90. Outside it a result can be
-    non-finite, or finite and wrong. The kernel does not check it. The
-    ranges of model.RANGES keep the solvers' calls inside it by tens of
-    decades: mu_r alpha0 at most 1e25 1/m, |c| at most about 8e59 1/m^2,
-    and |alpha0| at least 1e-19 1/m.
+    Domain: k2 comes from the squares (alpha0^2 / 2)^2 and (c / 2)^2, and the
+    products are of the scale of (mu_r^2 alpha0^2 + |c|) |1 + j tau|: X and Y
+    are at most 2 |1 + j tau|, and |tan| of a double is at most about 2.1e18
+    (1.6e16 at the double nearest pi / 2). The form holds where mu_r and mu_r
+    |alpha0| are at most 1e75 and |c| at most 1e150, so that no square
+    overflows and the products stay finite, below about 1e170, and where
+    |alpha0| >= 1e-50 or |c| >= 1e-100, so that its terms stay normal numbers
+    with 1 - E down to about 1e-90. Outside it a result can be non-finite, or
+    finite and wrong. The kernel does not check it. The ranges of model.RANGES
+    keep the solvers' calls inside it by tens of decades: mu_r alpha0 at most
+    1e25 1/m, |c| at most about 8e59 1/m^2, and |alpha0| at least 1e-19 1/m.
     """
     alpha0, omega = np.asarray(alpha0), np.asarray(omega)
     scalar = alpha0.ndim == omega.ndim == 0
@@ -96,10 +99,10 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     shape = np.broadcast(a2, c).shape
     phi = np.empty(shape, dtype=complex)
     work = np.empty((4, *shape), dtype=complex)
-    num, p, one_minus_E, q = work
+    num, p, x, q = work
     # real scratch in the memory of num and p, until they are built; a
     # scratch array takes a new value once its last one is spent
-    t, s, tau, sin_b = work[:2].view(float).reshape(4, *shape)
+    t, s, tau = work[:2].view(float).reshape(4, *shape)[:3]
     # k2 = t + j s: t^2 = sqrt((a2 / 2)^2 + (c / 2)^2) + a2 / 2, s = (c / 2) /
     # t; the halves are exact, and each square is taken on its own axis
     half_a2, half_c = 0.5 * a2, 0.5 * c
@@ -112,28 +115,23 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     q_k1 = 2.0 * mu_r * k1
     np.multiply(q_k1, t, out=q.real)
     np.multiply(q_k1, s, out=q.imag)
-    # 1 - E from x = -a = -2 D t and tau = tan(b / 2) = tan(D s)
-    x = np.multiply(-2.0 * thickness, t, out=t)
-    np.multiply(thickness, s, out=tau)
-    np.tan(tau, out=tau)
-    np.multiply(tau, tau, out=s)
-    np.add(1.0, s, out=s)
-    np.multiply(2.0, tau, out=sin_b)
-    np.divide(sin_b, s, out=sin_b)
-    ea_sin_b = np.multiply(np.exp(x, out=s), sin_b, out=one_minus_E.imag)
-    np.multiply(ea_sin_b, tau, out=sin_b)
-    np.expm1(x, out=x)
-    np.subtract(sin_b, x, out=one_minus_E.real)
-    # R~ = num X / (num2 X + (q / 2) Y), Y = 2 - X: each complex product and
-    # quotient written over none of its operands
-    num.real = (mu_r - 1.0) * (mu_r + 1.0) * a2
-    num.imag = 0.0 - c
-    np.multiply(num, one_minus_E, out=p)
-    num.real = (mu_r * mu_r + 1.0) * a2
-    num.imag = c
-    np.multiply(num, one_minus_E, out=phi)
-    y = np.subtract(2.0, one_minus_E, out=one_minus_E)
+    # X = m + j tau G and Y = G + j tau m, Y in phi: m = expm1(-2 D t), G =
+    # -2 - m and tau = tan(b / 2) = tan(D s)
+    np.tan(np.multiply(thickness, s, out=tau), out=tau)
+    y = phi
+    m = np.expm1(np.multiply(-2.0 * thickness, t, out=t), out=x.real)
+    np.subtract(-2.0, m, out=y.real)
+    np.multiply(tau, y.real, out=x.imag)
+    np.multiply(tau, m, out=y.imag)
+    # R~ = num X / (num2 X + (q / 2) Y): each complex product and quotient
+    # written over none of its operands
     np.multiply(q, y, out=num)
+    q.real = (mu_r * mu_r + 1.0) * a2
+    q.imag = c
+    np.multiply(q, x, out=phi)
     np.add(phi, num, out=num)
+    q.real = (mu_r - 1.0) * (mu_r + 1.0) * a2
+    q.imag = 0.0 - c
+    np.multiply(q, x, out=p)
     np.divide(p, num, out=phi)
     return phi[0] if scalar else phi

@@ -808,36 +808,67 @@ def test_kernel_table_same_bits_at_every_liftoff(monkeypatch):
 
 # delta_L at 10 Hz, 316 Hz, 10 kHz, 316 kHz and 1 MHz on the benchmark's
 # plates (numpy 2.4, x86-64), frozen from the solver after the reflection
-# kernel took the three-product fraction. They agree to 3.6e-16 of |delta_L|
-# with the values frozen before from the one-division kernel on the same
-# 82-node grid, which agreed to 1.9e-15 with those on the 93-node grid, those
-# to 3.0e-16 with those of the reflection kernel with hypot, and those to
-# 3.6e-16 with those of _j1's power series.
+# kernel took the half-angle form of 1 - E and 1 + E. They agree to 2.8e-16 of
+# |delta_L| with the values frozen before from the kernel with sin b, which
+# agreed to 3.6e-16 with those from the one-division kernel on the same
+# 82-node grid, those to 1.9e-15 with those on the 93-node grid, those to
+# 3.0e-16 with those of the reflection kernel with hypot, and those to 3.6e-16
+# with those of _j1's power series.
 FROZEN_DELTA_L = (
     (
-        (-7.031203347622573e-11-2.6066902056236237e-09j), (-1.3234719970067278e-08-3.867036469571213e-08j),
-        (-1.6416859635900704e-07-5.143563489130858e-08j), (-1.8724429333723151e-07-6.638248929748477e-09j),
-        (-1.9282231611300326e-07-1.7112523289472506e-09j),
+        (-7.031203347622569e-11-2.606690205623624e-09j), (-1.3234719970067276e-08-3.867036469571213e-08j),
+        (-1.6416859635900706e-07-5.1435634891308584e-08j), (-1.8724429333723146e-07-6.638248929748476e-09j),
+        (-1.928223161130032e-07-1.7112523289472513e-09j),
     ),
     (
-        (-6.443848236945202e-11-2.309110945857678e-09j), (-1.1793371412165808e-08-3.398699918079809e-08j),
-        (-1.4412129289928283e-07-4.8772509390396183e-08j), (-1.8079881266421823e-07-1.2575949686443764e-08j),
-        (-1.9128229769924224e-07-3.2007172682651724e-09j),
+        (-6.443848236945203e-11-2.309110945857678e-09j), (-1.179337141216581e-08-3.398699918079809e-08j),
+        (-1.4412129289928286e-07-4.8772509390396183e-08j), (-1.8079881266421823e-07-1.2575949686443769e-08j),
+        (-1.912822976992422e-07-3.200717268265168e-09j),
     ),
     (
-        (-3.678712357737017e-14-6.048963319845181e-11j), (-1.1456591280914672e-11-1.07518430857609e-09j),
-        (-2.880289676202157e-09-1.819428724472048e-08j), (-1.210228700349794e-07-8.245889107563603e-08j),
-        (-1.9364731481234238e-07-9.080797438480555e-09j),
+        (-3.678712357737013e-14-6.048963319845181e-11j), (-1.1456591280914677e-11-1.07518430857609e-09j),
+        (-2.8802896762021574e-09-1.819428724472048e-08j), (-1.210228700349794e-07-8.245889107563602e-08j),
+        (-1.9364731481234236e-07-9.08079743848056e-09j),
     ),
     (
-        (-3.670515750190975e-14-6.029259077522119e-11j), (-1.1430688374899341e-11-1.0716806870625678e-09j),
-        (-2.872636210699367e-09-1.813345380504297e-08j), (-1.2058113686910128e-07-8.2181332193387e-08j),
-        (-1.930305785817055e-07-9.079741245463373e-09j),
+        (-3.670515750190954e-14-6.02925907752212e-11j), (-1.1430688374899325e-11-1.0716806870625678e-09j),
+        (-2.8726362106993667e-09-1.8133453805042966e-08j), (-1.205811368691013e-07-8.218133219338699e-08j),
+        (-1.9303057858170547e-07-9.07974124546338e-09j),
     ),
     (
-        (1.7668902938228723e-07-5.109970428702528e-10j), (1.7535333857320107e-07-8.786709202245894e-09j),
-        (1.2945125173630885e-07-4.4229369054213735e-08j), (1.1303333481733775e-08-7.330247250574365e-08j),
-        (-1.1792421910892155e-07-5.080399510394754e-08j),
+        (1.7668902938228723e-07-5.109970428702505e-10j), (1.7535333857320107e-07-8.786709202245896e-09j),
+        (1.2945125173630885e-07-4.422936905421374e-08j), (1.1303333481733772e-08-7.330247250574365e-08j),
+        (-1.1792421910892156e-07-5.080399510394753e-08j),
+    ),
+)
+# The same at HALVING_QUAD, whose coarse first level halves its step until
+# the tighter tolerance holds: the sums of the refined levels.
+HALVING_QUAD = QuadratureSpec(n_panels=9, rel_tolerance=1e-12)
+FROZEN_DELTA_L_HALVED = (
+    (
+        (-7.031203347622581e-11-2.606690205623624e-09j), (-1.3234719970067278e-08-3.8670364695712124e-08j),
+        (-1.6416859635900698e-07-5.143563489130857e-08j), (-1.8724429333723138e-07-6.63824892974847e-09j),
+        (-1.9282231611300313e-07-1.7112523289472509e-09j),
+    ),
+    (
+        (-6.443848236945213e-11-2.309110945857678e-09j), (-1.179337141216581e-08-3.39869991807981e-08j),
+        (-1.441212928992828e-07-4.877250939039616e-08j), (-1.807988126642181e-07-1.2575949686443752e-08j),
+        (-1.9128229769924208e-07-3.2007172682651687e-09j),
+    ),
+    (
+        (-3.678712357730928e-14-6.04896331984518e-11j), (-1.1456591280914488e-11-1.0751843085760896e-09j),
+        (-2.8802896762021566e-09-1.8194287244720474e-08j), (-1.2102287003497933e-07-8.245889107563595e-08j),
+        (-1.9364731481234217e-07-9.08079743848055e-09j),
+    ),
+    (
+        (-3.670515750184899e-14-6.029259077522123e-11j), (-1.1430688374899131e-11-1.0716806870625666e-09j),
+        (-2.8726362106993663e-09-1.8133453805042953e-08j), (-1.2058113686910128e-07-8.218133219338694e-08j),
+        (-1.9303057858170528e-07-9.079741245463371e-09j),
+    ),
+    (
+        (1.766890293822872e-07-5.109970428702529e-10j), (1.75353338573201e-07-8.78670920224589e-09j),
+        (1.2945125173630877e-07-4.422936905421372e-08j), (1.130333348173374e-08-7.33024725057436e-08j),
+        (-1.1792421910892145e-07-5.080399510394752e-08j),
     ),
 )
 
@@ -847,6 +878,16 @@ def test_delta_L_frozen_bits():
     for plate, frozen in zip(PLATES, FROZEN_DELTA_L):
         value = delta_L(COIL, plate, omegas, QUAD)
         assert value.tobytes() == np.array(frozen).tobytes(), (plate, blas())
+
+
+def test_delta_L_frozen_bits_after_halvings():
+    omegas = 2 * np.pi * np.geomspace(10.0, 1e6, 5)
+    first_level = dataclasses.replace(HALVING_QUAD, rule="fixed")
+    for plate, frozen in zip(PLATES, FROZEN_DELTA_L_HALVED):
+        value = delta_L(COIL, plate, omegas, HALVING_QUAD)
+        assert value.tobytes() == np.array(frozen).tobytes(), (plate, blas())
+        # every value comes from a refined level, not from the first
+        assert np.all(value != delta_L(COIL, plate, omegas, first_level)), plate
 
 
 def test_default_rule_raises_no_truncation_warning():

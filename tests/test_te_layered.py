@@ -328,11 +328,54 @@ def test_generalized_reflection_at_the_edges_of_its_domain():
                     assert abs(value - exact) <= ULP_BOUND * abs(exact), (mu_r, alphas[i], omegas[j])
 
 
+def _im_k2(alpha0, c):
+    """Im k2 rounded as the docstring of generalized_reflection forms it:
+    (c / 2) / t with t^2 = sqrt((alpha0^2 / 2)^2 + (c / 2)^2) + alpha0^2 / 2."""
+    half_a2, half_c = 0.5 * (alpha0 * alpha0), 0.5 * c
+    return half_c / np.sqrt(np.sqrt(half_a2 * half_a2 + half_c * half_c) + half_a2)
+
+
+def test_generalized_reflection_where_tau_is_largest():
+    # tau = tan(D Im k2) is largest where D Im k2 is the double nearest a
+    # pole, (k + 1/2) pi: 1.6e16 at k = 0. X and Y then carry |1 + j tau|,
+    # and the products reach some 1e166 at the domain's edges, c = 1e150
+    # and mu_r |alpha0| = 1e75. Every element is finite, within ULP_BOUND of
+    # 150-digit mpmath, and no call warns.
+    mpmath = pytest.importorskip("mpmath")
+    c_max = 1e75 * 1e75
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for mu_r in (1.0, 200.0, 1e20):
+            edge = 1e75 / mu_r
+            while mu_r * edge > 1e75:
+                edge = np.nextafter(edge, 0.0)
+            conductor = slab(5e6, 1.0, mu_r)
+            omega_max = _largest(c_max / (conductor.conductivity * MU_0 * mu_r), c_max, conductor)
+            for alpha, omega in ((1.0, omega_max), (edge, omega_max), (edge, 1.0)):
+                c = omega * conductor.conductivity * (MU_0 * mu_r)
+                s = _im_k2(alpha, c)
+                for k in (0, 1, 5):
+                    with mpmath.workdps(40):
+                        pole = float((k + 0.5) * mpmath.pi)
+                    # of the thicknesses next to pole / s, the one whose D s
+                    # rounds nearest the pole: a spacing of D moves D s by up
+                    # to two of the pole's, so D s may miss its double by one
+                    near = pole / s + np.spacing(pole / s) * np.arange(-4, 5)
+                    thickness = near[np.argmax(np.abs(np.tan(near * s)))]
+                    assert abs(np.tan(thickness * s)) >= 0.5 / np.spacing(pole)
+                    plate = slab(conductor.conductivity, thickness, mu_r)
+                    value = generalized_reflection(alpha, omega, plate)
+                    exact = mp_reflection(alpha, omega, plate, digits=150)
+                    assert np.isfinite(value)
+                    assert abs(value - exact) <= ULP_BOUND * abs(exact), (mu_r, alpha, omega, k)
+
+
 def test_generalized_reflection_bits_do_not_depend_on_call_size():
     # 40,000 elements are past numpy's 256 KiB temporary elision, which
-    # would make products in place with their operands swapped.
+    # would make products in place with their operands swapped; expm1 and
+    # the products of X and Y write into strided .real and .imag views.
     alphas = np.geomspace(1e-3, 1e4, 40_000)
-    for plate in (Plate(5.0e6, 1.0e-3, 200.0), Plate(1e8, 5e-2, 1000.0)):
+    for plate in BITWISE_PLATES:
         for frequency in (10.0, 1e3, 1e5):
             omega = 2 * np.pi * frequency
             pieces = [generalized_reflection(part, omega, plate) for part in np.split(alphas, 80)]
