@@ -18,8 +18,8 @@ from .model import (
     require_range,
 )
 
-# Frequencies where the reference magnitude drops below this fraction of its
-# peak are excluded from relative-error statistics (and counted).
+# Frequencies where the reference magnitude is zero or drops below this
+# fraction of its peak are excluded from relative-error statistics (and counted).
 NEAR_ZERO_FRACTION = 1e-3
 
 # Every model sweep evaluates: two normalized single-alpha0 models, then the
@@ -80,35 +80,24 @@ def sweep(
     omegas = 2.0 * np.pi * freqs
 
     if model in MODELS[:2]:
-        a0 = derive_alpha0(coil) if alpha0 is None else alpha0
+        alpha0 = derive_alpha0(coil) if alpha0 is None else alpha0
         thin_plate._require_nonmagnetic(plate)
-        # looked up in its module at each call, so that a wrapper bound there
-        # sees it; the exact bracket is the layered reflection at k1 = alpha0
+        # the exact bracket is the layered reflection at k1 = alpha0
         if model == "thin_plate":
             response = thin_plate.normalized_response_thin
         else:
             response = te_layered.generalized_reflection
-        return InductanceSpectrum(
-            frequencies=freqs,
-            delta_L=response(a0, omegas, plate),
-            normalized=True,
-            model_tag=model,
-            metadata={"alpha0": a0},
-        )
-
-    if model != "dodd_deeds":
-        raise ValueError(f"unknown model {model!r}")
-    q = quad if quad is not None else dodd_deeds.QuadratureSpec()
-    return InductanceSpectrum(
-        frequencies=freqs,
-        delta_L=dodd_deeds.delta_L(coil, plate, omegas, q),
-        normalized=False,
-        model_tag=model,
-        metadata={
+        delta, metadata = response(alpha0, omegas, plate), {"alpha0": alpha0}
+    elif model == "dodd_deeds":
+        q = quad if quad is not None else dodd_deeds.QuadratureSpec()
+        delta = dodd_deeds.delta_L(coil, plate, omegas, q)
+        metadata = {
             "quadrature": f"alpha_max={q.resolve_alpha_max(coil):.6g} "
             f"n_panels={q.n_panels} rule={q.rule} rel_tolerance={q.rel_tolerance:g}"
-        },
-    )
+        }
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    return InductanceSpectrum(freqs, delta, model != "dodd_deeds", model, metadata)
 
 
 def compare(
@@ -130,7 +119,7 @@ def compare(
         raise ValueError(f"band must be finite with lo <= hi, got {band}")
 
     mag = np.abs(a.delta_L)
-    usable = mag >= NEAR_ZERO_FRACTION * mag.max()
+    usable = (mag > 0.0) & (mag >= NEAR_ZERO_FRACTION * mag.max())
     rel = np.full(a.frequencies.shape, np.nan)
     rel[usable] = np.abs(a.delta_L[usable] - b.delta_L[usable]) / mag[usable]
 

@@ -13,7 +13,6 @@ import warnings
 
 from . import __version__, analysis, fileio, thin_plate
 from .dodd_deeds import QuadratureConvergenceError
-from .model import require_range
 from .scenario import load_scenario, parse_quantity
 
 EXIT_OK = 0
@@ -108,16 +107,9 @@ def cmd_invert(args) -> int:
         raise ValueError(
             "spectrum is absolute (henries); inversion needs the normalized thin-plate form"
         )
-    alpha0 = args.alpha0
+    alpha0 = spectrum.metadata.get("alpha0") if args.alpha0 is None else args.alpha0
     if alpha0 is None:
-        text = spectrum.metadata.get("alpha0")
-        if text is None:
-            raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
-        try:
-            alpha0 = float(text)
-            require_range("alpha0", alpha0, "spatial_frequency")
-        except ValueError as exc:
-            raise ValueError(f"{args.spectrum}: # alpha0={text}: {exc}") from None
+        raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
     fit = analysis.fit_sigma_d(spectrum, alpha0)
     if args.output:
         fileio.write_fit_json(

@@ -69,7 +69,7 @@ _HANKEL = [
     (-1) ** (k // 2) * prod(4 - (2 * j - 1) ** 2 for j in range(1, k + 1)) / (factorial(k) * 8**k)
     for k in range(30)
 ]
-_HANKEL_P, _HANKEL_Q = _HANKEL[0::2], _HANKEL[1::2]
+_HANKEL_P, _HANKEL_Q = _HANKEL[-2::-2], _HANKEL[::-2]  # highest power first, for np.polyval
 # Decades of alpha below alpha_max that the trapezoid rule spans.
 _DECADES = 9
 # The grid's stretch (beta and kappa of _kernel_table): below about
@@ -191,15 +191,6 @@ def _within_budget(count, unit, source, level=0):
         raise ValueError(message)
 
 
-def _horner(coefficients, z):
-    """sum_k coefficients[k] z^k, one array at a time."""
-    total = np.full_like(z, coefficients[-1])
-    for c in reversed(coefficients[:-1]):
-        total *= z
-        total += c
-    return total
-
-
 def _j1(x):
     """Bessel J1 on a 1-D array x >= 0, in two branches, each summed term by
     term into arrays of x's size.
@@ -229,7 +220,7 @@ def _j1(x):
         s = x[large]
         inverse = 1.0 / s
         z = inverse * inverse
-        p, q = _horner(_HANKEL_P, z), _horner(_HANKEL_Q, z) * inverse
+        p, q = np.polyval(_HANKEL_P, z), np.polyval(_HANKEL_Q, z) * inverse
         out[large] = (np.sin(s) * (p + q) + np.cos(s) * (q - p)) / np.sqrt(np.pi * s)
     return out
 
@@ -443,7 +434,8 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
     omegas = np.asarray(omega, dtype=float)
     w = np.atleast_1d(omegas)
     f_low, f_high, _ = RANGES["frequency"]
-    w_low, w_high = np.minimum.reduce(w, axis=None), np.maximum.reduce(w, axis=None)
+    # an empty w reduces to inf and -inf, which the range test refuses
+    w_low, w_high = w.min(initial=np.inf), w.max(initial=-np.inf)
     if omegas.ndim > 1 or not 2.0 * np.pi * f_low <= w_low <= w_high <= 2.0 * np.pi * f_high:
         raise ValueError(f"omega must be a scalar or 1-D array, each 2 pi x {f_low:g} to {f_high:g} Hz")
     alpha_max = quad.resolve_alpha_max(coil)

@@ -20,9 +20,7 @@ FORMAT_VERSION = "1"
 
 def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict | None = None):
     """Write ``spectrum`` to ``path``; a spectrum holds no row the reader refuses."""
-    meta = dict(spectrum.metadata)
-    if metadata:
-        meta.update(metadata)
+    meta = {**spectrum.metadata, **(metadata or {})}
     lines = [
         f"# eddyplate_spectrum_format={FORMAT_VERSION}",
         f"# model={spectrum.model_tag}",
@@ -41,10 +39,11 @@ def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict |
 def read_spectrum_csv(path: str) -> InductanceSpectrum:
     """Parse a spectrum file.
 
-    A data row that is not three numbers, or a format line naming another
-    version than FORMAT_VERSION, raises ValueError naming its line. No data
-    row, or rows InductanceSpectrum refuses (its message names the first bad
-    freq_hz), raise ValueError naming the file.
+    The model and normalized lines become the spectrum's fields, the other
+    '#' lines but the format line its metadata. A data row that is not three
+    numbers, or a format line naming another version than FORMAT_VERSION,
+    raises ValueError naming its line. No data row, or rows or an alpha0
+    InductanceSpectrum refuses, raise ValueError naming the file.
     """
     meta: dict[str, str] = {}
     rows, fields = [], []  # (lineno, line) of each data row, and its fields
@@ -60,13 +59,14 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
             if "=" in body:
                 key, _, value = body.partition("=")
                 key, value = key.strip(), value.strip()
-                if key == "eddyplate_spectrum_format" and value != FORMAT_VERSION:
+                if key != "eddyplate_spectrum_format":
+                    meta[key] = value
+                elif value != FORMAT_VERSION:
                     problem = (
                         f"{path}:{lineno}: unsupported eddyplate_spectrum_format "
                         f"{value!r}, expected {FORMAT_VERSION!r}"
                     )
                     break
-                meta[key] = value
             continue
         if line.startswith("freq_hz"):
             continue
@@ -99,8 +99,8 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
         return InductanceSpectrum(
             frequencies=table[:, 0],
             delta_L=delta,
-            normalized=meta.get("normalized", "false") == "true",
-            model_tag=meta.get("model", "unknown"),
+            normalized=meta.pop("normalized", "false") == "true",
+            model_tag=meta.pop("model", "unknown"),
             metadata=meta,
         )
     except ValueError as exc:

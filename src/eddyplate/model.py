@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from numbers import Integral
+from types import MappingProxyType
 
 import numpy as np
 
@@ -16,8 +17,8 @@ MU_0 = 4e-7 * np.pi  # vacuum permeability [H/m], exact by definition here
 
 # The range of each physical input, (lowest, highest, unit), both ends
 # included, checked where the input enters: CoilPair, Plate, SweepSpec,
-# InductanceSpectrum, QuadratureSpec, analysis.sweep and fit_sigma_d
-# (alpha0) and dodd_deeds.delta_L (omega, as 2 pi times a frequency).
+# InductanceSpectrum (freq_hz, alpha0), QuadratureSpec, analysis.sweep and
+# fit_sigma_d (alpha0) and dodd_deeds.delta_L (omega, as 2 pi times a frequency).
 # Millimetre coils over plates from micrometres to centimetres, at hertz to
 # megahertz, lie decades inside. Within it the solvers' arithmetic holds:
 # the reflection's domain (te_layered), a finite normal alpha_max^6 and
@@ -30,7 +31,7 @@ RANGES = {
     "relative_permeability": (1.0, 1e10, ""),
     "frequency": (1e-9, 1e15, "Hz"),
     "turns": (1, 1e12, ""),
-    "spatial_frequency": (1e-9, 1e15, "1/m"),  # a set alpha_max, sweep's alpha0
+    "spatial_frequency": (1e-9, 1e15, "1/m"),  # a set alpha_max, an alpha0
 }
 
 
@@ -94,7 +95,7 @@ class Plate:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Frequency grid definition."""
+    """Frequency grid definition, whose grid strictly increases."""
 
     f_min: float       # [Hz]
     f_max: float       # [Hz]
@@ -104,14 +105,18 @@ class SweepSpec:
     def __post_init__(self):
         require_range("f_min", self.f_min, "frequency")
         require_range("f_max", self.f_max, "frequency")
-        if not self.f_min <= self.f_max:
-            raise ValueError("need f_min <= f_max")
         if not (isinstance(self.n_points, Integral) and self.n_points >= 1):
             raise ValueError("n_points must be an integer >= 1")
         if self.n_points == 1 and self.f_min != self.f_max:
             raise ValueError("n_points = 1 requires f_min == f_max")
         if self.spacing not in ("logarithmic", "linear"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
+        grid = frequency_grid(self)  # f_min > f_max, or too many points for the range
+        if not (grid[1:] > grid[:-1]).all():
+            raise ValueError(
+                f"f_min = {self.f_min!r} Hz, f_max = {self.f_max!r} Hz and n_points = "
+                f"{self.n_points} give a grid that does not strictly increase"
+            )
 
 
 @dataclass(frozen=True)
@@ -120,18 +125,20 @@ class InductanceSpectrum:
 
     ``normalized`` is True for dimensionless delta-L / L_air values
     (single-alpha0 models) and False for absolute henries (full integral
-    solver). A spectrum read back from a CSV keeps the file's model_tag.
+    solver). A CSV file's model and normalized lines are these two fields.
 
     Valid by construction: one or more frequencies, strictly increasing and
     in RANGES, each with a finite delta-L, or a ValueError naming the first
     bad freq_hz. The arrays are read-only; a writeable one is copied first.
+    ``metadata`` is a read-only copy, whose alpha0, if any, is a float (text
+    is converted) in RANGES, or a ValueError names alpha0.
     """
 
     frequencies: np.ndarray        # [Hz]
     delta_L: np.ndarray            # complex, same length
     normalized: bool
     model_tag: str                 # "thin_plate" | "thin_plate_exact" | "dodd_deeds"
-    metadata: dict = field(default_factory=dict)
+    metadata: MappingProxyType = field(default_factory=dict)
 
     def __post_init__(self):
         for name, dtype in (("frequencies", float), ("delta_L", complex)):
@@ -151,6 +158,14 @@ class InductanceSpectrum:
         finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"non-finite delta_L at freq_hz = {f[finite.argmin()]:.17g}")
+        metadata = dict(self.metadata)
+        if "alpha0" in metadata:
+            try:
+                metadata["alpha0"] = float(metadata["alpha0"])
+            except (TypeError, ValueError):
+                raise ValueError(f"alpha0 must be a number, got {metadata['alpha0']!r}") from None
+            require_range("alpha0", metadata["alpha0"], "spatial_frequency")
+        object.__setattr__(self, "metadata", MappingProxyType(metadata))
 
 
 def default_sensor() -> CoilPair:

@@ -216,6 +216,20 @@ def test_compare_near_zero_guard_counts_exclusions():
     assert np.isfinite(report.per_frequency_rel_error[2])
 
 
+def test_compare_zero_reference_excludes_every_row():
+    # A sigma = 0 plate's delta-L is exactly 0 at every frequency: no row is
+    # compared, every row is counted, and no 0 / 0 warns.
+    spec = SweepSpec(1e3, 1e5, 10)
+    zero = sweep("thin_plate", COIL, Plate(0.0, 20e-6), spec)
+    assert not zero.delta_L.any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(zero, sweep("thin_plate", COIL, Plate(1e6, 20e-6), spec))
+    assert np.isnan(report.max_rel_error)
+    assert np.isnan(report.per_frequency_rel_error).all()
+    assert report.n_excluded == spec.n_points
+
+
 # ---------------------------------------------------------------- fit
 
 

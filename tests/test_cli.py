@@ -590,20 +590,20 @@ def test_invert_without_alpha0_exits_1(tmp_path, copper_brass, capsys):
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("abc", "could not convert string to float: 'abc'"),
+        pytest.param("abc", "alpha0 must be a number, got 'abc'", id="abc"),
         ("1e-300", "alpha0 must be from 1e-09 to 1e+15 1/m, got 1e-300 1/m"),
     ],
 )
 def test_invert_bad_alpha0_metadata_exits_1(tmp_path, copper_brass, capsys, text, message):
-    # The message names the file and the metadata line: "abc" gave Python's
-    # float() message alone, and 1e-300 the range without the file.
+    # The spectrum refuses the alpha0 line when it is read, and the message
+    # names the file and alpha0.
     out = tmp_path / "cu.csv"
     main(["spectrum", copper_brass, "copper", "--model", "thin_plate", "-o", str(out)])
     lines = out.read_text().splitlines(keepends=True)
     out.write_text("".join(f"# alpha0={text}\n" if line.startswith("# alpha0=") else line for line in lines))
     capsys.readouterr()
     assert main(["invert", str(out)]) == EXIT_INVALID
-    assert capsys.readouterr() == ("", f"error: {out}: # alpha0={text}: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {out}: {message}\n")
 
 
 def test_scenario_without_plate_exits_1(tmp_path, copper_brass, capsys):
@@ -1022,6 +1022,11 @@ def _either(files):
     argv=["invert", "spec.csv"],
     scenario=b"",
     spectrum=b"# normalized=true\n# alpha0=200\n1,-1,0\n2,-1,0\n3,-1,0\n",
+)
+@example(  # a sigma = 0 plate: the reference is 0 at every frequency, so no row is compared
+    argv=["compare", "spec.csv", "spec.csv", "--report", "report.json"],
+    scenario=b"",
+    spectrum=b"# normalized=true\n1,0,0\n2,-0,0\n3,0,-0\n",
 )
 def test_exit_code_contract(argv, scenario, spectrum):
     # Whatever the command line and file contents, main returns or exits

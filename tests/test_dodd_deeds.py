@@ -469,8 +469,9 @@ def test_step_halving_over_budget_is_no_convergence(monkeypatch):
 
 
 def test_omega_validation():
-    with pytest.raises(ValueError):
-        delta_L(COIL, Plate(59.8e6, 0.56e-3), 0.0, QUAD)
+    for omega in (0.0, np.array([])):
+        with pytest.raises(ValueError, match="^omega must be a scalar or 1-D array"):
+            delta_L(COIL, Plate(59.8e6, 0.56e-3), omega, QUAD)
 
 
 def test_quadrature_spec_rejects_non_finite():

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -68,8 +69,9 @@ def _reference_rows(spectrum):
 @example(spectrum=EDGE_SPECTRUM)
 @example(spectrum=EXTREME_SPECTRUM)
 def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
-    path = str(tmp_path_factory.mktemp("csv") / "spectrum.csv")
-    write_spectrum_csv(path, spectrum)
+    folder = tmp_path_factory.mktemp("csv")
+    path, again = str(folder / "spectrum.csv"), str(folder / "again.csv")
+    write_spectrum_csv(path, spectrum, {"alpha0": 166.66666666666666, "plate": "copper"})
     with open(path, encoding="utf-8") as fh:
         assert fh.read().partition("freq_hz,dL_re,dL_im\n")[2] == _reference_rows(spectrum)
     back = read_spectrum_csv(path)
@@ -82,6 +84,16 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
         assert written.tobytes() == read.tobytes()
     assert back.normalized is spectrum.normalized
     assert back.model_tag == spectrum.model_tag
+    # the model and the flag are fields only, so a second write gives the
+    # same bytes, and an edited field is what is read back
+    assert dict(back.metadata) == {"alpha0": 166.66666666666666, "plate": "copper"}
+    write_spectrum_csv(again, back)
+    with open(path, "rb") as first, open(again, "rb") as second:
+        assert first.read() == second.read()
+    edited = dataclasses.replace(back, normalized=not back.normalized, model_tag="edited")
+    write_spectrum_csv(again, edited)
+    edited_back = read_spectrum_csv(again)
+    assert (edited_back.normalized, edited_back.model_tag) == (edited.normalized, "edited")
 
 
 def test_spectrum_csv_without_rows_is_rejected(tmp_path):

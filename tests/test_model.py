@@ -115,6 +115,13 @@ def test_frequency_grid_cached_read_only(tmp_path):
 def test_sweep_spec_rejects_single_point_range():
     with pytest.raises(ValueError):
         SweepSpec(1e3, 2e3, 1)
+    # a grid that does not strictly increase is refused when the spec is
+    # built, before any model runs: equal or swapped ends, or a range too
+    # narrow for its points
+    for args in ((1e3, 1e3, 5), (2e3, 1e3, 5), (1.0, 1.0 + 4e-16, 10, "linear")):
+        message = f"f_min = {args[0]!r} Hz, f_max = {args[1]!r} Hz and n_points = {args[2]} give a grid"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SweepSpec(*args)
 
 
 @pytest.mark.parametrize(
@@ -248,6 +255,43 @@ def test_spectrum_is_read_only():
     assert spectrum.frequencies[0] == 10.0 and spectrum.delta_L[0] == 1.0
     grid = frequency_grid(SweepSpec(10.0, 1e3, 3))
     assert InductanceSpectrum(grid, np.ones(3), normalized=True, model_tag="synthetic").frequencies is grid
+
+
+def test_spectrum_metadata_is_a_read_only_copy():
+    given = {"plate": "copper", "alpha0": 200.0}
+    spectrum = InductanceSpectrum([10.0, 20.0], np.ones(2), normalized=True, model_tag="synthetic", metadata=given)
+    given["alpha0"] = -1.0
+    with pytest.raises(TypeError):
+        spectrum.metadata["alpha0"] = -1.0
+    # dataclasses.replace builds a new spectrum, with a copy of its own
+    edited = dataclasses.replace(spectrum, model_tag="edited")
+    assert edited.metadata is not spectrum.metadata
+    assert spectrum.metadata == edited.metadata == {"plate": "copper", "alpha0": 200.0}
+
+
+ALPHA0_LOW, ALPHA0_HIGH, _ = RANGES["spatial_frequency"]
+
+
+@pytest.mark.parametrize(
+    "alpha0, message",
+    [
+        ("abc", "alpha0 must be a number, got 'abc'"),
+        (None, "alpha0 must be a number, got None"),
+        (np.nextafter(ALPHA0_LOW, 0.0), "alpha0 must be from 1e-09 to 1e+15 1/m, got 9.999999999999999e-10 1/m"),
+        (repr(float(np.nextafter(ALPHA0_HIGH, np.inf))), "alpha0 must be from 1e-09 to 1e+15 1/m, got 1000000000000000.1 1/m"),
+        ("nan", "alpha0 must be from 1e-09 to 1e+15 1/m, got nan 1/m"),
+    ],
+)
+def test_spectrum_refuses_bad_alpha0(alpha0, message):
+    # text that is no number, and a value, or its text, one double past either end
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        InductanceSpectrum([10.0], [1.0], normalized=True, model_tag="synthetic", metadata={"alpha0": alpha0})
+
+
+def test_spectrum_alpha0_text_becomes_a_float():
+    for text, value in (("166.66666666666666", 166.66666666666666), ("1e-09", ALPHA0_LOW), ("1e15", ALPHA0_HIGH)):
+        spectrum = InductanceSpectrum([10.0], [1.0], normalized=True, model_tag="synthetic", metadata={"alpha0": text})
+        assert type(spectrum.metadata["alpha0"]) is float and spectrum.metadata["alpha0"] == value
 
 
 # The first words of the README ranges table's row for each RANGES entry.
