@@ -110,6 +110,7 @@ def compare(
     ``a`` is the reference ("original structure"); swapping the arguments
     changes only the normalization. Both spectra must share the frequency
     grid and the normalized flag; ``band`` must be finite with lo <= hi.
+    Where a difference or a modulus overflows, both spectra are scaled by 1/4.
     """
     if not np.array_equal(a.frequencies, b.frequencies):
         raise ValueError("spectra are on different frequency grids")
@@ -118,10 +119,17 @@ def compare(
     if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
         raise ValueError(f"band must be finite with lo <= hi, got {band}")
 
-    mag = np.abs(a.delta_L)
-    usable = (mag > 0.0) & (mag >= NEAR_ZERO_FRACTION * mag.max())
-    rel = np.full(a.frequencies.shape, np.nan)
-    rel[usable] = np.abs(a.delta_L[usable] - b.delta_L[usable]) / mag[usable]
+    ref, other = a.delta_L, b.delta_L
+    with np.errstate(over="ignore"):  # a ratio beyond the largest double is inf
+        mag, diff = np.abs(ref), np.abs(ref - other)
+        if np.isinf(mag).any() or np.isinf(diff).any():
+            # |a| and |a - b| are at most 2 sqrt(2) times the largest part, so
+            # a quarter is finite; scaling by 2^-2 is exact but for subnormals
+            ref, other = 0.25 * ref, 0.25 * other
+            mag, diff = np.abs(ref), np.abs(ref - other)
+        usable = (mag > 0.0) & (mag >= NEAR_ZERO_FRACTION * mag.max())
+        rel = np.full(a.frequencies.shape, np.nan)
+        rel[usable] = diff[usable] / mag[usable]
 
     # the frequencies increase strictly, so with no band this selects them all
     lo, hi = band if band is not None else (a.frequencies[0], a.frequencies[-1])
@@ -157,8 +165,8 @@ def _linear_start(u, data) -> float:
     return float(abs(guess)) if np.isfinite(guess) and guess != 0.0 else 1.0
 
 
-def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
-    """Damped Gauss-Newton fit of sigma*D at a given alpha0.
+def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float | None = None) -> SigmaDFit:
+    """Damped Gauss-Newton fit of sigma*D at alpha0, by default the spectrum's.
 
     Minimizes the squared misfit |model - data|^2 of the thin-plate model
     against a normalized spectrum. The model depends on the plate only
@@ -168,16 +176,20 @@ def fit_sigma_d(spectrum: InductanceSpectrum, alpha0: float) -> SigmaDFit:
     is at most 1e-9 of sigma*D, or smaller than sigma*D with a predicted drop
     ||J||^2 step^2 of at most 1e-12 of the cost. A line search that finds no
     lower cost ends the fit as not converged: the model cannot reach the
-    data from there. alpha0 is a spatial frequency in model.RANGES; with the
-    spectrum's frequencies in theirs, (omega mu0 / (2 alpha0))^2 lies from
-    about 1.6e-59 to 1.6e37, a normal double. A spectrum whose misfit
+    data from there. A spectrum that is not normalized is refused first,
+    then a missing alpha0 or one outside model.RANGES; with the spectrum's
+    frequencies in theirs, (omega mu0 / (2 alpha0))^2 lies from about
+    1.6e-59 to 1.6e37, a normal double. A spectrum whose misfit
     overflows is rejected: the fit could not tell convergence. A fit whose
     standard error is not finite, so that the data do not pin sigma*D down,
     is reported as not converged.
     """
-    require_range("alpha0", alpha0, "spatial_frequency")
     if not spectrum.normalized:
         raise ValueError("fit_sigma_d needs a normalized (thin-plate form) spectrum")
+    alpha0 = spectrum.metadata.get("alpha0") if alpha0 is None else alpha0
+    if alpha0 is None:
+        raise ValueError("alpha0 required: none given and none in the spectrum's metadata")
+    require_range("alpha0", alpha0, "spatial_frequency")
     if spectrum.frequencies.size < 3:
         raise ValueError("need at least 3 frequencies")
     if np.all(spectrum.delta_L == 0):

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse/validation error, 2 solver non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import warnings
@@ -39,7 +40,7 @@ def cmd_spectrum(args) -> int:
         quad=scen.quadrature,
         alpha0=scen.alpha0_override,
     )
-    meta = {
+    provenance = {
         "scenario_sha256": scen.sha256,
         "plate": args.plate,
         "conductivity_Sm": plate.conductivity,
@@ -47,7 +48,8 @@ def cmd_spectrum(args) -> int:
         "coil": _coil_summary(scen.coil),
         "tool_version": __version__,
     }
-    fileio.write_spectrum_csv(args.output, spectrum, meta)
+    spectrum = dataclasses.replace(spectrum, metadata={**spectrum.metadata, **provenance})
+    fileio.write_spectrum_csv(args.output, spectrum)
     print(f"wrote {len(spectrum.frequencies)} rows to {args.output}")
     return EXIT_OK
 
@@ -103,14 +105,7 @@ def cmd_compare(args) -> int:
 
 def cmd_invert(args) -> int:
     spectrum = fileio.read_spectrum_csv(args.spectrum)
-    if not spectrum.normalized:
-        raise ValueError(
-            "spectrum is absolute (henries); inversion needs the normalized thin-plate form"
-        )
-    alpha0 = spectrum.metadata.get("alpha0") if args.alpha0 is None else args.alpha0
-    if alpha0 is None:
-        raise ValueError("--alpha0 required (no alpha0 in spectrum metadata)")
-    fit = analysis.fit_sigma_d(spectrum, alpha0)
+    fit = analysis.fit_sigma_d(spectrum, args.alpha0)
     if args.output:
         fileio.write_fit_json(
             args.output,

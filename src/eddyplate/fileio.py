@@ -18,16 +18,15 @@ from .model import InductanceSpectrum
 FORMAT_VERSION = "1"
 
 
-def write_spectrum_csv(path: str, spectrum: InductanceSpectrum, metadata: dict | None = None):
-    """Write ``spectrum`` to ``path``; a spectrum holds no row the reader refuses."""
-    meta = {**spectrum.metadata, **(metadata or {})}
-    lines = [
-        f"# eddyplate_spectrum_format={FORMAT_VERSION}",
-        f"# model={spectrum.model_tag}",
-        f"# normalized={str(spectrum.normalized).lower()}",
-    ]
-    for key in sorted(meta):
-        lines.append(f"# {key}={meta[key]}")
+def write_spectrum_csv(path: str, spectrum: InductanceSpectrum):
+    """Write ``spectrum`` to ``path``: a header of its fields and metadata, then its rows."""
+    header = {
+        "eddyplate_spectrum_format": FORMAT_VERSION,
+        "model": spectrum.model_tag,
+        "normalized": "true" if spectrum.normalized else "false",
+        **dict(sorted(spectrum.metadata.items())),
+    }
+    lines = [f"# {key}={value}" for key, value in header.items()]
     lines.append("freq_hz,dL_re,dL_im\n")
     freqs, values = spectrum.frequencies, spectrum.delta_L
     # Python floats format to the same .17g bytes as numpy scalars, and faster.
@@ -41,9 +40,11 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
 
     The model and normalized lines become the spectrum's fields, the other
     '#' lines but the format line its metadata. A data row that is not three
-    numbers, or a format line naming another version than FORMAT_VERSION,
-    raises ValueError naming its line. No data row, or rows or an alpha0
-    InductanceSpectrum refuses, raise ValueError naming the file.
+    numbers, a format line naming another version than FORMAT_VERSION, a
+    normalized line other than true or false, or a header key given a
+    second time raises ValueError naming its line, the first such line if
+    there are several. No data row, or rows or an alpha0 InductanceSpectrum
+    refuses, raise ValueError naming the file.
     """
     meta: dict[str, str] = {}
     rows, fields = [], []  # (lineno, line) of each data row, and its fields
@@ -59,14 +60,18 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
             if "=" in body:
                 key, _, value = body.partition("=")
                 key, value = key.strip(), value.strip()
-                if key != "eddyplate_spectrum_format":
-                    meta[key] = value
-                elif value != FORMAT_VERSION:
+                if key in meta:
+                    problem = f"{path}:{lineno}: key {key!r} given a second time"
+                elif key == "eddyplate_spectrum_format" and value != FORMAT_VERSION:
                     problem = (
                         f"{path}:{lineno}: unsupported eddyplate_spectrum_format "
                         f"{value!r}, expected {FORMAT_VERSION!r}"
                     )
+                elif key == "normalized" and value not in ("true", "false"):
+                    problem = f"{path}:{lineno}: normalized must be true or false, got {value!r}"
+                if problem:
                     break
+                meta[key] = value
             continue
         if line.startswith("freq_hz"):
             continue
@@ -95,6 +100,7 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
     # assembled part by part: re + 1j * im would turn -0.0 parts into +0.0
     delta = np.empty(len(table), dtype=complex)
     delta.real, delta.imag = table[:, 1], table[:, 2]
+    meta.pop("eddyplate_spectrum_format", None)
     try:
         return InductanceSpectrum(
             frequencies=table[:, 0],

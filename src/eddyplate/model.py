@@ -119,13 +119,24 @@ class SweepSpec:
             )
 
 
+def _breaks_header_line(text: str) -> bool:
+    """Whether ``text``, as the key or value of a '# key=value' line, would
+    read back otherwise: the reader splits lines and strips their ends."""
+    return "\n" in text or "\r" in text or text != text.strip()
+
+
 @dataclass(frozen=True)
 class InductanceSpectrum:
     """Per-frequency complex delta-L values plus provenance metadata.
 
     ``normalized`` is True for dimensionless delta-L / L_air values
     (single-alpha0 models) and False for absolute henries (full integral
-    solver). A CSV file's model and normalized lines are these two fields.
+    solver). A CSV file's header is these two fields, as its model and
+    normalized lines, and the metadata. So that each line reads back the
+    same, model_tag and each metadata key are text, they and each value
+    hold no line break or edge whitespace, and no key holds '=' or is
+    model, normalized or eddyplate_spectrum_format; a ValueError names the
+    one that does.
 
     Valid by construction: one or more frequencies, strictly increasing and
     in RANGES, each with a finite delta-L, or a ValueError naming the first
@@ -165,6 +176,13 @@ class InductanceSpectrum:
             except (TypeError, ValueError):
                 raise ValueError(f"alpha0 must be a number, got {metadata['alpha0']!r}") from None
             require_range("alpha0", metadata["alpha0"], "spatial_frequency")
+        if not isinstance(self.model_tag, str) or _breaks_header_line(self.model_tag):
+            raise ValueError(f"model_tag {self.model_tag!r} is not text or holds a line break or edge whitespace")
+        for key, value in metadata.items():
+            if not isinstance(key, str) or key in ("eddyplate_spectrum_format", "model", "normalized") or "=" in key:
+                raise ValueError(f"metadata key {key!r} is not text, is a header line of its own or holds '='")
+            if _breaks_header_line(key) or _breaks_header_line(str(value)):
+                raise ValueError(f"metadata key {key!r} or its value holds a line break or edge whitespace")
         object.__setattr__(self, "metadata", MappingProxyType(metadata))
 
 

@@ -230,6 +230,41 @@ def test_compare_zero_reference_excludes_every_row():
     assert report.n_excluded == spec.n_points
 
 
+def test_compare_difference_overflow_is_scaled():
+    # |a - b| = 2.8e308 overflowed to inf, with a warning, and the report
+    # read nan; on both spectra scaled by 1/4 the ratio is 2.
+    a = InductanceSpectrum([1.0, 2.0], [1e308 + 1e308j, 1 + 1j], True, "synthetic")
+    b = InductanceSpectrum([1.0, 2.0], [-1e308 - 1e308j, 1 + 1j], True, "synthetic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(a, b)
+    assert report.max_rel_error == 2.0
+    assert report.per_frequency_rel_error[0] == 2.0 and np.isnan(report.per_frequency_rel_error[1])
+    assert report.n_excluded == 1
+
+
+def test_compare_modulus_overflow_is_scaled():
+    # |1.7e308 + 1.7e308j| overflowed to inf, so a row of 1e308 lay below
+    # 1e-3 of the peak and was excluded; scaled, both rows are compared.
+    a = InductanceSpectrum([1.0, 2.0], [1.7e308 + 1.7e308j, 1e308], True, "synthetic")
+    b = dataclasses.replace(a, delta_L=a.delta_L * 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(a, b)
+    assert report.n_excluded == 0
+    assert report.per_frequency_rel_error.tolist() == [0.5, 0.5]
+    assert report.max_rel_error == 0.5
+
+
+def test_compare_unscaled_reports_keep_their_bits():
+    # Without an overflow nothing is scaled: each ratio is |a - b| / |a| as
+    # numpy computes it row by row.
+    freqs = np.geomspace(1e3, 5e5, 30)
+    a, b = synthetic_spectrum(33488.0, A0, freqs), synthetic_spectrum(33000.0, A0, freqs, 0.01, 3)
+    expected = np.abs(a.delta_L - b.delta_L) / np.abs(a.delta_L)
+    assert compare(a, b).per_frequency_rel_error.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------- fit
 
 
@@ -376,6 +411,32 @@ def test_fit_rejects_bad_inputs():
 
 # The thin_plate spectrum of copper_brass.ini's copper plate, at alpha0 = 166.67 1/m.
 COPPER_THIN = sweep("thin_plate", COIL, Plate(59.8e6, 0.56e-3), SweepSpec(1e3, 5e5, 50))
+
+
+def _bits(fit):
+    """Each field of a SigmaDFit, every float (in history too) as its hex form."""
+
+    def hexed(value):
+        return value.hex() if isinstance(value, float) else value
+
+    return [[hexed(v) for v in f] if isinstance(f, list) else hexed(f) for f in dataclasses.astuple(fit)]
+
+
+def test_fit_takes_alpha0_from_the_spectrum():
+    # Without an alpha0 the fit runs at the spectrum's own, to the same bits.
+    assert COPPER_THIN.metadata["alpha0"] == A0
+    assert _bits(fit_sigma_d(COPPER_THIN)) == _bits(fit_sigma_d(COPPER_THIN, COPPER_THIN.metadata["alpha0"]))
+    assert _bits(fit_sigma_d(COPPER_THIN, 2 * A0)) != _bits(fit_sigma_d(COPPER_THIN))
+
+
+def test_fit_without_alpha0_names_it():
+    bare = dataclasses.replace(COPPER_THIN, metadata={})
+    with pytest.raises(ValueError, match="^alpha0 required: none given and none in the spectrum's metadata$"):
+        fit_sigma_d(bare)
+    # an absolute spectrum is refused for that first, with or without alpha0
+    for alpha0 in (None, 1e-300):
+        with pytest.raises(ValueError, match="normalized"):
+            fit_sigma_d(dataclasses.replace(bare, normalized=False), alpha0)
 
 
 @pytest.mark.parametrize("alpha0", [1e-306, 1e-200, 1e-160, 1e160, 1e200])

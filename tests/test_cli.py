@@ -459,6 +459,21 @@ def test_compare_copper_brass_band(tmp_path, copper_brass):
     assert payload["band_filter_hz"] == [1e5, 5e5]
 
 
+def test_compare_near_the_largest_double(tmp_path, capsys):
+    # |a - b| = 2.8e308 overflowed: compare warned "overflow encountered
+    # in subtract" and reported nan; on both spectra scaled by 1/4 it is 2.
+    a, b, report = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "r.json"
+    a.write_text("# normalized=true\nfreq_hz,dL_re,dL_im\n1,1e308,1e308\n2,1,1\n")
+    b.write_text("# normalized=true\nfreq_hz,dL_re,dL_im\n1,-1e308,-1e308\n2,1,1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compare", str(a), str(b), "--report", str(report)]) == EXIT_OK
+    assert capsys.readouterr() == ("max_rel_error=2 in band [1,2]\n", "")
+    payload = _strict_json(report)
+    assert (payload["max_rel_error"], payload["n_excluded"]) == (2.0, 1)
+    assert payload["per_frequency_rel_error"] == [2.0, None]
+
+
 @pytest.mark.parametrize(
     "band, message",
     [
@@ -582,7 +597,7 @@ def test_invert_without_alpha0_exits_1(tmp_path, copper_brass, capsys):
     capsys.readouterr()
     assert main(["invert", str(out)]) == EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.err == "error: --alpha0 required (no alpha0 in spectrum metadata)\n"
+    assert captured.err == "error: alpha0 required: none given and none in the spectrum's metadata\n"
     assert captured.out == ""
     assert main(["invert", str(out), "--alpha0", "166.66666666666666"]) == EXIT_OK
 

@@ -71,7 +71,8 @@ def _reference_rows(spectrum):
 def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
     folder = tmp_path_factory.mktemp("csv")
     path, again = str(folder / "spectrum.csv"), str(folder / "again.csv")
-    write_spectrum_csv(path, spectrum, {"alpha0": 166.66666666666666, "plate": "copper"})
+    spectrum = dataclasses.replace(spectrum, metadata={"alpha0": 166.66666666666666, "plate": "copper"})
+    write_spectrum_csv(path, spectrum)
     with open(path, encoding="utf-8") as fh:
         assert fh.read().partition("freq_hz,dL_re,dL_im\n")[2] == _reference_rows(spectrum)
     back = read_spectrum_csv(path)
@@ -94,6 +95,75 @@ def test_spectrum_csv_round_trip_is_bitwise(tmp_path_factory, spectrum):
     write_spectrum_csv(again, edited)
     edited_back = read_spectrum_csv(again)
     assert (edited_back.normalized, edited_back.model_tag) == (edited.normalized, "edited")
+
+
+SMALL_SPECTRUM = InductanceSpectrum([10.0, 20.0], [-0.5 + 0.25j, -0.75 + 0.125j], True, "thin_plate")
+# Any text, and the keys, values and characters a header line cannot hold.
+header_text = st.text() | st.sampled_from(
+    ["alpha0", "model", "normalized", "eddyplate_spectrum_format", "a=b", " k", "v ", "a\nb=c", "\r", "166.67"]
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    metadata=st.dictionaries(header_text, header_text | finite | st.floats(1e-9, 1e15), max_size=4),
+    normalized=st.booleans(),
+)
+@example(metadata={"model": "x", "normalized": "false"}, normalized=True)
+@example(metadata={"note": "a\nb=c"}, normalized=True)
+@example(metadata={"a=b": "c"}, normalized=False)
+@example(metadata={" k ": " v "}, normalized=True)
+@example(metadata={"alpha0": "166.67", "coil": "r=0.006:0.006315 h=0.008", "": ""}, normalized=True)
+def test_spectrum_metadata_is_refused_or_round_trips(tmp_path_factory, metadata, normalized):
+    # The header is the spectrum: a spectrum refuses metadata that would
+    # read back otherwise, naming its key, so each one built round-trips.
+    try:
+        spectrum = dataclasses.replace(SMALL_SPECTRUM, normalized=normalized, metadata=metadata)
+    except ValueError as exc:
+        assert any(str(exc).startswith((f"metadata key {key!r} ", f"{key} ")) for key in metadata), exc
+        return
+    folder = tmp_path_factory.mktemp("meta")
+    path, again = str(folder / "spectrum.csv"), str(folder / "again.csv")
+    write_spectrum_csv(path, spectrum)
+    back = read_spectrum_csv(path)
+    write_spectrum_csv(again, back)
+    with open(path, "rb") as first, open(again, "rb") as second:
+        assert first.read() == second.read()
+    expected = {key: str(value) for key, value in metadata.items()}
+    if "alpha0" in metadata:
+        expected["alpha0"] = float(metadata["alpha0"])
+    assert dict(back.metadata) == expected
+    assert (back.model_tag, back.normalized) == ("thin_plate", normalized)
+
+
+@pytest.mark.parametrize(
+    "metadata, message",
+    [
+        ({"model": "x", "normalized": "false"}, "metadata key 'model' is not text, is a header line of its own"),
+        ({"plate": "cu", "eddyplate_spectrum_format": "2"}, "metadata key 'eddyplate_spectrum_format' is"),
+        ({"a=b": "c"}, "metadata key 'a=b' is not text, is a header line of its own or holds '='"),
+        # "# 1=a" read back as {"1": "a"}, and {1: "a", "1": "b"} did not sort
+        ({1: "a"}, "metadata key 1 is not text"),
+        ({"note": "a\nb=c"}, "metadata key 'note' or its value holds a line break or edge whitespace"),
+        ({"note": "a\rb"}, "metadata key 'note' or its value holds a line break"),
+        ({" k ": "v"}, "metadata key ' k ' or its value holds a line break or edge whitespace"),
+        ({"k": "v\t"}, "metadata key 'k' or its value holds a line break or edge whitespace"),
+    ],
+    ids=["model", "format", "equals-in-key", "int-key", "newline", "carriage-return", "spaced-key", "tab-after-value"],
+)
+def test_spectrum_refuses_metadata_that_is_no_header_line(metadata, message):
+    # Each of these wrote a file that read back as another spectrum, or that
+    # its own reader refused (":6: expected 3 numbers, got 'b=c'").
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        dataclasses.replace(SMALL_SPECTRUM, metadata=metadata)
+
+
+@pytest.mark.parametrize("tag", [" thin_plate", "thin\nplate", "thin_plate\r", 5])
+def test_spectrum_refuses_a_model_tag_that_is_no_header_value(tag):
+    # "# model= thin_plate" read back as "thin_plate", and "# model=5" as "5"
+    message = f"^model_tag {re.escape(repr(tag))} is not text or holds a line break or edge whitespace$"
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(SMALL_SPECTRUM, model_tag=tag)
 
 
 def test_spectrum_csv_without_rows_is_rejected(tmp_path):
@@ -183,8 +253,19 @@ def test_spectrum_csv_reader_names_the_line_of_a_malformed_row(tmp_path):
         ("", "10,x,0.1\n20,-0.5\n", ":2: expected 3 numbers, got '10,x,0.1'"),
         ("", "10,x,0.1\n# eddyplate_spectrum_format=2\n", ":2: expected 3 numbers, got '10,x,0.1'"),
         ("", "10,-0.5,0.1\n# eddyplate_spectrum_format=2\n20,x\n", ":3: unsupported eddyplate_spectrum_format '2'"),
+        # a header key given a second time, as a scenario's, and a flag
+        # that is not true or false; the last line once won, and True read False
+        (THIN_PLATE_HEADER, "1000,-0.5,0.1\n# alpha0 = 200\n", ":13: key 'alpha0' given a second time"),
+        ("# model=a\n", "10,-0.5,0.1\n# model=b\n20,x\n", ":4: key 'model' given a second time"),
+        ("# normalized=True\n", "10,-0.5,0.1\n", ":1: normalized must be true or false, got 'True'"),
+        ("", "10,x,0.1\n# normalized=yes\n", ":2: expected 3 numbers, got '10,x,0.1'"),
+        ("", "10,-0.5,0.1\n# model=a\n# normalized=1\n# model=b\n", ":4: normalized must be true or false, got '1'"),
     ],
-    ids=["rows-of-2-and-4", "number-before-count", "number-before-format", "format-before-count"],
+    ids=[
+        "rows-of-2-and-4", "number-before-count", "number-before-format", "format-before-count",
+        "alpha0-twice", "model-twice-before-count", "normalized-True", "number-before-normalized",
+        "normalized-before-model-twice",
+    ],
 )
 def test_spectrum_csv_reader_names_the_first_refused_line(tmp_path, header, rows, message):
     path = tmp_path / "bad.csv"
