@@ -110,7 +110,9 @@ def compare(
     ``a`` is the reference ("original structure"); swapping the arguments
     changes only the normalization. Both spectra must share the frequency
     grid and the normalized flag; ``band`` must be finite with lo <= hi.
-    Where a difference or a modulus overflows, both spectra are scaled by 1/4.
+    Where a part of either reaches 2^1021, both are scaled by 1/4 first, which
+    changes no ratio but where a part's quarter is subnormal (below 2^-1022).
+    The maximum is nan only if no row in the band is compared.
     """
     if not np.array_equal(a.frequencies, b.frequencies):
         raise ValueError("spectra are on different frequency grids")
@@ -119,14 +121,13 @@ def compare(
     if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
         raise ValueError(f"band must be finite with lo <= hi, got {band}")
 
-    ref, other = a.delta_L, b.delta_L
+    # |a| and |a - b| are at most 2 sqrt(2) times the largest part: finite
+    # below 2^1021, and above it on a quarter (exact but for subnormals)
+    parts = np.concatenate((a.delta_L, b.delta_L)).view(float)
+    scale = 0.25 if max(parts.max(), -parts.min()) >= 2.0**1021 else 1.0
+    ref, other = scale * a.delta_L, scale * b.delta_L
     with np.errstate(over="ignore"):  # a ratio beyond the largest double is inf
         mag, diff = np.abs(ref), np.abs(ref - other)
-        if np.isinf(mag).any() or np.isinf(diff).any():
-            # |a| and |a - b| are at most 2 sqrt(2) times the largest part, so
-            # a quarter is finite; scaling by 2^-2 is exact but for subnormals
-            ref, other = 0.25 * ref, 0.25 * other
-            mag, diff = np.abs(ref), np.abs(ref - other)
         usable = (mag > 0.0) & (mag >= NEAR_ZERO_FRACTION * mag.max())
         rel = np.full(a.frequencies.shape, np.nan)
         rel[usable] = diff[usable] / mag[usable]
@@ -136,7 +137,7 @@ def compare(
     in_band = (a.frequencies >= lo) & (a.frequencies <= hi)
 
     selected = rel[in_band]
-    max_err = float(np.nanmax(selected)) if np.any(np.isfinite(selected)) else float("nan")
+    max_err = float(np.nanmax(selected)) if (~np.isnan(selected)).any() else float("nan")
     return EquivalenceReport(
         per_frequency_rel_error=rel,
         max_rel_error=max_err,

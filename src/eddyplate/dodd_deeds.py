@@ -351,7 +351,7 @@ def _kernel_table(coil: CoilPair, alpha_max: float, n_panels: int, level: int = 
 
 
 def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
-    """Adaptive or fixed trapezoid rule for a batch of kernel integrals.
+    """Adaptive or fixed trapezoid rule for kernel integrals of a ``_cross_section`` coil.
 
     pref int P^2 / a^6 axial_factor(a, d) phi da along the path d =
     ``distance`` (2 liftoff + coil_height + gap for delta_L, the gap for
@@ -370,14 +370,13 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     bound exceeds rel_tolerance, no convergence says "increase alpha_max".
     """
     prefactor = kernel_prefactor(coil)
-    cross = _cross_section(coil)
     rows = np.arange(1 if omegas is None else omegas.size)
 
     def evaluate(rows, nodes, base):
         weight = prefactor * axial_factor(coil, nodes, distance)[:, None] * base
         return row_sums(rows, nodes, weight)
 
-    nodes, base, tail = _kernel_table(cross, alpha_max, quad.n_panels)
+    nodes, base, tail = _kernel_table(coil, alpha_max, quad.n_panels)
     envelope = prefactor * axial_factor(coil, alpha_max, distance) * tail  # ordered not to overflow
     above = envelope / max(distance * alpha_max, 4.0)
     value, coarse, below = evaluate(rows, nodes, base).T
@@ -387,7 +386,7 @@ def _integrate(coil, quad, alpha_max, distance, row_sums, omegas=None):
     for level in range(_MAX_REFINEMENTS + 1):
         if level:
             coarse = value
-            table = _kernel_table(cross, alpha_max, quad.n_panels, level)
+            table = _kernel_table(coil, alpha_max, quad.n_panels, level)
             value = 0.5 * value + evaluate(rows, *table)[:, 0]
         done = np.abs(value - coarse) <= quad.rel_tolerance * np.abs(value)
         result[rows[done]] = value[done]
@@ -468,7 +467,7 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
 
     # the image path: the lower faces of the transmitter and the receiver
     d = coil.liftoff + (coil.liftoff + coil.coil_height + coil.gap)
-    values, above, below = _integrate(coil, quad, alpha_max, d, row_sums, w)
+    values, above, below = _integrate(_cross_section(coil), quad, alpha_max, d, row_sums, w)
     # a plate that reflects nothing (sigma = 0, mu_r = 1) has delta_L = 0 and no tail
     if plate.conductivity > 0.0 or plate.relative_permeability != 1.0:
         _check_tail(quad, values, above, below)

@@ -85,14 +85,12 @@ def read_spectrum_csv(path: str) -> InductanceSpectrum:
         # numpy parses each field as float() does, to the same bits
         table = np.array(fields, dtype=float).reshape(-1, 3)
     except ValueError:  # a row before any other problem is not three numbers
-        for lineno, line in rows:
+        for lineno, line in rows:  # the same strings, so one of them fails again
             try:
                 np.array(line.split(","), dtype=float)
             except ValueError:
                 problem = f"{path}:{lineno}: expected 3 numbers, got {line!r}"
                 break
-        else:
-            raise
     if problem:
         raise ValueError(problem)
     if not rows:

@@ -140,7 +140,8 @@ class InductanceSpectrum:
 
     Valid by construction: one or more frequencies, strictly increasing and
     in RANGES, each with a finite delta-L, or a ValueError naming the first
-    bad freq_hz. The arrays are read-only; a writeable one is copied first.
+    bad freq_hz. The arrays are read-only copies of those given; ``normalized``
+    is a bool (a numpy.bool_ is converted), or a ValueError names it.
     ``metadata`` is a read-only copy, whose alpha0, if any, is a float (text
     is converted) in RANGES, or a ValueError names alpha0.
     """
@@ -153,11 +154,12 @@ class InductanceSpectrum:
 
     def __post_init__(self):
         for name, dtype in (("frequencies", float), ("delta_L", complex)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
-            if array.flags.writeable:
-                array = array.copy()
-                array.flags.writeable = False
+            array = np.array(getattr(self, name), dtype=dtype)
+            array.flags.writeable = False
             object.__setattr__(self, name, array)
+        if not isinstance(self.normalized, (bool, np.bool_)):
+            raise ValueError(f"normalized must be True or False, got {self.normalized!r}")
+        object.__setattr__(self, "normalized", bool(self.normalized))
         f, values = self.frequencies, self.delta_L
         if f.shape != values.shape:
             raise ValueError("frequencies and delta_L must have equal length")

@@ -6,10 +6,10 @@ quantity, from the one table _UNITS that also reads CLI quantities; a bare
 key is SI. All conversion to SI happens here, at parse time; every other
 module speaks SI only. Each section is read against a table of the keys it
 may set and a list of those it must set: a section not in the example below
-(a plate with a blank name, too), an unknown key (one with a unit of another
-quantity, too) or a missing one, a non-numeric value or a non-integral count
-(turns_tx, turns_rx, n_points, n_panels) makes load_scenario raise
-ScenarioError naming the section, and the key.
+(a plate whose name is blank or has edge whitespace, too), an unknown key
+(one with a unit of another quantity, too) or a missing one, a non-numeric
+value or a non-integral count (turns_tx, turns_rx, n_points, n_panels) makes
+load_scenario raise ScenarioError naming the section, and the key.
 
 Example::
 
@@ -228,8 +228,8 @@ def load_scenario(path: str) -> Scenario:
 def _scenario(sections: dict, sha: str) -> Scenario:
     """The Scenario that ``sections`` ({section: {key: value}}) set; ValueError if invalid."""
     for name in sections:
-        plate = name.startswith("plate.") and name[len("plate.") :].strip()
-        if not plate and name not in ("coil", "sweep", "quadrature", "alpha0"):
+        plate = name.startswith("plate.") and name[len("plate.") :]
+        if not (plate and plate == plate.strip()) and name not in ("coil", "sweep", "quadrature", "alpha0"):
             raise ValueError(f"unknown section [{name}]")
     coil = CoilPair(
         **{

@@ -19,7 +19,7 @@ from eddyplate import (
     sweep,
     thin_plate,
 )
-from eddyplate.analysis import _linear_start, _thin_slope
+from eddyplate.analysis import NEAR_ZERO_FRACTION, _linear_start, _thin_slope
 from eddyplate.model import RANGES
 from eddyplate.thin_plate import _thin_response
 
@@ -218,7 +218,7 @@ def test_compare_near_zero_guard_counts_exclusions():
 
 def test_compare_zero_reference_excludes_every_row():
     # A sigma = 0 plate's delta-L is exactly 0 at every frequency: no row is
-    # compared, every row is counted, and no 0 / 0 warns.
+    # compared, every row is counted, no 0 / 0 warns, and the maximum is nan.
     spec = SweepSpec(1e3, 1e5, 10)
     zero = sweep("thin_plate", COIL, Plate(0.0, 20e-6), spec)
     assert not zero.delta_L.any()
@@ -228,6 +228,14 @@ def test_compare_zero_reference_excludes_every_row():
     assert np.isnan(report.max_rel_error)
     assert np.isnan(report.per_frequency_rel_error).all()
     assert report.n_excluded == spec.n_points
+    # Every row compared, each ratio past the largest double: the maximum is
+    # inf, not nan as if no row were compared.
+    a = InductanceSpectrum([1.0, 2.0, 3.0], [1e-10] * 3, True, "synthetic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compare(a, dataclasses.replace(a, delta_L=[1e300] * 3))
+    assert report.per_frequency_rel_error.tolist() == [np.inf] * 3
+    assert report.max_rel_error == np.inf and report.n_excluded == 0
 
 
 def test_compare_difference_overflow_is_scaled():
@@ -257,12 +265,31 @@ def test_compare_modulus_overflow_is_scaled():
 
 
 def test_compare_unscaled_reports_keep_their_bits():
-    # Without an overflow nothing is scaled: each ratio is |a - b| / |a| as
-    # numpy computes it row by row.
+    # Below 2^1021 nothing is scaled, and past it a quarter changes no ratio
+    # of normal parts: each ratio is |a - b| / |a| as numpy computes it.
     freqs = np.geomspace(1e3, 5e5, 30)
     a, b = synthetic_spectrum(33488.0, A0, freqs), synthetic_spectrum(33000.0, A0, freqs, 0.01, 3)
-    expected = np.abs(a.delta_L - b.delta_L) / np.abs(a.delta_L)
-    assert compare(a, b).per_frequency_rel_error.tobytes() == expected.tobytes()
+    pairs = [(a, b)]
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        # parts log-uniform from 1e-300 to 1e300, of either sign
+        parts = 10.0 ** rng.uniform(-300.0, 300.0, (2, 8, 2)) * rng.choice([-1.0, 1.0], (2, 8, 2))
+        a_parts, b_parts = parts.view(complex)[..., 0]
+        pairs.append(tuple(InductanceSpectrum(freqs[:8], x, True, "synthetic") for x in (a_parts, b_parts)))
+    # a part of 2^1021 and beyond, with |a| and |a - b| still finite: scaled
+    huge = InductanceSpectrum([1.0, 2.0], [2.0**1021 + 1e307j, -3e307 + 5e306j], True, "synthetic")
+    pairs.append((huge, dataclasses.replace(huge, delta_L=[1e300 - 2e307j, -3.5e307])))
+    for a, b in pairs:
+        with np.errstate(over="ignore"):  # a ratio past the largest double is inf
+            expected = np.abs(a.delta_L - b.delta_L) / np.abs(a.delta_L)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = compare(a, b)
+        mag = np.abs(a.delta_L)
+        usable = mag >= NEAR_ZERO_FRACTION * mag.max()
+        assert np.array_equal(np.isnan(report.per_frequency_rel_error), ~usable)
+        assert report.per_frequency_rel_error[usable].tobytes() == expected[usable].tobytes()
+        assert report.max_rel_error == expected[usable].max()
 
 
 # ---------------------------------------------------------------- fit

@@ -306,17 +306,20 @@ def test_warning_prints_as_one_plain_line(tmp_path, copper_brass):
         ("plates.copper", "conductivity_MSm = 1"),
         ("plate.", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
         ("plate. ", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
+        ("plate. copper ", "conductivity_MSm = 59.8\nthickness_mm = 0.56"),
         # a section configparser would have copied into every other
         ("DEFAULT", "foo = 1"),
     ],
-    ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank", "DEFAULT"],
+    ids=["quadratur", "Sweep", "plates.copper", "plate.", "plate.blank", "plate.edge_whitespace", "DEFAULT"],
 )
 def test_unknown_scenario_section_exits_1(tmp_path, copper_brass, capsys, section, body):
-    # Each would otherwise be ignored, or load a plate named "" or " ".
+    # Each would otherwise be ignored, or load a plate named "", " " or
+    # " copper ", which no spectrum could name: "copper" is another plate,
+    # and a provenance value with edge whitespace is refused.
     bad = tmp_path / "section.ini"
     bad.write_text(open(copper_brass).read() + f"\n[{section}]\n{body}\n")
     out = tmp_path / "x.csv"
-    for plate in ("copper", ""):
+    for plate in ("copper", "", " copper "):
         args = ["spectrum", str(bad), plate, "--model", "thin_plate", "-o", str(out)]
         assert main(args) == EXIT_INVALID
         assert f"unknown section [{section}]" in capsys.readouterr().err

@@ -197,6 +197,7 @@ REFUSALS = {
     "strictly increasing": "strictly increasing$",
     "> 0": r"^freq_hz must be from 1e-09 to 1e\+15 Hz, got (-5\.0|-?0\.0) Hz$",
     "finite": r"strictly increasing$|^freq_hz must be from 1e-09 to 1e\+15 Hz, got (nan|inf) Hz$",
+    "normalized": r"^normalized must be True or False, got 'false'$",
 }
 
 
@@ -215,11 +216,15 @@ REFUSALS = {
         ([np.nan], [1.0], "finite"),
         (10.0, 1.0, "strictly increasing"),
         ([[10.0, 20.0]], [[1.0, 1.0]], "strictly increasing"),
+        ([10.0, 20.0], [1.0, 1.0], "normalized"),
     ],
 )
 def test_spectrum_validation(frequencies, delta_L, defect):
+    # a flag that is not a bool: the text "false" is truthy, so the writer
+    # wrote it as normalized=true
+    normalized = "false" if defect == "normalized" else True
     with pytest.raises(ValueError, match=REFUSALS[defect]):
-        InductanceSpectrum(frequencies, delta_L, normalized=True, model_tag="synthetic")
+        InductanceSpectrum(frequencies, delta_L, normalized=normalized, model_tag="synthetic")
 
 
 @pytest.mark.parametrize("freq", [np.nextafter(F_MIN, 0.0), 1e-300, np.nextafter(F_MAX, np.inf)])
@@ -249,12 +254,32 @@ def test_spectrum_is_read_only():
         spectrum.frequencies[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         spectrum.delta_L[0] = np.nan
-    # the caller's arrays were copied and stay writeable; a read-only one is kept
+    # the caller's arrays were copied and stay writeable
     assert spectrum.frequencies is not freqs and spectrum.delta_L is not delta
     freqs[0], delta[0] = 1.0, np.nan
     assert spectrum.frequencies[0] == 10.0 and spectrum.delta_L[0] == 1.0
+    # a read-only array is copied too: a read-only view of a writeable array
+    # would change with its base, and the cached grid is shared by every sweep
     grid = frequency_grid(SweepSpec(10.0, 1e3, 3))
-    assert InductanceSpectrum(grid, np.ones(3), normalized=True, model_tag="synthetic").frequencies is grid
+    on_grid = InductanceSpectrum(grid, np.ones(3), normalized=True, model_tag="synthetic")
+    assert np.array_equal(on_grid.frequencies, grid) and on_grid.frequencies is not grid
+    assert not np.shares_memory(on_grid.frequencies, grid)
+    base_f, base_d = np.array([1.0, 2.0, 3.0]), np.array([1 + 1j, 2 + 2j, 3 + 3j])
+    view_f, view_d = base_f.view(), base_d.view()
+    view_f.flags.writeable = view_d.flags.writeable = False
+    from_views = InductanceSpectrum(view_f, view_d, normalized=True, model_tag="synthetic")
+    base_f[0], base_d[1] = 5.0, np.nan
+    assert from_views.frequencies.tolist() == [1.0, 2.0, 3.0]
+    assert from_views.delta_L.tolist() == [1 + 1j, 2 + 2j, 3 + 3j]
+    assert not from_views.frequencies.flags.writeable and not from_views.delta_L.flags.writeable
+
+
+def test_spectrum_normalized_is_a_bool():
+    # numpy's bool, as a comparison gives it, is stored as Python's; a number is refused
+    spectrum = InductanceSpectrum([10.0], [1.0], normalized=np.True_, model_tag="synthetic")
+    assert spectrum.normalized is True
+    with pytest.raises(ValueError, match=r"^normalized must be True or False, got 1$"):
+        InductanceSpectrum([10.0], [1.0], normalized=1, model_tag="synthetic")
 
 
 def test_spectrum_metadata_is_a_read_only_copy():
