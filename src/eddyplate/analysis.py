@@ -110,8 +110,8 @@ def compare(
     ``a`` is the reference ("original structure"); swapping the arguments
     changes only the normalization. Both spectra must share the frequency
     grid and the normalized flag; ``band`` must be finite with lo <= hi.
-    Where a part of either reaches 2^1021, both are scaled by 1/4 first, which
-    changes no ratio but where a part's quarter is subnormal (below 2^-1022).
+    A row where a part of either reaches 2^1021 is scaled by 1/4 first, which
+    changes no ratio that is not 0 or inf.
     The maximum is nan only if no row in the band is compared.
     """
     if not np.array_equal(a.frequencies, b.frequencies):
@@ -121,14 +121,17 @@ def compare(
     if band is not None and not -np.inf < band[0] <= band[1] < np.inf:
         raise ValueError(f"band must be finite with lo <= hi, got {band}")
 
-    # |a| and |a - b| are at most 2 sqrt(2) times the largest part: finite
-    # below 2^1021, and above it on a quarter (exact but for subnormals)
-    parts = np.concatenate((a.delta_L, b.delta_L)).view(float)
-    scale = 0.25 if max(parts.max(), -parts.min()) >= 2.0**1021 else 1.0
+    # A row's |a| and |a - b| are at most 2 sqrt(2) times its largest part:
+    # finite below 2^1021, and above it on a quarter, which moves a ratio only
+    # where one of them is below 2^-1020 and the other above 2^1020: 0 or inf.
+    tops = [np.maximum(abs(s.real), abs(s.imag)) for s in (a.delta_L, b.delta_L)]
+    huge = np.maximum(*tops) >= 2.0**1021
+    scale = np.where(huge, 0.25, 1.0)
     ref, other = scale * a.delta_L, scale * b.delta_L
     with np.errstate(over="ignore"):  # a ratio beyond the largest double is inf
         mag, diff = np.abs(ref), np.abs(ref - other)
-        usable = (mag > 0.0) & (mag >= NEAR_ZERO_FRACTION * mag.max())
+        level = mag * np.where(huge.any() & ~huge, 0.25, 1.0)  # every row on one scale
+        usable = (level > 0.0) & (level >= NEAR_ZERO_FRACTION * level.max())
         rel = np.full(a.frequencies.shape, np.nan)
         rel[usable] = diff[usable] / mag[usable]
 

@@ -74,22 +74,17 @@ _HANKEL_P, _HANKEL_Q = _HANKEL[-2::-2], _HANKEL[::-2]  # highest power first, fo
 _DECADES = 9
 # The grid's stretch (beta and kappa of _kernel_table): below about
 # _KAPPA / outer_radius the steps in ln(alpha) widen to 1 + _BETA times the
-# step at alpha_max: 82 nodes per frequency for the default sensor.
+# step at alpha_max.
 _BETA = 4.0
 _KAPPA = 0.02
 # Step halvings the adaptive rule may make: from the default 18 steps per
 # decade at alpha_max, up to 4,608.
 _MAX_REFINEMENTS = 8
-# (frequency x node) elements per reflection call in delta_L: amortizes the
-# kernel's call overhead (about 30 us); its five complex buffers take 80
-# bytes an element, about 1.3 MB at 200 x 82. delta_L splits F rows of N
-# nodes into max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal size, so a
-# block holds at most about 1.5 x _BLOCK_ELEMENTS elements and a 400 x 82
-# sweep makes 2 blocks of 200 rows. A block's sums are one matrix product
-# whose rows have the same bits at every block height, so the output does
-# not depend on this constant. Against 16,384, delta_L's thread time on
-# dd_wideband's 400 x 82 grid is 7.5 - 10.0% longer at 8,192 and 2.5 - 5.4%
-# longer at 32,768 (medians of 60 interleaved rounds, two sessions).
+# (frequency x node) elements per reflection call in delta_L, set for speed:
+# a call amortizes the kernel's per-call overhead, and its five complex
+# buffers take 80 bytes an element. delta_L splits F rows of N nodes into
+# max(1, round(F N / _BLOCK_ELEMENTS)) blocks of equal size, at most about
+# 1.5 x _BLOCK_ELEMENTS elements each. The output does not depend on it.
 _BLOCK_ELEMENTS = 16384
 # Nodes, and Gauss-Legendre sub-panels of radial_integral, that one level of a
 # kernel table or one radial_integral call may hold: each takes about 300
@@ -123,27 +118,23 @@ class QuadratureSpec:
     alpha_max from the gap.
 
     ``n_panels`` is the number of trapezoid steps per decade of alpha at
-    alpha_max. The rule is uniform in v, where ln(alpha_max / alpha) = psi(v)
-    widens the step in ln(alpha) smoothly from h = ln(10) / n_panels at
-    alpha_max to 5 h below about 0.02 / outer_radius, and it spans the nine
-    decades below alpha_max: 82 nodes per frequency for the default sensor
-    at the default 18 steps per decade, where a uniform step in ln(alpha)
+    alpha_max, where the stretched grid of the module docstring is finest:
+    82 nodes per frequency for the default sensor at the default 18
+    (test_default_rule_accuracy_audit), where a uniform step in ln(alpha)
     takes 163. The adaptive rule accepts an integral when |T_h - T_2h| <=
     rel_tolerance |T_h|, T_2h being the same rule on every other node; the
     others are evaluated again with the step halved, on the new midpoints
-    only. The fixed rule returns T_h. delta_L converges at the first check
-    at the default 18: on the benchmark's plates, 10 Hz - 1 MHz and
-    lift-offs of 0.5 - 3 mm the estimate is <= 2.61e-9 and the value within
-    7.8e-15 of the same rule at 512 steps per decade, and over lift-offs of
-    0.1 - 10 mm within 5.1e-15 of a uniform step in ln(alpha) at 256 steps
-    per decade. Over f = 0.01 Hz - 100 MHz, sigma = 1 - 1e8 S/m, D = 1 um -
-    10 cm, mu_r up to 1000 and lift-offs of 0.1 - 10 mm, 1,019 of 1,035
-    frequencies stop there too (estimate <= 3.1e-8). The other 16, all on
-    10 cm of 1e8 S/m with mu_r = 1 at 5.3 Hz and below, take one halving.
-    All are within 1.8e-14 of the 512-step rule. delta_L_air, whose
-    integrand decays only as exp(-alpha gap), is solved once per coil
-    geometry: over gaps of 0.1 - 10 mm it stops after 4 - 0 halvings, within
-    2.2e-12 of the 512-step rule.
+    only. The fixed rule returns T_h. The estimate overstates the error of
+    T_h: the rule converges exponentially in 1 / h, so |T_h - T_2h| is about
+    the error of T_2h.
+
+    On the default sensor the rule stops at the first check on the
+    benchmark's inputs, and over extreme plates, frequencies, lift-offs and
+    gaps it is within 1e-13 (delta_L) and 1e-11 (delta_L_air) of the same
+    rule at 512 steps per decade (test_default_rule_accuracy_audit); within
+    1e-13 of a uniform step in ln(alpha) at 256
+    (test_default_rule_against_uniform_trapezoid,
+    test_default_rule_on_extreme_plates_against_uniform_trapezoid).
 
     A set alpha_max must lie in model.RANGES, 1e-9 to 1e15 1/m; one derived
     from a coil in its ranges lies from 4e-5 to 4e13 1/m (4e14 for L_air).
@@ -152,12 +143,6 @@ class QuadratureSpec:
     rule with more than 2^20 nodes, or sub-panels of radial_integral, is
     refused before it is built: a ValueError naming alpha_max or n_panels at
     level 0, a QuadratureConvergenceError later.
-
-    The estimate overstates the error. The trapezoid rule converges
-    exponentially in 1 / h, so where the step and not round-off sets the
-    error of T_h (8 - 12 steps per decade on the benchmark's plates),
-    |T_h - T_2h| is 8.8e2x to 1.1e7x that error. rel_tolerance is not tuned
-    around this: it stays a bound on the estimate.
     """
 
     alpha_max: float | None = None   # [1/m]
@@ -202,10 +187,9 @@ def _j1(x):
     / 32, j = 1 ... 15. Below x = 2 every term is positive, so none cancels,
     and J1(0) is exactly 0. x > 25: Hankel's expansion, 30 terms, sqrt(2 /
     pi x) (P cos chi - Q sin chi) with chi = x - 3 pi / 4, written with sin x
-    and cos x so that numpy reduces x itself. Measured against 30-digit
-    mpmath, the error is at most 1.9e-15 of the envelope min(x / 2, sqrt(2 /
-    pi x)) on the first branch (3.8e-16 below 2) and 3.8e-16 on the second
-    (radial_integral lists the points).
+    and cos x so that numpy reduces x itself. Against 30-digit mpmath the
+    error is within 5e-15 of the envelope min(x / 2, sqrt(2 / pi x))
+    (test_j1_against_mpmath).
     """
     out = np.empty_like(x)
     large = x > 25.0
@@ -228,19 +212,12 @@ def _j1(x):
 def radial_integral(coil: CoilPair, alpha):
     """P(alpha) = int_{alpha r1}^{alpha r2} x J1(x) dx.
 
-    Composite 10-point Gauss-Legendre quadrature. Each alpha gets its own
-    max(1, ceil(alpha (r2 - r1) / 3)) equal sub-panels, so no panel spans
-    more than 3 radians of the J1 oscillation and a node's work and value do
-    not depend on the other nodes of the call: every element is bitwise the
+    Composite 10-point Gauss-Legendre quadrature, with _j1 on one Gauss
+    point of every sub-panel at a time. Each alpha gets its own max(1,
+    ceil(alpha (r2 - r1) / 3)) equal sub-panels, so no panel spans more than
+    3 radians of the J1 oscillation and a node's work and value do not
+    depend on the other nodes of the call: every element is bitwise the
     scalar call's. More than _BUDGET sub-panels in all raise ValueError.
-
-    J1 is _j1's, on one Gauss point of every sub-panel at a time: the
-    64-point trapezoid rule on Bessel's integral up to x = 25 and Hankel's
-    expansion above. Against 30-digit mpmath at 5,406 points from 1e-12 to
-    1e5 (4,606 log-spaced, 800 evenly on (0, 40]) its error is at most
-    1.9e-15 of the envelope min(x / 2, sqrt(2 / pi x)) up to 25 (3.8e-16
-    below 2) and 3.8e-16 above; a cephes-style j1, which subtracts 3 pi / 4
-    from x itself, is 3.8e-12 off near x = 8.6e4.
     """
     a = np.atleast_1d(np.asarray(alpha, dtype=float))
     if not np.all(np.isfinite(a) & (a >= 0.0)):
@@ -289,9 +266,9 @@ def _cross_section(coil: CoilPair) -> CoilPair:
 
 
 def _expit(x):
-    """1 / (1 + exp(-x)) as exp(-softplus(-x)): finite for every x, and to a
-    few ulp of its value on both sides of 0, where 0.5 (1 + tanh(x / 2))
-    loses digits for x < 0."""
+    """1 / (1 + exp(-x)) as exp(-softplus(-x)): finite for every x, and
+    accurate on both sides of 0 (test_expit_matches_scipy), where 0.5 (1 +
+    tanh(x / 2)) loses digits for x < 0."""
     return np.exp(-np.logaddexp(0.0, -x))
 
 
@@ -457,9 +434,8 @@ def delta_L(coil: CoilPair, plate: Plate, omega, quad: QuadratureSpec):
             if stop - start == 1:  # numpy gives one row to gemv, which rounds otherwise
                 phi = phi.repeat(2, axis=0)
             # As (parts^T phi^T)^T, OpenBLAS 0.3.31's gemm gives a row the same
-            # bits at every block height (the block-size and scalar-call tests
-            # check it). phi @ parts does not with 2 columns, and it maps 64 KB
-            # more of the library's code into memory.
+            # bits at every block height, and phi @ parts does not with 2
+            # columns (test_delta_L_bits_do_not_depend_on_block_size).
             sums = (parts.T @ phi.T).T
             out[start:stop].real = sums[: stop - start, :columns]
             out[start:stop].imag = sums[: stop - start, columns:]
@@ -496,11 +472,11 @@ def delta_L_air(coil: CoilPair, quad: QuadratureSpec) -> float:
     min(gap, inner_radius). A gap under a tenth of inner_radius counts as
     touching: alpha_max stops at 400 / inner_radius and the alpha^-5 tail
     sets the error. For the default sensor's windings at gap 0, a
-    TruncationWarning reports it on every call. On a thin flat winding (r2
-    = 1.001 r1, coil height = gap = 1e-3 r1) P^2 oscillates faster than the
-    step in ln(alpha) resolves: the fixed rule's value moves by 3%
-    from 18 to 1,152 steps per decade, and the adaptive rule raises
-    QuadratureConvergenceError, at 100 and 1,000 times alpha_max too.
+    TruncationWarning reports it on every call
+    (test_delta_L_air_touching_coils). On a thin flat winding (r2 = 1.001
+    r1, coil height = gap = 1e-3 r1) P^2 oscillates faster than the step in
+    ln(alpha) resolves, and the adaptive rule raises
+    QuadratureConvergenceError (test_flat_windings_do_not_converge).
     """
     value, above, below = _air_integral(_cross_section(coil), quad)
     _check_tail(quad, value, above, below)

@@ -71,10 +71,9 @@ def generalized_reflection(alpha0, omega, plate: Plate):
     sqrt(alpha0^2) is |alpha0| to the last bit (a correctly rounded square has
     the operand as its root), whatever the sign of alpha0. For alpha0 != 0 the
     principal root k2 = t + j s is free of cancellation: t^2 = (sqrt(alpha0^4
-    + c^2) + alpha0^2) / 2, s = c / (2 t). Against 60-digit mpmath at 3,000
-    random points (sigma 1e-2 - 1e9 S/m, D 1e-8 - 1 m, mu_r 1 - 1e3, alpha0
-    1e-5 - 1e5 1/m, f 1e-2 - 1e8 Hz, log-uniform) the error is at most 3.0 eps
-    |R~| in five seeded draws, and |R~| <= 1 + 4 eps.
+    + c^2) + alpha0^2) / 2, s = c / (2 t). The error is within 8 eps |R~| of
+    mpmath (test_generalized_reflection_against_mpmath), and |R~| <= 1 + 4
+    eps (test_reflection_magnitude_at_most_one).
 
     Domain: k2 comes from the squares (alpha0^2 / 2)^2 and (c / 2)^2, and the
     products are of the scale of (mu_r^2 alpha0^2 + |c|) |1 + j tau|: X and Y

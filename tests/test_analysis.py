@@ -249,6 +249,11 @@ def test_compare_difference_overflow_is_scaled():
     assert report.max_rel_error == 2.0
     assert report.per_frequency_rel_error[0] == 2.0 and np.isnan(report.per_frequency_rel_error[1])
     assert report.n_excluded == 1
+    # Only the row with a part past 2^1021 is scaled: the other row's
+    # subnormal difference keeps its bits (scaled, it read 1.235e-320).
+    a = InductanceSpectrum([1.0, 2.0], [1.0, 1.0], True, "synthetic")
+    b = dataclasses.replace(a, delta_L=[1e308, 1 + 1.2345e-320j])
+    assert compare(a, b).per_frequency_rel_error.tolist() == [1e308, 1.2345e-320]
 
 
 def test_compare_modulus_overflow_is_scaled():
@@ -262,6 +267,11 @@ def test_compare_modulus_overflow_is_scaled():
     assert report.n_excluded == 0
     assert report.per_frequency_rel_error.tolist() == [0.5, 0.5]
     assert report.max_rel_error == 0.5
+    # The near-zero test takes a scaled and an unscaled row on one scale:
+    # 1e304 lies below 1e-3 of 3e307, which alone is past 2^1021.
+    a = InductanceSpectrum([1.0, 2.0], [3e307, 1e304], True, "synthetic")
+    report = compare(a, dataclasses.replace(a, delta_L=a.delta_L * 0.5))
+    assert report.n_excluded == 1 and report.per_frequency_rel_error[0] == 0.5
 
 
 def test_compare_unscaled_reports_keep_their_bits():
